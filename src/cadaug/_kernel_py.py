@@ -10,13 +10,23 @@ Packed keys add under monomial multiplication, and plain integer order on
 keys is lexicographic with x3 > x2 > x1, so the graded-lex order used for
 canonical output is just (total degree, key).
 
+Keys add without carry as long as every exponent stays below 2**21, so
+integer order on keys is itself a monomial order (multiplying two keys by
+the same monomial keeps their order).  ``kdiv_exact`` divides in that lex
+order: an exact quotient is unique, so any monomial order yields it, and
+lex order lets a plain heap of keys pick the next term.  ``klead`` stays
+graded-lex, because canonical output and sign normalization depend on it.
+
 These functions are the hot inner loop of resultant and projection-chain
-computation.  A compiled twin lives in ``_speedups.pyx``; keep the two in
-lockstep.  The 21-bit-per-exponent limit is far beyond anything the
-projection degree budget allows to survive.
+computation.  A compiled twin lives in ``_speedups.pyx``: the two must
+return the same results, not run the same algorithm (the twin still
+divides in graded-lex order).  The 21-bit-per-exponent limit is far beyond
+anything the projection degree budget allows to survive; ingestion rejects
+inputs whose degrees would exceed it.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 EXP_BITS = 21
 EXP_MASK = (1 << EXP_BITS) - 1
@@ -130,7 +140,12 @@ def _coeff_div(a, b):
 
 
 def kdiv_exact(a, b):
-    """Divide a by b in the polynomial ring; raise InexactDivision otherwise."""
+    """Divide a by b in the polynomial ring; raise InexactDivision otherwise.
+
+    Terms are divided out in lex order (plain integer order on keys): a
+    heap holds the negated keys of the remainder, and entries whose term
+    has since cancelled are skipped on pop.
+    """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
@@ -143,22 +158,29 @@ def kdiv_exact(a, b):
                 raise InexactDivision("monomial does not divide term")
             out[k - bk] = _coeff_div(c, bc)
         return out
-    bk = klead(b)
+    bk = max(b)
     bc = b[bk]
+    tail = [(k, c) for k, c in b.items() if k != bk]
     rem = dict(a)
+    heap = [-k for k in rem]
+    heapify(heap)
     out = {}
-    while rem:
-        rk = klead(rem)
+    while heap:
+        rk = -heappop(heap)
+        rc = rem.pop(rk, None)
+        if rc is None:
+            continue
         if not divides(bk, rk):
             raise InexactDivision("leading term not divisible")
         qk = rk - bk
-        qc = _coeff_div(rem[rk], bc)
+        qc = _coeff_div(rc, bc)
         out[qk] = qc
-        for k, c in b.items():
+        for k, c in tail:
             nk = k + qk
             cur = rem.get(nk)
             if cur is None:
                 rem[nk] = -c * qc
+                heappush(heap, -nk)
             else:
                 s = cur - c * qc
                 if s:

@@ -11,7 +11,9 @@ Supported term language: +, -, *, unary -, division with a constant
 divisor, integer and decimal numerals, and term-level ``let``.  Anything
 else (quantifiers, Boolean ``let`` values, transcendental functions,
 push/pop, define-fun) raises UnsupportedConstructError rather than being
-silently dropped.
+silently dropped, and a product whose degree in a variable does not fit a
+packed exponent raises ExponentOverflowError rather than aliasing another
+monomial.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from cadaug import kernels
 from cadaug.poly import Polynomial, Variable, VARIABLES
 
 logger = logging.getLogger("cadaug.ingest")
@@ -47,6 +50,12 @@ class ParseError(IngestError):
 
 class UnsupportedConstructError(ParseError):
     """The script uses a construct outside the supported QF_NRA fragment."""
+
+
+class ExponentOverflowError(ParseError):
+    """A product's degree in some variable exceeds what a packed exponent
+    key holds (``kernels.EXP_MASK``); multiplying anyway would carry into
+    the next variable's field and alias a different monomial."""
 
 
 class VariableCountError(IngestError):
@@ -271,14 +280,18 @@ def parse_script(text: str, instance_id: str = "unnamed") -> ProblemInstance:
 
     declared_set = set(declared)
     used: dict[str, None] = {}
-    for formula in asserts:
-        _scan_formula(formula, {}, declared_set, used)
-
-    varmap = canonicalize_variables(declared, used)
-
     atom_polys: list[Polynomial] = []
-    for formula in asserts:
-        _eval_formula(formula, {}, varmap, atom_polys)
+    # Both passes recurse once or more per nesting level; lazily bound let
+    # chains can need several frames per level.  A term too deep for the
+    # interpreter's stack rejects this one script, not the whole run.
+    try:
+        for formula in asserts:
+            _scan_formula(formula, {}, declared_set, used)
+        varmap = canonicalize_variables(declared, used)
+        for formula in asserts:
+            _eval_formula(formula, {}, varmap, atom_polys)
+    except RecursionError:
+        raise ParseError("terms nested too deeply to evaluate") from None
 
     normalized: list[Polynomial] = []
     for p in atom_polys:
@@ -458,7 +471,15 @@ def _eval_term(form: Form, env: dict[str, _Binding], varmap: dict[str, Variable]
     if head == "*":
         total = _eval_term(args[0], env, varmap)
         for a in args[1:]:
-            total = total * _eval_term(a, env, varmap)
+            factor = _eval_term(a, env, varmap)
+            for v in VARIABLES:
+                degree = total.degree_in(v) + factor.degree_in(v)
+                if degree > kernels.EXP_MASK:
+                    raise ExponentOverflowError(
+                        f"product has degree {degree} in {v}, above the limit {kernels.EXP_MASK}",
+                        *_loc(a),
+                    )
+            total = total * factor
         return total
     if head == "-":
         first = _eval_term(args[0], env, varmap)

@@ -117,6 +117,20 @@ def test_kdiv_exact_rejects_inexact(K):
         K.kdiv_exact({K.pack(2, 0, 0): 1, 0: 1}, a)
 
 
+def test_kdiv_exact_rejects_inexact_lower_term(K):
+    # x1^2 + x1 + x2 over x1 + 1: the graded-lex leading term x1^2 divides,
+    # but the lower term x2 is not a multiple of x1.
+    x1_plus_1 = {K.pack(1, 0, 0): 1, 0: 1}
+    with pytest.raises(K.InexactDivision):
+        K.kdiv_exact({K.pack(2, 0, 0): 1, K.pack(1, 0, 0): 1, K.pack(0, 1, 0): 1}, x1_plus_1)
+    # A divisor whose graded-lex and lex leading terms differ (x1^2 and x2);
+    # the dividend is a multiple of it plus x1.
+    b = {K.pack(2, 0, 0): 1, K.pack(0, 1, 0): -1}
+    a = K.kadd(K.kmul(b, {K.pack(1, 0, 0): 2, K.pack(0, 0, 1): 1}), {K.pack(1, 0, 0): 1})
+    with pytest.raises(K.InexactDivision):
+        K.kdiv_exact(a, b)
+
+
 def test_kdiv_by_zero_raises(K):
     with pytest.raises(ZeroDivisionError):
         K.kdiv_exact({0: 1}, {})

@@ -1,10 +1,14 @@
 """Tests for Sylvester matrices, Bareiss determinants, resultants, discriminants.
 
 The determinant oracle here is plain cofactor expansion, implemented
-independently of the Bareiss code under test.
+independently of the Bareiss code under test.  The subresultant-PRS
+``resultant`` is checked against both: cofactor expansion for small
+Sylvester matrices, and the Bareiss determinant of the Sylvester matrix
+for sizes where cofactor expansion is too slow.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -177,6 +181,91 @@ def test_resultant_multiplicative():
             continue
         trials += 1
         assert resultant(p * q, r, X3) == resultant(p, r, X3) * resultant(q, r, X3)
+
+
+def sylvester_det(p, q, v):
+    return determinant(sylvester_matrix(p, q, v))
+
+
+def random_in_v(rng, degree, v, max_terms=2, max_exp=2, fractions=False):
+    """A polynomial of exactly the given degree in v whose coefficients are
+    small random polynomials in the other two variables."""
+    others = [i for i in range(3) if i != v.index - 1]
+    terms = []
+    for e in range(degree + 1):
+        for _ in range(rng.randint(1 if e == degree else 0, max_terms)):
+            exps = [0, 0, 0]
+            exps[v.index - 1] = e
+            for i in others:
+                exps[i] = rng.randint(0, max_exp)
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            if fractions and rng.random() < 0.5:
+                c = Fraction(c, rng.randint(2, 5))
+            terms.append((tuple(exps), c))
+    p = Polynomial.from_terms(terms)
+    if p.degree_in(v) != degree:  # the leading terms cancelled; try again
+        return random_in_v(rng, degree, v, max_terms, max_exp, fractions)
+    return p
+
+
+def test_resultant_high_degree_matches_bareiss():
+    # Degrees 4-5 in v: Sylvester matrices of size 8 to 10.
+    rng = random.Random(404)
+    for m, n in [(4, 4), (5, 4), (4, 5), (5, 5), (5, 3)]:
+        for v in (X1, X3):
+            p = random_in_v(rng, m, v)
+            q = random_in_v(rng, n, v)
+            assert resultant(p, q, v) == sylvester_det(p, q, v)
+
+
+def test_resultant_remainder_degree_drop():
+    # x1^4 + x2 mod x1^3 + x3 leaves -x3*x1 + x2: the remainder degree
+    # drops by 2, so the next PRS step has delta = 2.
+    p, q = P("x1^4 + x2"), P("x1^3 + x3")
+    assert resultant(p, q, X1) == sylvester_det(p, q, X1)
+    # x1^4 + x2 mod x1^2 + x3 is the constant x3^2 + x2: delta = 2 in the
+    # first step, then a constant remainder against a degree-2 divisor.
+    p, q = P("x1^4 + x2"), P("x1^2 + x3")
+    assert resultant(p, q, X1) == sylvester_det(p, q, X1) == P("x2^2 + 2*x2*x3^2 + x3^4")
+    # The same shapes with non-unit leading coefficients, against d*x^2 + e:
+    # a*x^5 + b*x + c gives delta = 3, then a remainder of degree <= 1;
+    # a*x^4 + c gives delta = 2, then a constant remainder.
+    rng = random.Random(77)
+    x = Polynomial.variable(X1)
+    for _ in range(6):
+        a, b, c, d, e = (random_in_v(rng, 0, X1) for _ in range(5))
+        q = d * x**2 + e
+        for p in (a * x**5 + b * x + c, a * x**4 + c):
+            assert resultant(p, q, X1) == sylvester_det(p, q, X1)
+
+
+def test_resultant_lower_first_degree_both_odd():
+    rng = random.Random(35)
+    for m, n in [(1, 3), (3, 5), (1, 5)]:
+        p = random_in_v(rng, m, X2)
+        q = random_in_v(rng, n, X2)
+        assert resultant(p, q, X2) == sylvester_det(p, q, X2)
+        assert resultant(p, q, X2) == -resultant(q, p, X2)
+
+
+def test_resultant_planted_common_factor_is_zero():
+    rng = random.Random(11)
+    for k in (1, 2):
+        common = random_in_v(rng, k, X3)
+        p = common * random_in_v(rng, 2, X3)
+        q = common * random_in_v(rng, 1, X3)
+        assert sylvester_det(p, q, X3).is_zero()
+        assert resultant(p, q, X3).is_zero()
+
+
+def test_resultant_fraction_coefficients():
+    rng = random.Random(8)
+    for m, n in [(2, 1), (3, 2), (2, 4)]:
+        p = random_in_v(rng, m, X1, fractions=True)
+        q = random_in_v(rng, n, X1, fractions=True)
+        assert resultant(p, q, X1) == sylvester_det(p, q, X1)
+    half = Fraction(1, 2)
+    assert resultant(P("x1 - x2") * half, P("x1 - x3"), X1) == P("x2 - x3") * half
 
 
 def test_resultant_degree_errors():

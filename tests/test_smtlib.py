@@ -7,6 +7,7 @@ import pytest
 from cadaug.poly import Polynomial, X1, X2, X3
 from cadaug.smtlib import (
     ConstantAtomError,
+    ExponentOverflowError,
     IngestError,
     ParseError,
     ProblemInstance,
@@ -213,6 +214,25 @@ def test_unsupported_constructs():
             parse_script(DECLS + snippet + "(assert (> (+ x y z) 0))")
 
 
+def squaring_chain(k):
+    """A script asserting x^(2^k) + y + z > 0 through k nested let squarings."""
+    lets = "".join(
+        f"(let ((a{i} (* {p} {p}))) " for i, p in enumerate(["x"] + [f"a{j}" for j in range(k - 1)])
+    )
+    return DECLS + "(assert (> (* x y z) 1))(assert " + lets + f"(> (+ a{k - 1} y z) 0)" + ")" * (k + 1)
+
+
+def test_exponent_overflow_rejected():
+    inst = parse_script(squaring_chain(20))
+    assert P(f"x1^{2**20} + x2 + x3") in inst.polynomials
+    # x^(2^21) does not fit 21 exponent bits; unchecked, it carried into
+    # the x2 field and was ingested as x3 + 2*x2.
+    with pytest.raises(ExponentOverflowError) as exc:
+        parse_script(squaring_chain(21))
+    assert isinstance(exc.value, IngestError)
+    assert "x1" in str(exc.value)
+
+
 def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as exc:
         parse_script("(declare-fun x () Real\n(assert (> x 0))")
@@ -341,6 +361,17 @@ def test_ingest_directory(tmp_path, caplog):
     assert any("c_bad" in rec.getMessage() for rec in caplog.records)
     without_dedup = ingest_directory(tmp_path, deduplicate=False)
     assert [i.id for i in without_dedup] == ["a_good", "b_good", "d_dup"]
+
+
+def test_ingest_directory_skips_deep_nesting(tmp_path, caplog):
+    deep = "(+ x " * 3000 + "y" + ")" * 3000
+    (tmp_path / "a_deep.smt2").write_text(DECLS + f"(assert (> {deep} z))")
+    (tmp_path / "b_good.smt2").write_text(DECLS + "(assert (> (+ x y) z))")
+    with caplog.at_level(logging.WARNING, logger="cadaug.ingest"):
+        instances = ingest_directory(tmp_path)
+    assert [i.id for i in instances] == ["b_good"]
+    assert any("a_deep" in rec.getMessage() and "nested too deeply" in rec.getMessage()
+               for rec in caplog.records)
 
 
 def test_instance_invariants():
