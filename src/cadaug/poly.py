@@ -58,9 +58,7 @@ class Monomial:
 
     @classmethod
     def from_exponents(cls, e1: int, e2: int, e3: int) -> Monomial:
-        if min(e1, e2, e3) < 0:
-            raise ValueError("negative exponent")
-        return cls(kernels.pack(e1, e2, e3))
+        return cls(_checked_key((e1, e2, e3)))
 
     @property
     def exponents(self) -> tuple[int, int, int]:
@@ -91,6 +89,18 @@ class Monomial:
         parts = [f"x{i}^{e}" if e > 1 else f"x{i}"
                  for i, e in ((1, e1), (2, e2), (3, e3)) if e]
         return "*".join(parts) if parts else "1"
+
+
+def _checked_key(exponents: tuple[int, int, int]) -> int:
+    """Packed key of an exponent triple from outside input.
+
+    An exponent outside 0..EXP_MASK would carry into (or borrow from) the
+    next variable's field and alias a different monomial, so it is refused.
+    """
+    for e in exponents:
+        if not 0 <= e <= kernels.EXP_MASK:
+            raise ValueError(f"exponent {e} outside 0..{kernels.EXP_MASK}")
+    return kernels.pack(*exponents)
 
 
 def _grlex_sort_key(key: int) -> tuple[int, int]:
@@ -129,7 +139,7 @@ class Polynomial:
     def from_terms(cls, terms: Iterable[tuple[tuple[int, int, int], Coeff]]) -> Polynomial:
         acc: dict[int, Coeff] = {}
         for exponents, coeff in terms:
-            key = kernels.pack(*exponents)
+            key = _checked_key(exponents)
             c = acc.get(key, 0) + _normalize_coeff(coeff)
             if c:
                 acc[key] = c
@@ -446,6 +456,12 @@ def _parse_term(tokens: list[str], pos: int) -> tuple[Polynomial, int]:
             pos += 1
             continue
         break
+    for v in VARIABLES:
+        degree = sum(f.degree_in(v) for f in factors)
+        if degree > kernels.EXP_MASK:
+            raise PolynomialParseError(
+                f"term has degree {degree} in {v}, above the limit {kernels.EXP_MASK}"
+            )
     term = factors[0]
     for f in factors[1:]:
         term = term * f
@@ -470,6 +486,8 @@ def _parse_factor(tokens: list[str], pos: int) -> tuple[Polynomial, int]:
             if not tokens[pos + 1].isdigit():
                 raise PolynomialParseError("exponent must be a number")
             exp = int(tokens[pos + 1])
+            if exp > kernels.EXP_MASK:
+                raise PolynomialParseError(f"exponent {exp} above the limit {kernels.EXP_MASK}")
             pos += 2
             return Polynomial.variable(v) ** exp, pos
         return Polynomial.variable(v), pos

@@ -39,6 +39,18 @@ def test_from_terms_merges_and_drops_zeros():
     assert len(p.raw) == 1
 
 
+def test_from_terms_rejects_exponents_a_key_cannot_hold():
+    # Unchecked, (-1, 1, 0) borrowed from the x2 field (x1^2097151*x2^2097151*x3)
+    # and 2^21 carried into it (x2).
+    for exponents in [(-1, 1, 0), (2**21, 0, 0), (0, 0, 2**21)]:
+        with pytest.raises(ValueError):
+            Polynomial.from_terms([(exponents, 1)])
+        with pytest.raises(ValueError):
+            Monomial.from_exponents(*exponents)
+    top = Polynomial.from_terms([((2**21 - 1, 0, 1), 1)])
+    assert top.degree_in(X1) == 2**21 - 1 and top.degree_in(X2) == 0
+
+
 def test_variables_and_degrees():
     p = P("x1^3*x2 - x3 + 2")
     assert p.variables() == {X1, X2, X3}
@@ -266,6 +278,15 @@ def test_parse_rejects_garbage():
     for bad in ["", "x4", "x1 +", "x1 x2", "^2", "x1^", "1/0*x1", "x1**2", "y"]:
         with pytest.raises((PolynomialParseError, ZeroDivisionError, ValueError)):
             P(bad)
+
+
+def test_parse_rejects_exponent_overflow():
+    # The first two used to parse as x2: 2^21 carried out of the 21-bit x1 field.
+    for bad in ["x1^2097152", "x1^1048576*x1^1048576", "x3^2097151*x2 + x1*x3^2097151*x3"]:
+        with pytest.raises(PolynomialParseError):
+            P(bad)
+    assert P("x1^2097151*x2").degree_in(X1) == 2**21 - 1
+    assert P("x1^1048576 + x1^1048576") == P("2*x1^1048576")
 
 
 def test_variable_validation():

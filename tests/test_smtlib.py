@@ -3,6 +3,8 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadaug.poly import Polynomial, X1, X2, X3
 from cadaug.smtlib import (
@@ -320,6 +322,64 @@ def test_render_script_roundtrip():
     assert again.polynomials == inst.polynomials
 
 
+# -- fuzzing --------------------------------------------------------------
+
+_SYMBOLS = ["x", "y", "z", "w", "a", "true", "false", "Real", "Int", "|x|", '"s"']
+_NUMERALS = ["0", "1", "2", "-3", "00", "0.5", "1.25"]
+_OPERATORS = ["+", "-", "*", "/", "<", "<=", ">", ">=", "=", "distinct",
+              "and", "or", "not", "=>", "xor", "let", "forall", "sin"]
+_COMMANDS = ["assert", "declare-fun", "declare-const", "set-logic", "check-sat", "push"]
+
+_token_soups = st.lists(
+    st.sampled_from(_SYMBOLS + _NUMERALS + _OPERATORS + _COMMANDS + ["(", ")", "()", ";c\n"]),
+    max_size=40,
+).map(" ".join)
+
+_sexprs = st.recursive(
+    st.sampled_from(_SYMBOLS + _NUMERALS + _OPERATORS + _COMMANDS),
+    lambda inner: st.lists(inner, max_size=4).map(lambda xs: "(" + " ".join(xs) + ")"),
+    max_leaves=20,
+)
+
+# Well-typed arithmetic over x, y, z, so that some scripts parse.
+_terms = st.recursive(
+    st.sampled_from(["x", "y", "z"] + _NUMERALS),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "/"]), st.lists(inner, min_size=2, max_size=3))
+        .map(lambda t: f"({t[0]} {' '.join(t[1])})"),
+        inner.map(lambda t: f"(- {t})"),
+        st.tuples(inner, inner).map(lambda t: f"(let ((a {t[0]})) (* a {t[1]}))"),
+    ),
+    max_leaves=12,
+)
+_atoms = st.tuples(st.sampled_from(["<", ">=", "=", "distinct"]), _terms, _terms).map(
+    lambda t: f"({t[0]} {t[1]} {t[2]})"
+)
+
+
+def _script(asserted):
+    return DECLS + "".join(f"(assert {x})" for x in asserted)
+
+
+_scripts = st.one_of(
+    _token_soups,
+    st.lists(_sexprs, max_size=4).map(" ".join),
+    st.lists(st.one_of(_sexprs, _atoms), min_size=1, max_size=4).map(_script),
+    # The first atom uses all three variables, so many of these parse.
+    st.lists(_atoms, max_size=3).map(lambda xs: _script(["(> (* x y z) 1)"] + xs)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scripts)
+def test_parse_script_accepts_or_rejects_any_script(text):
+    try:
+        inst = parse_script(text)
+    except IngestError:
+        return
+    assert parse_script(render_script(inst)).polynomials == inst.polynomials
+
+
 # -- JSONL ----------------------------------------------------------------
 
 
@@ -334,6 +394,14 @@ def test_json_roundtrip():
             assert isinstance(num, str) and isinstance(den, str)
             assert len(exps) == 3
     assert instance_from_json(obj) == inst
+
+
+def test_instance_from_json_rejects_exponent_overflow():
+    # x1^(2^21)*x3 + x1 used to be read as x2*x3 + x1.
+    obj = {"id": "o", "polys": [[["1", "1", [2**21, 0, 1]], ["1", "1", [1, 0, 0]]]],
+           "varmap": {"x": "x1", "y": "x2", "z": "x3"}}
+    with pytest.raises(ValueError):
+        instance_from_json(obj)
 
 
 def test_jsonl_file_roundtrip(tmp_path):
