@@ -11,22 +11,18 @@ train and test separately can never leak an instance across the split.
 from __future__ import annotations
 
 import random
-from typing import Union
 
 from cadaug.dataset import Dataset, Row
 from cadaug.features import FeatureSchema, permute_values
 from cadaug.labelling import Ordering, ordering_from_triple
 from cadaug.symmetry import ALL_PERMUTATIONS, Permutation
 
-OrderingLike = Union[Ordering, int]
 
-
-def permute_ordering_label(label: OrderingLike, sigma: Permutation) -> OrderingLike:
-    """Re-encode a best-ordering label after renaming variables by sigma:
-    (va > vb > vc) becomes (sigma(va) > sigma(vb) > sigma(vc))."""
-    ordering = Ordering(label) if isinstance(label, int) else label
-    image = ordering_from_triple([sigma.apply_index(v.index) for v in ordering.triple])
-    return image.index if isinstance(label, int) else image
+def permute_ordering_label(label: int, sigma: Permutation) -> int:
+    """Re-encode a best-ordering label 0..5 after renaming variables by
+    sigma: (va > vb > vc) becomes (sigma(va) > sigma(vb) > sigma(vc))."""
+    triple = Ordering(label).triple
+    return ordering_from_triple([sigma.apply_index(v.index) for v in triple]).index
 
 
 def apply_permutation(row: Row, sigma: Permutation, schema: FeatureSchema) -> Row:

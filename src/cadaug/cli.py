@@ -18,23 +18,16 @@ from pathlib import Path
 from . import __version__
 from .augment import augment_full, balance, split
 from .dataset import load_dataset, save_dataset
-from .features import (
-    FeatureSchema,
-    featurize,
-    featurize_exact,
-    fit_distinct_filter,
-    write_features_csv,
-)
+from .features import FeatureSchema, featurize, fit_distinct_filter, write_features_csv
 from .labelling import (
     DEFAULT_TIMEOUT,
     LabellingError,
-    label_by_sotd,
-    label_from_timings,
-    read_timings_csv,
+    read_labels_csv,
+    write_labels_csv,
     write_timings_csv,
 )
 from .ml import CVPlan, DEFAULT_GRIDS, DegenerateDataError, MODEL_KINDS, TrainedModel, accuracy, train
-from .pipeline import ExperimentConfig, PipelineError, ResultMatrix, run_pipeline
+from .pipeline import LABELLERS, ExperimentConfig, PipelineError, ResultMatrix, label_instances, run_pipeline
 from .report import write_report
 from .smtlib import IngestError, ingest_directory, read_instances_jsonl, write_instances_jsonl
 from .synth import synthesize_corpus, timings_from_sotd
@@ -78,9 +71,8 @@ def _load_grids(path: Path | None):
 
 
 def _load_labelled_dataset(data: Path, schema_path: Path):
-    schema = FeatureSchema.load(schema_path)
-    dataset, _meta = load_dataset(data, schema)
-    return dataset, schema
+    dataset, _meta = load_dataset(data, FeatureSchema.load(schema_path))
+    return dataset
 
 
 # -- verb implementations -------------------------------------------------
@@ -110,7 +102,7 @@ def _cmd_featurize(args) -> int:
     if args.schema is not None and args.fit_distinct:
         raise ConfigError("--schema and --fit-distinct are mutually exclusive")
     if args.fit_distinct:
-        schema = fit_distinct_filter([featurize_exact(inst) for inst in instances])
+        schema = fit_distinct_filter([featurize(inst).values for inst in instances])
     elif args.schema is not None:
         schema = FeatureSchema.load(args.schema)
     else:
@@ -119,15 +111,7 @@ def _cmd_featurize(args) -> int:
         schema.save(args.schema_out)
     labels: dict[str, int] | None = None
     if args.labels is not None:
-        labels = {}
-        with open(args.labels) as fh:
-            header = fh.readline().strip()
-            if header != "instance_id,label":
-                raise ValueError(f"unexpected labels header: {header}")
-            for line in fh:
-                if line.strip():
-                    instance_id, label = line.strip().split(",")
-                    labels[instance_id] = int(label)
+        labels = read_labels_csv(args.labels)
         instances = [inst for inst in instances if inst.id in labels]
     rows = [featurize(inst, schema).values for inst in instances]
     ids = [inst.id for inst in instances]
@@ -141,32 +125,15 @@ def _cmd_label(args) -> int:
     if args.labeller == "timings" and args.timings is None:
         raise ConfigError("--labeller timings requires --timings")
     instances = read_instances_jsonl(args.instances)
-    labelled: list[tuple[str, int]] = []
-    if args.labeller == "timings":
-        records = read_timings_csv(args.timings)
-        for inst in instances:
-            rec = records.get(inst.id)
-            if rec is None:
-                continue
-            ordering = label_from_timings(rec, args.timeout)
-            if ordering is not None:
-                labelled.append((inst.id, ordering.index))
-    else:
-        for inst in instances:
-            ordering = label_by_sotd(inst)
-            if ordering is not None:
-                labelled.append((inst.id, ordering.index))
-    with open(args.out, "w") as fh:
-        fh.write("instance_id,label\n")
-        for instance_id, label in labelled:
-            fh.write(f"{instance_id},{label}\n")
+    labelled = label_instances(instances, args.labeller, args.timings, args.timeout)
+    write_labels_csv(((inst.id, label) for inst, label in labelled), args.out)
     discarded = len(instances) - len(labelled)
     print(f"labelled {len(labelled)} instances ({discarded} discarded) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_split(args) -> int:
-    dataset, _ = _load_labelled_dataset(args.data, args.schema)
+    dataset = _load_labelled_dataset(args.data, args.schema)
     train_ds, test_ds = split(dataset, args.test_fraction, args.seed)
     save_dataset(train_ds, args.out_train, seed=args.seed)
     save_dataset(test_ds, args.out_test, seed=args.seed)
@@ -175,7 +142,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    dataset, _ = _load_labelled_dataset(args.data, args.schema)
+    dataset = _load_labelled_dataset(args.data, args.schema)
     out = balance(dataset, args.mode, args.seed)
     save_dataset(out, args.out, seed=args.seed, mode=args.mode)
     print(f"balanced {len(out)} rows ({args.mode}) -> {args.out}")
@@ -183,7 +150,7 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    dataset, _ = _load_labelled_dataset(args.data, args.schema)
+    dataset = _load_labelled_dataset(args.data, args.schema)
     out = augment_full(dataset)
     save_dataset(out, args.out)
     print(f"augmented {len(dataset)} rows to {len(out)} -> {args.out}")
@@ -191,8 +158,11 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dataset, _ = _load_labelled_dataset(args.data, args.schema)
-    plan = CVPlan(folds=args.cv_folds, grids=_load_grids(args.grid), seed=args.seed)
+    dataset = _load_labelled_dataset(args.data, args.schema)
+    try:
+        plan = CVPlan(folds=args.cv_folds, grids=_load_grids(args.grid), seed=args.seed)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     model = train(args.model, dataset, plan)
     model.save(args.out)
     best = model.hyperparameters
@@ -201,7 +171,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    dataset, _ = _load_labelled_dataset(args.data, args.schema)
+    dataset = _load_labelled_dataset(args.data, args.schema)
     model = TrainedModel.load(args.model)
     print(f"accuracy {accuracy(model, dataset):.6f}")
     return EXIT_OK
@@ -286,7 +256,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("label", help="label instances with the best ordering")
     p.add_argument("--instances", type=_existing_file, required=True)
-    p.add_argument("--labeller", choices=("timings", "sotd"), default="sotd")
+    p.add_argument("--labeller", choices=LABELLERS, default="sotd")
     p.add_argument("--timings", type=_existing_file)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--out", type=Path, required=True)
@@ -334,7 +304,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run the full experiment")
     p.add_argument("--input", type=_existing_dir, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--labeller", choices=("timings", "sotd"), default="sotd")
+    p.add_argument("--labeller", choices=LABELLERS, default="sotd")
     p.add_argument("--timings", type=_existing_file)
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--test-fraction", type=float, default=0.2)

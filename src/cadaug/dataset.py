@@ -97,13 +97,7 @@ def make_dataset(
     return Dataset(rows, schema, provenance, role)
 
 
-def save_dataset(
-    ds: Dataset,
-    csv_path,
-    seed: Optional[int] = None,
-    mode: Optional[str] = None,
-    extra: Optional[dict] = None,
-):
+def save_dataset(ds: Dataset, csv_path, seed: Optional[int] = None, mode: Optional[str] = None):
     """Write the feature CSV and its `.meta.json` provenance sidecar."""
     csv_path = Path(csv_path)
     write_features_csv(
@@ -114,8 +108,6 @@ def save_dataset(
         ds.schema,
     )
     meta = {"provenance": ds.provenance, "role": ds.role, "seed": seed, "mode": mode}
-    if extra:
-        meta.update(extra)
     sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n")
 
 

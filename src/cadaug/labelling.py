@@ -10,6 +10,7 @@ when every ordering fails (timeout, or projection budget overrun).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from pathlib import Path
@@ -109,7 +110,7 @@ def label_from_timings(rec: TimingRecord, timeout: float = DEFAULT_TIMEOUT) -> O
 
 def read_timings_csv(path) -> dict[str, TimingRecord]:
     """Read `instance_id,ordering,seconds` rows (header required); seconds
-    is a positive decimal or the literal TIMEOUT."""
+    is a positive finite decimal or the literal TIMEOUT."""
     partial: dict[str, dict[int, Optional[float]]] = {}
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -123,10 +124,19 @@ def read_timings_csv(path) -> dict[str, TimingRecord]:
             if len(parts) != 3:
                 raise ValueError(f"timings CSV line {line_no}: need 3 fields")
             instance_id, ordering_text, seconds_text = parts
-            ordering = int(ordering_text)
-            if not 0 <= ordering <= 5:
-                raise ValueError(f"timings CSV line {line_no}: bad ordering {ordering}")
-            seconds = None if seconds_text == "TIMEOUT" else float(seconds_text)
+            ordering = _parsed(int, ordering_text)
+            if ordering is None or not 0 <= ordering <= 5:
+                raise ValueError(f"timings CSV line {line_no}: bad ordering {ordering_text!r}")
+            if seconds_text == "TIMEOUT":
+                seconds = None
+            else:
+                # nan would never lose a comparison and inf is no measurement
+                seconds = _parsed(float, seconds_text)
+                if seconds is None or not 0 < seconds < math.inf:
+                    raise ValueError(
+                        f"timings CSV line {line_no}: seconds {seconds_text!r} is not "
+                        "a positive finite number or TIMEOUT"
+                    )
             bucket = partial.setdefault(instance_id, {})
             if ordering in bucket:
                 raise ValueError(
@@ -143,6 +153,14 @@ def read_timings_csv(path) -> dict[str, TimingRecord]:
     return records
 
 
+def _parsed(convert, text: str):
+    """convert(text), or None when the text does not parse."""
+    try:
+        return convert(text)
+    except ValueError:
+        return None
+
+
 def write_timings_csv(records: Iterable[TimingRecord], path):
     with open(path, "w") as fh:
         fh.write("instance_id,ordering,seconds\n")
@@ -150,6 +168,41 @@ def write_timings_csv(records: Iterable[TimingRecord], path):
             for i, t in enumerate(rec.times):
                 rendered = "TIMEOUT" if t is None else repr(t)
                 fh.write(f"{rec.instance_id},{i},{rendered}\n")
+
+
+# -- label files ----------------------------------------------------------
+
+
+def write_labels_csv(labelled: Iterable[tuple[str, int]], path):
+    """Write `instance_id,label` rows, one per labelled instance."""
+    with open(path, "w") as fh:
+        fh.write("instance_id,label\n")
+        for instance_id, label in labelled:
+            fh.write(f"{instance_id},{label}\n")
+
+
+def read_labels_csv(path) -> dict[str, int]:
+    """Read a file written by `write_labels_csv`: instance id -> label 0..5."""
+    labels: dict[str, int] = {}
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "instance_id,label":
+            raise ValueError(f"unexpected labels CSV header: {header!r}")
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"labels CSV line {line_no}: need 2 fields")
+            instance_id, label_text = parts
+            label = _parsed(int, label_text)
+            if label is None or not 0 <= label <= 5:
+                raise ValueError(f"labels CSV line {line_no}: bad label {label_text!r}")
+            if instance_id in labels:
+                raise ValueError(f"labels CSV line {line_no}: duplicate id {instance_id}")
+            labels[instance_id] = label
+    return labels
 
 
 # -- the projection proxy oracle ------------------------------------------

@@ -3,7 +3,7 @@
 from .baseline import RandomBaseline
 from .forest import RandomForestClassifier
 from .knn import KNNClassifier
-from .scaling import Standardizer, standardize_apply, standardize_fit
+from .scaling import Standardizer, standardize_fit
 from .selection import (
     CVPlan,
     DEFAULT_GRIDS,
@@ -28,7 +28,6 @@ __all__ = [
     "Standardizer",
     "TrainedModel",
     "accuracy",
-    "standardize_apply",
     "standardize_fit",
     "train",
     "tree_depth",

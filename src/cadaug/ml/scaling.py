@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Standardizer", "standardize_fit", "standardize_apply"]
+__all__ = ["Standardizer", "standardize_fit"]
 
 _ZERO_VARIANCE = 1e-12
 
@@ -60,7 +60,3 @@ def standardize_fit(matrix: np.ndarray) -> Standardizer:
     scale = np.where(std < _ZERO_VARIANCE, 1.0, std)
     return Standardizer(tuple(float(v) for v in mean), tuple(float(v) for v in scale))
 
-
-def standardize_apply(stats: Standardizer, matrix: np.ndarray) -> np.ndarray:
-    """Apply previously fitted statistics to new rows (no refitting)."""
-    return stats.transform(matrix)

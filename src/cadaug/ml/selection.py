@@ -29,6 +29,13 @@ __all__ = [
 
 MODEL_KINDS = ("knn", "dt", "rf")
 
+# the hyperparameters `_make_classifier` reads for each model kind
+_PARAMETERS = {
+    "knn": ("k",),
+    "dt": ("max_depth", "min_leaf"),
+    "rf": ("n_trees", "max_depth", "min_leaf", "max_features", "bootstrap"),
+}
+
 DEFAULT_GRIDS: dict[str, list[dict[str, Any]]] = {
     "knn": [{"k": k} for k in (1, 3, 5, 11, 21)],
     "dt": [
@@ -62,8 +69,21 @@ class CVPlan:
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         for kind, grid in self.grids.items():
+            if kind not in MODEL_KINDS:
+                raise ValueError(f"grid for unknown model kind {kind!r}")
             if not grid:
                 raise ValueError(f"empty hyperparameter grid for {kind!r}")
+            for params in grid:
+                if not isinstance(params, Mapping):
+                    raise ValueError(f"{kind} grid point {params!r} is not an object")
+                if kind == "knn" and "k" not in params:
+                    raise ValueError("every knn grid point needs 'k'")
+                unknown = sorted(set(params) - set(_PARAMETERS[kind]))
+                if unknown:
+                    raise ValueError(
+                        f"unknown {kind} hyperparameters {unknown}; "
+                        f"expected some of {list(_PARAMETERS[kind])}"
+                    )
 
 
 def _make_classifier(kind: str, params: Mapping[str, Any], seed: int):
@@ -106,9 +126,6 @@ class TrainedModel:
                 f"got shape {matrix.shape}"
             )
         return self.classifier.predict(matrix)
-
-    def accuracy(self, dataset: Dataset) -> float:
-        return accuracy(self, dataset)
 
     def to_json(self) -> dict:
         stats = self.stats

@@ -17,12 +17,14 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .augment import augment_full, balance, split
 from .dataset import Dataset, PROVENANCES, Row, save_dataset
-from .features import FeatureSchema, featurize, featurize_exact, fit_distinct_filter
+from .features import FeatureSchema, featurize, fit_distinct_filter
+from .features import featurize_exact  # noqa: F401  perfbench/tracing.py patches it here
 from .labelling import (
     DEFAULT_TIMEOUT,
     label_by_sotd,
     label_from_timings,
     read_timings_csv,
+    write_labels_csv,
 )
 from .ml import CVPlan, DEFAULT_GRIDS, MODEL_KINDS, RandomBaseline, TrainedModel
 from .ml import accuracy as model_accuracy
@@ -35,6 +37,7 @@ __all__ = [
     "PipelineError",
     "ResultMatrix",
     "improvement_summary",
+    "label_instances",
     "run_pipeline",
 ]
 
@@ -83,6 +86,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model kind {kind!r}")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        CVPlan(folds=self.cv_folds, grids=self.grids)  # fail on a bad grid before labelling
 
 
 @dataclass
@@ -168,24 +172,28 @@ def improvement_summary(matrix: ResultMatrix) -> dict[str, Optional[float]]:
     return out
 
 
-def _label_instances(
-    instances: list[ProblemInstance], config: ExperimentConfig
+def label_instances(
+    instances: Sequence[ProblemInstance],
+    labeller: str,
+    timings_csv: Optional[Path],
+    timeout: float,
 ) -> list[tuple[ProblemInstance, int]]:
+    """Each instance with its best-ordering label, in input order.
+
+    `labeller` is "timings" (read `timings_csv`; an instance without
+    records counts as all-timeout) or "sotd".  Instances every ordering of
+    which timed out or blew the projection budget are discarded.
+    """
+    records = read_timings_csv(timings_csv) if labeller == "timings" else None
     labelled = []
-    if config.labeller == "timings":
-        records = read_timings_csv(config.timings_csv)
-        for inst in instances:
-            rec = records.get(inst.id)
-            if rec is None:
-                continue  # no measurements: treat like an all-timeout record
-            ordering = label_from_timings(rec, config.timeout)
-            if ordering is not None:
-                labelled.append((inst, ordering.index))
-    else:
-        for inst in instances:
+    for inst in instances:
+        if records is None:
             ordering = label_by_sotd(inst)
-            if ordering is not None:
-                labelled.append((inst, ordering.index))
+        else:
+            rec = records.get(inst.id)
+            ordering = None if rec is None else label_from_timings(rec, timeout)
+        if ordering is not None:
+            labelled.append((inst, ordering.index))
     return labelled
 
 
@@ -205,19 +213,16 @@ def run_pipeline(config: ExperimentConfig) -> ResultMatrix:
 
     # label
     try:
-        labelled = _label_instances(instances, config)
+        labelled = label_instances(instances, config.labeller, config.timings_csv, config.timeout)
     except (OSError, ValueError) as err:
         raise PipelineError("label", str(err)) from err
     if not labelled:
         raise PipelineError("label", "empty labelled dataset")
-    with open(out / "labels.csv", "w") as fh:
-        fh.write("instance_id,label\n")
-        for inst, label in labelled:
-            fh.write(f"{inst.id},{label}\n")
+    write_labels_csv(((inst.id, label) for inst, label in labelled), out / "labels.csv")
 
     # featurize (raw schema) and split by instance id
     raw_schema = FeatureSchema.raw()
-    by_id = {inst.id: (inst, label) for inst, label in labelled}
+    instance_of = {inst.id: inst for inst, _ in labelled}
     raw_rows = tuple(
         Row(inst.id, featurize(inst, raw_schema).values, label)
         for inst, label in labelled
@@ -230,15 +235,14 @@ def run_pipeline(config: ExperimentConfig) -> ResultMatrix:
 
     # fit the essentially-distinct filter on the unbalanced training half only
     try:
-        filter_inputs = [featurize_exact(by_id[i][0]) for i in train_raw.ids()]
-        schema = fit_distinct_filter(filter_inputs)
+        schema = fit_distinct_filter([r.values for r in train_raw.rows])
     except ValueError as err:
         raise PipelineError("filter", str(err)) from err
     schema.save(out / "schema.json")
 
     def filtered(ds: Dataset, role: str) -> Dataset:
         rows = tuple(
-            Row(r.instance_id, featurize(by_id[r.instance_id][0], schema).values, r.label)
+            Row(r.instance_id, featurize(instance_of[r.instance_id], schema).values, r.label)
             for r in ds.rows
         )
         return Dataset(rows, schema, "unbalanced", role)

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from cadaug import kernels
 from cadaug.symmetry import Permutation
@@ -46,49 +46,6 @@ X1 = Variable(1)
 X2 = Variable(2)
 X3 = Variable(3)
 VARIABLES: tuple[Variable, Variable, Variable] = (X1, X2, X3)
-
-
-class Monomial:
-    """A power product of the three variables, stored as a packed key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: int):
-        self.key = key
-
-    @classmethod
-    def from_exponents(cls, e1: int, e2: int, e3: int) -> Monomial:
-        return cls(_checked_key((e1, e2, e3)))
-
-    @property
-    def exponents(self) -> tuple[int, int, int]:
-        return kernels.unpack(self.key)
-
-    def exponent(self, v: Variable) -> int:
-        return kernels.unpack(self.key)[v.index - 1]
-
-    def degree_of(self, v: Variable) -> int:
-        return self.exponent(v)
-
-    @property
-    def total_degree(self) -> int:
-        return kernels.total_degree(self.key)
-
-    def gated_degree(self, v: Variable) -> int:
-        """Total degree of the monomial if it contains v, else 0."""
-        return self.total_degree if self.exponent(v) > 0 else 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __repr__(self) -> str:
-        e1, e2, e3 = self.exponents
-        parts = [f"x{i}^{e}" if e > 1 else f"x{i}"
-                 for i, e in ((1, e1), (2, e2), (3, e3)) if e]
-        return "*".join(parts) if parts else "1"
 
 
 def _checked_key(exponents: tuple[int, int, int]) -> int:
@@ -154,14 +111,11 @@ class Polynomial:
         """The underlying term map (packed key -> coefficient); do not mutate."""
         return self._terms
 
-    def terms(self) -> list[tuple[Monomial, Coeff]]:
-        """Terms in descending graded-lex order (leading term first)."""
+    def terms(self) -> list[tuple[tuple[int, int, int], Coeff]]:
+        """(exponents of x1, x2, x3; coefficient) pairs in descending
+        graded-lex order (leading term first)."""
         keys = sorted(self._terms, key=_grlex_sort_key, reverse=True)
-        return [(Monomial(k), self._terms[k]) for k in keys]
-
-    def monomials(self) -> Iterator[Monomial]:
-        for key in sorted(self._terms, key=_grlex_sort_key, reverse=True):
-            yield Monomial(key)
+        return [(kernels.unpack(k), self._terms[k]) for k in keys]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -350,8 +304,8 @@ class Polynomial:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for monomial, coeff in self.terms():
-            text = _render_term(monomial, coeff)
+        for exponents, coeff in self.terms():
+            text = _render_term(exponents, coeff)
             if not parts:
                 parts.append(text)
             elif text.startswith("-"):
@@ -388,8 +342,8 @@ _ZERO = Polynomial()
 _ONE = Polynomial({0: 1})
 
 
-def _render_term(monomial: Monomial, coeff: Coeff) -> str:
-    e1, e2, e3 = monomial.exponents
+def _render_term(exponents: tuple[int, int, int], coeff: Coeff) -> str:
+    e1, e2, e3 = exponents
     var_parts = [f"x{i}^{e}" if e > 1 else f"x{i}"
                  for i, e in ((1, e1), (2, e2), (3, e3)) if e]
     if not var_parts:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from cadaug import kernels
 from cadaug.poly import Polynomial, Variable, VARIABLES
@@ -196,14 +196,13 @@ class ProblemInstance:
     """A canonicalized three-variable polynomial problem.
 
     ``variable_map`` lists (original name, canonical variable) pairs in
-    declaration order; ``timings`` optionally maps ordering labels 0..5 to
-    seconds (None marks a timeout).
+    declaration order.  An instance carries no label or timings: those
+    are looked up by ``id`` in a timings or labels CSV.
     """
 
     id: str
     polynomials: frozenset[Polynomial]
     variable_map: tuple[tuple[str, Variable], ...]
-    timings: Optional[tuple[tuple[int, Optional[float]], ...]] = None
 
     def __post_init__(self):
         if not self.polynomials:
@@ -225,13 +224,6 @@ class ProblemInstance:
 
     def varmap_dict(self) -> dict[str, Variable]:
         return dict(self.variable_map)
-
-    def timings_dict(self) -> dict[int, Optional[float]]:
-        return dict(self.timings) if self.timings is not None else {}
-
-    def with_timings(self, timings: dict[int, Optional[float]]) -> ProblemInstance:
-        ordered = tuple(sorted(timings.items()))
-        return ProblemInstance(self.id, self.polynomials, self.variable_map, ordered)
 
 
 def normalize_atom(p: Polynomial) -> Polynomial:
@@ -540,9 +532,9 @@ def poly_to_smt(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     rendered = []
-    for monomial, coeff in p.terms():
+    for exponents, coeff in p.terms():
         factors = []
-        for i, e in enumerate(monomial.exponents, start=1):
+        for i, e in enumerate(exponents, start=1):
             factors.extend([f"x{i}"] * e)
         if not factors:
             rendered.append(_coeff_to_smt(coeff))
@@ -573,9 +565,9 @@ def instance_to_json(instance: ProblemInstance) -> dict:
     polys = []
     for p in instance.sorted_polynomials:
         terms = []
-        for monomial, coeff in p.terms():
+        for exponents, coeff in p.terms():
             f = Fraction(coeff)
-            terms.append([str(f.numerator), str(f.denominator), list(monomial.exponents)])
+            terms.append([str(f.numerator), str(f.denominator), list(exponents)])
         polys.append(terms)
     return {
         "id": instance.id,
@@ -605,12 +597,21 @@ def write_instances_jsonl(instances: Iterable[ProblemInstance], path: str | Path
 
 
 def read_instances_jsonl(path: str | Path) -> list[ProblemInstance]:
+    """Read one instance per line; a bad record raises IngestError naming
+    the path, the line number and the record's id."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                out.append(instance_from_json(json.loads(line)))
+            if not line:
+                continue
+            record_id = None
+            try:
+                obj = json.loads(line)
+                record_id = obj.get("id") if isinstance(obj, dict) else None
+                out.append(instance_from_json(obj))
+            except (IngestError, ValueError) as err:
+                raise IngestError(f"{path} line {line_no} (id {record_id!r}): {err}") from err
     return out
 
 

@@ -130,3 +130,54 @@ def test_featurize_with_saved_schema_matches_widths(workspace, tmp_path):
     with open(root / "data.csv") as fh:
         original = fh.readline().strip().split(",")
     assert header == original
+
+
+@pytest.mark.parametrize("labeller", ["sotd", "timings"])
+def test_label_and_run_write_identical_labels(workspace, tmp_path, labeller):
+    root = workspace
+    source = ("--labeller", labeller, "--timings", root / "timings.csv")
+    assert run_cli("label", "--instances", root / "instances.jsonl", *source,
+                   "--out", tmp_path / "labels.csv") == EXIT_OK
+    assert run_cli("run", "--input", root / "corpus", *source, "--models", "knn",
+                   "--cv-folds", "3", "--grid", root / "grid.json",
+                   "--out", tmp_path / "run") == EXIT_OK
+    staged = (tmp_path / "labels.csv").read_bytes()
+    assert staged.startswith(b"instance_id,label\n") and staged.count(b"\n") > 10
+    assert staged == (tmp_path / "run" / "labels.csv").read_bytes()
+
+
+def test_featurize_rejects_out_of_range_label(workspace, tmp_path, capsys):
+    root = workspace
+    first_id = (root / "labels.csv").read_text().splitlines()[1].split(",")[0]
+    bad = tmp_path / "labels.csv"
+    bad.write_text(f"instance_id,label\n{first_id},7\n")
+    assert run_cli("featurize", "--instances", root / "instances.jsonl", "--labels", bad,
+                   "--out", tmp_path / "data.csv") == EXIT_DATA
+    assert "labels CSV line 2: bad label '7'" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()
+
+
+def test_label_names_the_rejected_record(workspace, tmp_path, capsys):
+    lines = (workspace / "instances.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["polys"][0][0][2] = [2**21, 0, 1]
+    bad = tmp_path / "instances.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+    assert run_cli("label", "--instances", bad, "--out", tmp_path / "l.csv") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line 2 (id {record['id']!r}): exponent 2097152 outside 0..2097151" in err
+
+
+def test_grid_typos_are_config_errors(workspace, tmp_path):
+    root = workspace
+    for grid in ({"dt": [{"maxdepth": 4}]}, {"rff": [{"n_trees": 5}]}):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert run_cli("train", "--data", root / "train.csv", "--schema", root / "schema.json",
+                       "--model", "dt", "--grid", path,
+                       "--out", tmp_path / "m.json") == EXIT_CONFIG
+        assert run_cli("run", "--input", root / "corpus", "--grid", path,
+                       "--out", tmp_path / "o") == EXIT_CONFIG
+        # rejected before labelling: nothing was written
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "m.json").exists()

@@ -16,9 +16,11 @@ from cadaug.labelling import (
     mccallum_projection,
     ordering_from_triple,
     projection_chain,
+    read_labels_csv,
     read_timings_csv,
     sotd,
     sotd_scores,
+    write_labels_csv,
     write_timings_csv,
 )
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
@@ -130,6 +132,46 @@ def test_timings_csv_bad_header(tmp_path):
     with pytest.raises(ValueError):
         read_timings_csv(path)
 
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-inf", "0", "-1.5"])
+def test_timings_csv_rejects_non_finite_or_non_positive_seconds(tmp_path, seconds):
+    # unchecked, nan for ordering 0 beat the 2.0 s of ordering 1
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"a,{i},{i + 1}.0\n" for i in range(1, 6))
+    path.write_text(f"instance_id,ordering,seconds\na,0,{seconds}\n" + rows)
+    with pytest.raises(ValueError, match="line 2: seconds"):
+        read_timings_csv(path)
+
+
+@pytest.mark.parametrize("row, field", [("a,x,1.0", "ordering"), ("a,0,fast", "seconds")])
+def test_timings_csv_names_the_line_of_an_unparsable_field(tmp_path, row, field):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"instance_id,ordering,seconds\nb,0,1.0\n{row}\n")
+    with pytest.raises(ValueError, match=f"line 3: .*{field}"):
+        read_timings_csv(path)
+
+
+def test_labels_csv_roundtrip(tmp_path):
+    path = tmp_path / "labels.csv"
+    write_labels_csv([("a", 0), ("b", 5), ("c", 3)], path)
+    assert path.read_text() == "instance_id,label\na,0\nb,5\nc,3\n"
+    assert read_labels_csv(path) == {"a": 0, "b": 5, "c": 3}
+
+
+@pytest.mark.parametrize("row", ["b,7", "b,-1", "b,x", "b", "b,1,2", "a,2"])
+def test_labels_csv_rejects_bad_lines(tmp_path, row):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"instance_id,label\na,1\n{row}\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_labels_csv(path)
+
+
+def test_labels_csv_bad_header(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("id,label\na,1\n")
+    with pytest.raises(ValueError):
+        read_labels_csv(path)
 
 # -- projection -----------------------------------------------------------
 

@@ -16,7 +16,6 @@ from cadaug.ml import (
     Standardizer,
     TrainedModel,
     accuracy,
-    standardize_apply,
     standardize_fit,
     train,
 )
@@ -46,7 +45,7 @@ def blob_dataset(X, y, role="all"):
 def test_standardize_constant_column_maps_to_zero():
     X = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
     stats = standardize_fit(X)
-    Z = standardize_apply(stats, X)
+    Z = stats.transform(X)
     assert np.all(Z[:, 1] == 0.0)
     assert abs(Z[:, 0].mean()) < 1e-12
 
@@ -54,7 +53,7 @@ def test_standardize_constant_column_maps_to_zero():
 def test_standardize_train_stats_applied_to_test():
     train_X = np.array([[0.0], [2.0]])
     stats = standardize_fit(train_X)
-    test_Z = standardize_apply(stats, np.array([[10.0]]))
+    test_Z = stats.transform(np.array([[10.0]]))
     assert test_Z[0, 0] == pytest.approx(9.0)  # mean 1, std 1 — no refit
 
 
@@ -216,6 +215,20 @@ def test_train_unknown_kind_and_bad_plan():
         CVPlan(folds=1)
     with pytest.raises(ValueError):
         CVPlan(grids={"knn": []})
+
+
+@pytest.mark.parametrize("grids, message", [
+    ({"rff": [{"n_trees": 5}]}, "unknown model kind 'rff'"),
+    ({"dt": [{"maxdepth": 4}]}, r"unknown dt hyperparameters \['maxdepth'\]"),
+    ({"knn": [{"k": 3, "max_depth": 2}]}, r"unknown knn hyperparameters \['max_depth'\]"),
+    ({"rf": [{"n_trees": 5}, {"n_tree": 5}]}, r"unknown rf hyperparameters \['n_tree'\]"),
+    ({"knn": [3]}, "not an object"),
+    ({"knn": [{"k": 3}, {}]}, "needs 'k'"),
+])
+def test_cv_plan_rejects_grid_typos(grids, message):
+    # unchecked, {"maxdepth": 4} grew an unbounded tree and "rff" was never used
+    with pytest.raises(ValueError, match=message):
+        CVPlan(grids=grids)
 
 
 def test_single_point_grid_still_reports_folds():

@@ -146,6 +146,8 @@ def test_config_validation(tmp_path):
         ExperimentConfig(tmp_path, tmp_path / "o", models=("svm",))
     with pytest.raises(ValueError):
         ExperimentConfig(tmp_path, tmp_path / "o", timeout=0.0)
+    with pytest.raises(ValueError, match="maxdepth"):
+        ExperimentConfig(tmp_path, tmp_path / "o", grids={"dt": [{"maxdepth": 4}]})
 
 
 def _matrix_with_balanced_column(cells):

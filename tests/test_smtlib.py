@@ -1,5 +1,6 @@
 """Tests for SMT-LIB ingestion: parsing, canonicalization, dedup, JSONL."""
 
+import json
 import logging
 
 import pytest
@@ -414,6 +415,24 @@ def test_jsonl_file_roundtrip(tmp_path):
     assert read_instances_jsonl(path) == insts
 
 
+
+def test_read_instances_jsonl_names_the_bad_record(tmp_path):
+    good = parse_script(DECLS + "(assert (> (* x x) y))(assert (> z 0))", "a")
+    bad = {"id": "o", "polys": [[["1", "1", [2**21, 0, 1]]]],
+           "varmap": {"x": "x1", "y": "x2", "z": "x3"}}
+    path = tmp_path / "instances.jsonl"
+    write_instances_jsonl([good], path)
+    with open(path, "a") as fh:
+        fh.write("\n" + json.dumps(bad) + "\n")
+    with pytest.raises(IngestError) as info:
+        read_instances_jsonl(path)
+    message = str(info.value)
+    assert message.startswith(f"{path} line 3 (id 'o'): ")
+    assert message.endswith("exponent 2097152 outside 0..2097151")
+    path.write_text("{not json\n")
+    with pytest.raises(IngestError, match="line 1 \\(id None\\)"):
+        read_instances_jsonl(path)
+
 # -- directory ingestion --------------------------------------------------
 
 
@@ -449,11 +468,3 @@ def test_instance_invariants():
         make_instance("z", [Polynomial.zero(), P("x1 + x2 + x3")])
     with pytest.raises(VariableCountError):
         make_instance("v", [P("x1 + x2")])
-
-
-def test_with_timings():
-    inst = make_instance("t", [P("x1*x2*x3 - 1")])
-    t = inst.with_timings({0: 1.5, 3: None})
-    assert t.timings_dict() == {0: 1.5, 3: None}
-    assert t.polynomials == inst.polynomials
-    assert inst.timings is None
