@@ -353,7 +353,11 @@ def write_features_csv(
 
 
 def read_features_csv(path):
-    """Returns (ids, labels, matrix); labels are ints or None."""
+    """Returns (ids, labels, matrix); labels are ints or None.
+
+    A value that is not a finite number (``nan``, ``inf``) is rejected,
+    naming its row id and column.
+    """
     ids: list[str] = []
     labels: list[Optional[int]] = []
     values: list[list[float]] = []
@@ -372,4 +376,11 @@ def read_features_csv(path):
             ids.append(parts[0])
             labels.append(int(parts[1]) if parts[1] != "" else None)
             values.append([float(x) for x in parts[2:]])
-    return ids, labels, np.asarray(values, dtype=np.float64)
+    matrix = np.asarray(values, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        row, column = bad[0]
+        raise ValueError(
+            f"row for {ids[row]}: {header[column + 2]} is {matrix[row, column]}, not a finite number"
+        )
+    return ids, labels, matrix

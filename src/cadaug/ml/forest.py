@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..seeding import derive_seed
-from .tree import DecisionTreeClassifier, N_CLASSES
+from .tree import DecisionTreeClassifier, N_CLASSES, rank_columns
 
 __all__ = ["RandomForestClassifier", "resolve_max_features"]
 
@@ -74,16 +74,17 @@ class RandomForestClassifier:
             raise ValueError("X and y must be non-empty with matching row counts")
         n, d = X.shape
         mtry = resolve_max_features(self.max_features, d)
+        ranked = rank_columns(X)
         self.trees = []
         for i in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, f"tree:{i}"))
             if self.bootstrap:
                 sample = rng.integers(0, n, size=n)
-                Xi, yi = X[sample], y[sample]
+                Xi, yi, ranked_i = X[sample], y[sample], ranked.rows(sample)
             else:
-                Xi, yi = X, y
+                Xi, yi, ranked_i = X, y, ranked
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf)
-            tree.fit(Xi, yi, rng=rng, mtry=mtry)
+            tree.fit(Xi, yi, rng=rng, mtry=mtry, ranked=ranked_i)
             self.trees.append(tree)
         self._n_features = d
         return self

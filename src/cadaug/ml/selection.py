@@ -15,7 +15,7 @@ from .baseline import RandomBaseline
 from .forest import RandomForestClassifier
 from .knn import KNNClassifier
 from .scaling import Standardizer
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, predict_truncated
 
 __all__ = [
     "MODEL_KINDS",
@@ -166,11 +166,42 @@ class TrainedModel:
         return cls.from_json(json.loads(Path(path).read_text()))
 
 
+def _dt_predictions(
+    grid: Sequence[Mapping[str, Any]],
+    X_fit: np.ndarray,
+    y_fit: np.ndarray,
+    X_test: np.ndarray,
+) -> list[np.ndarray]:
+    """Test predictions of every dt grid point, one tree growth per min_leaf.
+
+    A decision tree has no randomness, so the tree bounded at depth d is
+    the deepest tree of the same ``min_leaf`` cut at depth d, each cut node
+    labelled by the majority of the fitting rows that reach it.
+    """
+    classifiers = [_make_classifier("dt", params, 0) for params in grid]
+    depths: dict[int, list[Any]] = {}
+    for clf in classifiers:
+        depths.setdefault(clf.min_leaf, []).append(clf.max_depth)
+    trees = {
+        leaf: DecisionTreeClassifier(None if None in bounds else max(bounds), leaf)
+        .fit(X_fit, y_fit)
+        .tree
+        for leaf, bounds in depths.items()
+    }
+    return [
+        predict_truncated(trees[clf.min_leaf], X_fit, y_fit, X_test, clf.max_depth)
+        for clf in classifiers
+    ]
+
+
 def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     """Select hyperparameters by k-fold CV and refit on the full dataset.
 
     The grid point with the best mean fold accuracy wins; ties go to the
-    earliest point in grid order.
+    earliest point in grid order.  On each fold, dt grows one tree per
+    ``min_leaf`` value and scores every depth of the grid on it (see
+    ``_dt_predictions``); knn and rf fit every grid point, each rf point
+    with its own seed.  The results equal fitting each point on its own.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
@@ -184,22 +215,31 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     grid = list(plan.grids[kind])
     order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(n)
     folds = np.array_split(order, plan.folds)
+    fold_accuracies: list[list[float]] = [[] for _ in grid]
+    for fi, fold in enumerate(folds):
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        X_fit, y_fit, X_test = X[mask], y[mask], X[fold]
+        if kind == "dt":
+            predictions = _dt_predictions(grid, X_fit, y_fit, X_test)
+        else:
+            predictions = [
+                _make_classifier(kind, params, derive_seed(plan.seed, f"{kind}:{gi}:{fi}"))
+                .fit(X_fit, y_fit)
+                .predict(X_test)
+                for gi, params in enumerate(grid)
+            ]
+        for accuracies, predicted in zip(fold_accuracies, predictions):
+            accuracies.append(float((predicted == y[fold]).mean()))
     results: list[dict[str, Any]] = []
     best_index = 0
     best_mean = -1.0
-    for gi, params in enumerate(grid):
-        fold_accuracies = []
-        for fi, fold in enumerate(folds):
-            mask = np.ones(n, dtype=bool)
-            mask[fold] = False
-            clf = _make_classifier(kind, params, derive_seed(plan.seed, f"{kind}:{gi}:{fi}"))
-            clf.fit(X[mask], y[mask])
-            fold_accuracies.append(float((clf.predict(X[fold]) == y[fold]).mean()))
-        mean = sum(fold_accuracies) / len(fold_accuracies)
+    for gi, (params, accuracies) in enumerate(zip(grid, fold_accuracies)):
+        mean = sum(accuracies) / len(accuracies)
         results.append(
             {
                 "params": dict(params),
-                "fold_accuracies": fold_accuracies,
+                "fold_accuracies": accuracies,
                 "mean_accuracy": mean,
             }
         )

@@ -3,62 +3,120 @@
 from __future__ import annotations
 
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DecisionTreeClassifier", "tree_depth", "N_CLASSES"]
+__all__ = [
+    "DecisionTreeClassifier",
+    "RankedColumns",
+    "predict_truncated",
+    "rank_columns",
+    "tree_depth",
+    "N_CLASSES",
+]
 
 N_CLASSES = 6
 
 _NO_LIMIT = sys.maxsize
 
+# sums over the class axis as a product: faster than .sum(axis=1) on small arrays
+_ONES = np.ones(N_CLASSES, dtype=np.intp)
+
+
+class RankedColumns(NamedTuple):
+    """A feature matrix as histogram bins: each value is replaced by its rank.
+
+    Column f owns the bins ``offsets[f] .. offsets[f] + widths[f] - 1``, one
+    per distinct value of the column in ascending order, and ``values``
+    holds those distinct values bin by bin.  ``codes[i, f]`` is
+    ``N_CLASSES`` times the bin of row i in column f, so adding a row's
+    label gives its (bin, class) cell of a flat class histogram.
+    """
+
+    codes: np.ndarray
+    offsets: np.ndarray
+    widths: np.ndarray
+    values: np.ndarray
+
+    def rows(self, sample: np.ndarray) -> "RankedColumns":
+        """The encoding of ``X[sample]`` (bins and values stay those of X)."""
+        return self._replace(codes=self.codes[sample])
+
+
+def rank_columns(X: np.ndarray) -> RankedColumns:
+    """Rank-encode every column of a finite float matrix."""
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    order = np.argsort(X, axis=0, kind="stable")
+    ordered = np.take_along_axis(X, order, axis=0)
+    new = np.ones(X.shape, dtype=bool)
+    new[1:] = ordered[1:] > ordered[:-1]
+    ranks = np.cumsum(new, axis=0) - 1
+    widths = ranks[-1] + 1
+    offsets = np.cumsum(widths) - widths
+    codes = np.empty(X.shape, dtype=np.intp)
+    np.put_along_axis(codes, order, (ranks + offsets) * N_CLASSES, axis=0)
+    return RankedColumns(codes, offsets, widths, ordered.T[new.T])
+
 
 def _best_split(
-    sub: np.ndarray,
-    y: np.ndarray,
-    columns: np.ndarray,
+    cells: np.ndarray,
+    counts: np.ndarray,
+    n_bins: int,
     min_leaf: int,
-) -> tuple[int, float] | None:
-    """Best (feature, threshold) over the candidate columns, or None.
+) -> tuple[int, int, int] | None:
+    """Best split of a node over its candidate columns, or None.
 
-    ``sub`` holds only the candidate columns for the node's rows.  All
-    candidate features are scored in one vectorized pass: labels are
-    sorted per column, class counts accumulated with a prefix sum, and the
-    split quality sum(left_counts^2)/n_left + sum(right_counts^2)/n_right
-    (an affine rescaling of negative weighted Gini) maximized.  Ties break
-    toward the lowest threshold, then the lowest feature index.
+    ``cells`` holds, for the node's m rows and the k candidate columns
+    (whose bins lie end to end, ``n_bins`` in all), each row's flat
+    (bin, class) histogram cell; ``counts`` are the node's class counts.
+    One ``bincount`` gives the class histogram of every column, and its
+    running sum the class counts left of every bin boundary, because each
+    column's bins hold all m rows (column j's running sum starts at
+    ``j * counts``).  The split quality
+    sum(left_counts^2)/n_left + sum(right_counts^2)/n_right (an affine
+    rescaling of negative weighted Gini) is maximized over the boundaries
+    after occupied bins, which are exactly the boundaries between adjacent
+    distinct values in the node.  The squares are exact integers, so the
+    scores equal those of a sorted scan.  The first maximum of the
+    column-major bin order breaks ties toward the lowest feature index,
+    then the lowest threshold.
+
+    Returns ``(j, lo, hi)``: the candidate's index and the bins of the
+    adjacent occupied values the threshold falls between.
     """
-    m = sub.shape[0]
+    m = cells.shape[0]
     if m < 2 * min_leaf or m < 2:
         return None
-    order = np.argsort(sub, axis=0, kind="stable")
-    svals = np.take_along_axis(sub, order, axis=0)
-    slabs = y[order]
-    onehot = slabs[:, :, None] == np.arange(N_CLASSES)[None, None, :]
-    cum = np.cumsum(onehot, axis=0, dtype=np.int32)
-    left = cum[:-1]
-    right = cum[-1][None, :, :] - left
-    sizes = np.arange(1, m, dtype=np.float64)[:, None]
-    score = (
-        (left.astype(np.float64) ** 2).sum(axis=2) / sizes
-        + (right.astype(np.float64) ** 2).sum(axis=2) / (m - sizes)
-    )
-    valid = (svals[1:] > svals[:-1]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
-    score[~valid] = -np.inf
-    per_column_pos = score.argmax(axis=0)
-    per_column_best = score[per_column_pos, np.arange(score.shape[1])]
-    j = int(per_column_best.argmax())
-    if not np.isfinite(per_column_best[j]):
+    hist = np.bincount(cells.ravel(), minlength=n_bins * N_CLASSES)
+    cum = hist.reshape(n_bins, N_CLASSES).cumsum(axis=0)
+    through = cum @ _ONES
+    # rows of the bin's own column at or below it; 0 at a column's end
+    n_left = through % m
+    allowed = n_left >= min_leaf
+    if min_leaf > 1:
+        allowed &= n_left <= m - min_leaf
+    cut = np.flatnonzero(allowed)
+    if cut.size == 0:
         return None
-    pos = int(per_column_pos[j])
-    lo = float(svals[pos, j])
-    hi = float(svals[pos + 1, j])
-    return int(columns[j]), lo + (hi - lo) / 2.0
+    # an empty bin repeats the boundary of the occupied bin before it
+    # and so never scores first
+    column = through[cut] // m
+    n_left = n_left[cut]
+    left = cum[cut] - column[:, None] * counts
+    right = counts - left
+    score = ((left * left) @ _ONES) / n_left + ((right * right) @ _ONES) / (m - n_left)
+    best = int(score.argmax())
+    lo = int(cut[best])
+    hi = lo + 1 + int((through[lo + 1 :] > through[lo]).argmax())
+    return int(column[best]), lo, hi
 
 
 def _grow(
     X: np.ndarray,
     y: np.ndarray,
+    ranked: RankedColumns,
     max_depth: int,
     min_leaf: int,
     rng: np.random.Generator | None,
@@ -66,28 +124,42 @@ def _grow(
 ) -> dict:
     """Grow a tree iteratively (preorder, left child first)."""
     n_features = X.shape[1]
+    cells = ranked.codes + y[:, None]
+    offsets, widths, values = ranked.offsets, ranked.widths, ranked.values
+    all_columns = np.arange(n_features)
+    all_bins = int(widths.sum())
+    no_shift = np.zeros(n_features, dtype=np.intp)
     root: dict = {}
     stack: list[tuple[dict, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
     while stack:
         node, idx, depth = stack.pop()
-        labels = y[idx]
-        counts = np.bincount(labels, minlength=N_CLASSES)
+        counts = np.bincount(y[idx], minlength=N_CLASSES)
         majority = int(counts.argmax())
-        if depth >= max_depth or counts.max() == idx.size:
+        if depth >= max_depth or counts[majority] == idx.size:
             node["label"] = majority
             continue
         if mtry is not None and mtry < n_features:
             assert rng is not None
             columns = np.sort(rng.choice(n_features, size=mtry, replace=False))
+            # move the candidates' bins end to end; shift maps them back
+            column_widths = widths[columns]
+            ends = column_widths.cumsum()
+            shift = offsets[columns] - (ends - column_widths)
+            node_cells = cells[idx[:, None], columns] - shift * N_CLASSES
+            n_bins = int(ends[-1])
         else:
-            columns = np.arange(n_features)
-        found = _best_split(X[np.ix_(idx, columns)], labels, columns, min_leaf)
+            columns, shift, node_cells, n_bins = all_columns, no_shift, cells[idx], all_bins
+        found = _best_split(node_cells, counts, n_bins, min_leaf)
         if found is None:
             node["label"] = majority
             continue
-        feature, threshold = found
+        j, lo, hi = found
+        feature = int(columns[j])
+        low = float(values[lo + shift[j]])
+        threshold = low + (float(values[hi + shift[j]]) - low) / 2.0
+        # the midpoint of adjacent floats can round up to the upper value
         mask = X[idx, feature] <= threshold
-        if not mask.any() or mask.all():
+        if not 0 < np.count_nonzero(mask) < idx.size:
             node["label"] = majority
             continue
         left: dict = {}
@@ -111,6 +183,42 @@ def _predict_tree(root: dict, X: np.ndarray, out: np.ndarray) -> None:
         mask = X[idx, node["feature"]] <= node["threshold"]
         stack.append((node["right"], idx[~mask]))
         stack.append((node["left"], idx[mask]))
+
+
+def predict_truncated(
+    root: dict,
+    X_fit: np.ndarray,
+    y_fit: np.ndarray,
+    X: np.ndarray,
+    max_depth: int | None,
+) -> np.ndarray:
+    """Predict with a fitted tree cut at ``max_depth``.
+
+    A node at depth ``max_depth`` predicts the majority label of the
+    fitting rows ``(X_fit, y_fit)`` that reach it.  Growth has no other
+    dependence on the depth bound, so for a tree fitted without a random
+    generator this equals the prediction of the tree fitted with
+    ``max_depth`` on the same rows.
+    """
+    bound = max_depth if max_depth is not None else _NO_LIMIT
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(root, np.arange(X_fit.shape[0]), np.arange(X.shape[0]), 0)]
+    while stack:
+        node, fit_idx, idx, depth = stack.pop()
+        if idx.size == 0:
+            continue
+        if "label" in node:
+            out[idx] = node["label"]
+            continue
+        if depth >= bound:
+            out[idx] = np.bincount(y_fit[fit_idx], minlength=N_CLASSES).argmax()
+            continue
+        feature, threshold = node["feature"], node["threshold"]
+        fit_mask = X_fit[fit_idx, feature] <= threshold
+        mask = X[idx, feature] <= threshold
+        stack.append((node["right"], fit_idx[~fit_mask], idx[~mask], depth + 1))
+        stack.append((node["left"], fit_idx[fit_mask], idx[mask], depth + 1))
+    return out
 
 
 def tree_depth(node: dict) -> int:
@@ -158,13 +266,18 @@ class DecisionTreeClassifier:
         y: np.ndarray,
         rng: np.random.Generator | None = None,
         mtry: int | None = None,
+        ranked: RankedColumns | None = None,
     ) -> "DecisionTreeClassifier":
+        """Grow the tree; ``ranked`` is ``rank_columns(X)`` when the caller
+        already has it (a forest encodes its matrix once for all trees)."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise ValueError("X and y must be non-empty with matching row counts")
+        if ranked is None:
+            ranked = rank_columns(X)
         bound = self.max_depth if self.max_depth is not None else _NO_LIMIT
-        self.tree = _grow(X, y, bound, self.min_leaf, rng, mtry)
+        self.tree = _grow(X, y, ranked, bound, self.min_leaf, rng, mtry)
         self._n_features = X.shape[1]
         return self
 

@@ -620,14 +620,19 @@ def read_instances_jsonl(path: str | Path) -> list[ProblemInstance]:
 
 def ingest_directory(root: str | Path, deduplicate: bool = True) -> list[ProblemInstance]:
     """Parse every .smt2 file under root (lexicographic order), skipping and
-    logging files the parser rejects."""
+    logging files the parser rejects.
+
+    An instance's id is its path relative to root without the suffix, as a
+    POSIX path: ``p`` for ``root/p.smt2``, ``a/p`` for ``root/a/p.smt2``.
+    """
     root = Path(root)
     instances: list[ProblemInstance] = []
     for path in sorted(root.rglob("*.smt2"), key=lambda p: p.as_posix()):
+        instance_id = path.relative_to(root).with_suffix("").as_posix()
         try:
-            instances.append(parse_script(path.read_text(), path.stem))
+            instances.append(parse_script(path.read_text(), instance_id))
         except IngestError as err:
-            logger.warning("skipping %s: %s", path.stem, err)
+            logger.warning("skipping %s: %s", instance_id, err)
     if deduplicate:
         instances = dedup_syntactic(instances)
     return instances

@@ -181,3 +181,35 @@ def test_grid_typos_are_config_errors(workspace, tmp_path):
         # rejected before labelling: nothing was written
         assert not (tmp_path / "o").exists()
         assert not (tmp_path / "m.json").exists()
+
+
+def test_label_keeps_same_stem_files_apart(tmp_path):
+    corpus = tmp_path / "corpus"
+    decls = "(declare-fun x () Real)(declare-fun y () Real)(declare-fun z () Real)"
+    for sub, body in (("a", "(+ (* x x) y)"), ("b", "(- (* y z) x)")):
+        (corpus / sub).mkdir(parents=True)
+        (corpus / sub / "p.smt2").write_text(decls + f"(assert (> {body} z))")
+    assert run_cli("ingest", "--input", corpus, "--out", tmp_path / "i.jsonl") == EXIT_OK
+    assert run_cli("label", "--instances", tmp_path / "i.jsonl",
+                   "--out", tmp_path / "labels.csv") == EXIT_OK
+    rows = (tmp_path / "labels.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["a/p", "b/p"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_features_are_data_errors(workspace, tmp_path, capsys, value):
+    root = workspace
+    lines = (root / "train.csv").read_text().splitlines()
+    header, first = lines[0].split(","), lines[1].split(",")
+    first[3] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0], ",".join(first), *lines[2:]]) + "\n")
+    train = ("train", "--schema", root / "schema.json", "--model", "dt", "--cv-folds", "3",
+             "--grid", root / "grid.json", "--out", tmp_path / "dt.json")
+    capsys.readouterr()
+    assert run_cli(*train, "--data", bad) == EXIT_DATA
+    message = capsys.readouterr().err
+    assert f"row for {first[0]}: {header[3]} is" in message and "not a finite number" in message
+    assert run_cli(*train, "--data", root / "train.csv") == EXIT_OK
+    assert run_cli("evaluate", "--data", bad, "--schema", root / "schema.json",
+                   "--model", tmp_path / "dt.json") == EXIT_DATA

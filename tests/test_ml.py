@@ -1,11 +1,18 @@
 """Tests for the from-scratch classifiers and CV selection."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tree_reference
 
 from cadaug.dataset import Dataset, make_dataset
 from cadaug.features import FeatureSchema, all_shapes
 from cadaug.ml import (
+    N_CLASSES,
     CVPlan,
     DEFAULT_GRIDS,
     DecisionTreeClassifier,
@@ -19,6 +26,8 @@ from cadaug.ml import (
     standardize_fit,
     train,
 )
+from cadaug.ml.tree import predict_truncated, rank_columns
+from cadaug.seeding import derive_seed
 
 SCHEMA_12 = FeatureSchema(tuple(all_shapes()[:4]))  # 12 columns
 
@@ -139,6 +148,100 @@ def test_tree_deterministic():
     a = DecisionTreeClassifier(max_depth=8).fit(X, y)
     b = DecisionTreeClassifier(max_depth=8).fit(X, y)
     assert a.tree == b.tree
+
+
+def test_tree_rejects_non_finite_features():
+    X = np.array([[0.0], [np.nan], [2.0]])
+    with pytest.raises(ValueError, match="finite"):
+        DecisionTreeClassifier().fit(X, np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="finite"):
+        RandomForestClassifier(n_trees=2).fit(X, np.array([0, 1, 1]))
+
+
+def test_rank_columns_bins_and_values():
+    X = np.array([[2.0, -0.0], [0.5, 7.0], [2.0, 0.0], [-1.0, 7.0]])
+    ranked = rank_columns(X)
+    assert ranked.widths.tolist() == [3, 2]
+    assert ranked.offsets.tolist() == [0, 3]
+    assert ranked.values.tolist() == [-1.0, 0.5, 2.0, 0.0, 7.0]
+    bins = ranked.codes // N_CLASSES
+    assert bins.tolist() == [[2, 3], [1, 4], [2, 3], [0, 4]]
+    assert (ranked.values[bins] == X).all()
+
+
+# values that test ties and float corner cases: signed zeros, adjacent
+# doubles (their midpoint rounds to the upper one) and tiny magnitudes
+CORNER_VALUES = (-0.0, 0.0, 1.0, 1.0000000000000002, -2.5, 3.0, 1e-300, 0.1, 0.30000000000000004)
+
+
+@st.composite
+def split_problems(draw):
+    n_base = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(n_cols):
+        pool = draw(
+            st.one_of(
+                st.lists(st.sampled_from(CORNER_VALUES), min_size=1, max_size=3),
+                st.lists(st.floats(-100, 100, width=16), min_size=1, max_size=8),
+            )
+        )
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n_base, max_size=n_base)))
+    base = np.array(columns, dtype=np.float64).T
+    # repeated rows, possibly with different labels
+    rows = draw(st.lists(st.integers(0, n_base - 1), min_size=1, max_size=30))
+    n_classes = draw(st.integers(1, N_CLASSES))
+    y = draw(st.lists(st.integers(0, n_classes - 1), min_size=len(rows), max_size=len(rows)))
+    return base[rows], np.array(y, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    split_problems(),
+    st.integers(1, 5),
+    st.sampled_from([None, 1, 2, 3, 6]),
+    st.booleans(),
+    st.one_of(st.sampled_from(["sqrt", "third", None]), st.integers(1, 6)),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_histogram_trees_equal_sorted_scan(problem, min_leaf, max_depth, bootstrap, subset, n_trees, seed):
+    X, y = problem
+    tree = DecisionTreeClassifier(max_depth, min_leaf).fit(X, y)
+    assert json.dumps(tree.to_payload()) == json.dumps(
+        tree_reference.tree_payload(X, y, max_depth, min_leaf)
+    )
+    forest = RandomForestClassifier(n_trees, max_depth, min_leaf, subset, bootstrap, seed).fit(X, y)
+    assert json.dumps(forest.to_payload()) == json.dumps(
+        tree_reference.forest_payload(X, y, n_trees, max_depth, min_leaf, subset, bootstrap, seed)
+    )
+
+
+@pytest.mark.parametrize("subset, max_depth", [("sqrt", None), ("third", 8), (None, 4)])
+def test_histogram_forest_equals_sorted_scan_on_discrete_columns(subset, max_depth):
+    # the shape of the experiment's data: few distinct values per column
+    rng = np.random.default_rng(17)
+    X = rng.integers(0, 13, size=(300, 20)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1] + 2 * X[:, 2]).astype(np.int64) % N_CLASSES
+    noisy = rng.random(300) < 0.2
+    y[noisy] = rng.integers(0, N_CLASSES, size=int(noisy.sum()))
+    forest = RandomForestClassifier(3, max_depth, 1, subset, True, 5).fit(X, y)
+    assert json.dumps(forest.to_payload()) == json.dumps(
+        tree_reference.forest_payload(X, y, 3, max_depth, 1, subset, True, 5)
+    )
+
+
+def test_predict_truncated_equals_bounded_fit():
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 5, size=(120, 6)).astype(np.float64)
+    y = rng.integers(0, N_CLASSES, size=120)
+    queries = rng.integers(-1, 6, size=(50, 6)).astype(np.float64)
+    for min_leaf in (1, 3):
+        deep = DecisionTreeClassifier(None, min_leaf).fit(X, y)
+        for depth in (1, 2, 3, 5, None):
+            bounded = DecisionTreeClassifier(depth, min_leaf).fit(X, y)
+            cut = predict_truncated(deep.tree, X, y, queries, depth)
+            assert (cut == bounded.predict(queries)).all(), (min_leaf, depth)
 
 
 # -- random forest --------------------------------------------------------
@@ -294,3 +397,57 @@ def test_default_grids_shape():
     assert len(DEFAULT_GRIDS["dt"]) == 8
     assert len(DEFAULT_GRIDS["rf"]) == 6
     assert all(g["n_trees"] == 100 for g in DEFAULT_GRIDS["rf"])
+
+
+def _dt_cv_fitting_each_point(grid, dataset, plan):
+    """The dt CV record of ``train`` computed by fitting every grid point on every fold."""
+    X = dataset.matrix()
+    y = dataset.labels()
+    order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(len(y))
+    folds = np.array_split(order, plan.folds)
+    results = []
+    for params in grid:
+        fold_accuracies = []
+        for fold in folds:
+            mask = np.ones(len(y), dtype=bool)
+            mask[fold] = False
+            clf = DecisionTreeClassifier(params.get("max_depth"), params.get("min_leaf", 1))
+            clf.fit(X[mask], y[mask])
+            fold_accuracies.append(float((clf.predict(X[fold]) == y[fold]).mean()))
+        results.append({
+            "params": dict(params),
+            "fold_accuracies": fold_accuracies,
+            "mean_accuracy": sum(fold_accuracies) / len(fold_accuracies),
+        })
+    return results
+
+
+@pytest.mark.parametrize("grid", [
+    DEFAULT_GRIDS["dt"],
+    [  # repeated points
+        {"max_depth": 2, "min_leaf": 1},
+        {"max_depth": None, "min_leaf": 2},
+        {"max_depth": 2, "min_leaf": 1},
+        {"max_depth": 5, "min_leaf": 2},
+        {"max_depth": None, "min_leaf": 2},
+    ],
+    [{"max_depth": 3, "min_leaf": 1}, {"max_depth": 3, "min_leaf": 4}],  # one depth
+    [{"min_leaf": 1}, {"min_leaf": 3}, {"min_leaf": 8}],  # no max_depth
+    [{"max_depth": 1}, {}, {"max_depth": 2}],
+], ids=["default", "repeated", "one-depth", "min-leaf-only", "mixed"])
+def test_dt_cv_shares_growth_exactly(grid):
+    rng = np.random.default_rng(21)
+    X = rng.integers(0, 6, size=(180, 12)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1] * X[:, 2]).astype(np.int64) % N_CLASSES
+    noisy = rng.random(180) < 0.3
+    y[noisy] = rng.integers(0, N_CLASSES, size=int(noisy.sum()))
+    ds = blob_dataset(X, y)
+    plan = CVPlan(folds=4, grids={"dt": grid}, seed=13)
+    model = train("dt", ds, plan)
+    expected = _dt_cv_fitting_each_point(grid, ds, plan)
+    assert model.cv_results == expected
+    # the grid points grow different trees on these data
+    assert len({r["mean_accuracy"] for r in expected}) > 1
+    winner = model.hyperparameters
+    plain = DecisionTreeClassifier(winner.get("max_depth"), winner.get("min_leaf", 1)).fit(X, y)
+    assert json.dumps(model.classifier.to_payload()) == json.dumps(plain.to_payload())

@@ -450,6 +450,18 @@ def test_ingest_directory(tmp_path, caplog):
     assert [i.id for i in without_dedup] == ["a_good", "b_good", "d_dup"]
 
 
+def test_ingest_directory_ids_are_relative_paths(tmp_path, caplog):
+    for sub, body in (("a", "(+ x y)"), ("b", "(* x y)")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "p.smt2").write_text(DECLS + f"(assert (> {body} z))")
+    (tmp_path / "b" / "bad.smt2").write_text("(declare-fun x () Real)(assert (> x 0))")
+    (tmp_path / "top.smt2").write_text(DECLS + "(assert (> (* x x) (+ y z)))")
+    with caplog.at_level(logging.WARNING, logger="cadaug.ingest"):
+        instances = ingest_directory(tmp_path)
+    assert [i.id for i in instances] == ["a/p", "b/p", "top"]
+    assert any("b/bad" in rec.getMessage() for rec in caplog.records)
+
+
 def test_ingest_directory_skips_deep_nesting(tmp_path, caplog):
     deep = "(+ x " * 3000 + "y" + ")" * 3000
     (tmp_path / "a_deep.smt2").write_text(DECLS + f"(assert (> {deep} z))")

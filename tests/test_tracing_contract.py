@@ -5,14 +5,20 @@
 fail if the labelling loop stops looking those names up there (a dropped
 import, or a direct call into ``cadaug.labelling``), which would otherwise
 only show up as missing spans or a ``KeyError`` in ``--trace 1`` runs.
+The tracer likewise wraps ``DecisionTreeClassifier.fit`` and counts tree
+nodes from ``result.tree``, so forests must fit every tree through it.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cadaug import pipeline
+from cadaug.dataset import make_dataset
+from cadaug.features import FeatureSchema, all_shapes
+from cadaug.ml import CVPlan, train
 from cadaug.labelling import TimingRecord, write_timings_csv
 from cadaug.poly import Polynomial, X1, X2, X3
 from cadaug.smtlib import ProblemInstance
@@ -61,3 +67,37 @@ def test_sotd_labelling_is_traced(tracing):
     assert len(labelled) == 2
     assert tracer.count("labelling.label_by_sotd") == 2
     assert tracer.count("resultants.resultant") > 0
+
+
+def _tree_dataset():
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 4, size=(40, 12)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1]).astype(int) % 3
+    schema = FeatureSchema(tuple(all_shapes()[:4]))  # 12 columns
+    return make_dataset([f"r{i}" for i in range(40)], X, y, schema)
+
+
+def test_tree_fits_are_traced(tracing):
+    dataset = _tree_dataset()
+    plan = CVPlan(
+        folds=2,
+        grids={"dt": [{"max_depth": 2}, {"max_depth": None}], "rf": [{"n_trees": 3, "max_depth": 3}]},
+        seed=1,
+    )
+    NAME, PARENT = tracing.NAME, tracing.PARENT
+    for kind, nested in (("rf", True), ("dt", False)):
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            train(kind, dataset, plan)
+        fits = [s for s in tracer.spans if s[NAME] == "ml.tree.fit"]
+        assert fits, kind
+        in_forest = [
+            s for s in fits
+            if s[PARENT] is not None and tracer.spans[s[PARENT]][NAME] == "ml.forest.fit"
+        ]
+        if nested:
+            # 3 trees per forest, one forest per fold plus the final refit
+            assert len(in_forest) == len(fits) == 9
+        else:
+            assert not in_forest
+        assert tracer.counts["ml.tree.nodes"] > 0, kind
