@@ -101,20 +101,21 @@ def _cmd_featurize(args) -> int:
     instances = read_instances_jsonl(args.instances)
     if args.schema is not None and args.fit_distinct:
         raise ConfigError("--schema and --fit-distinct are mutually exclusive")
+    labels = None if args.labels is None else read_labels_csv(args.labels)
+    keep = [k for k, inst in enumerate(instances) if labels is None or inst.id in labels]
     if args.fit_distinct:
-        schema = fit_distinct_filter([featurize(inst).values for inst in instances])
-    elif args.schema is not None:
-        schema = FeatureSchema.load(args.schema)
+        # fit on every instance, then narrow the raw rows to the kept shapes
+        raw_schema = FeatureSchema.raw()
+        raw_rows = [featurize(inst, raw_schema).values for inst in instances]
+        schema = fit_distinct_filter(raw_rows)
+        columns = schema.columns_in(raw_schema)
+        rows = [[raw_rows[k][c] for c in columns] for k in keep]
     else:
-        schema = FeatureSchema.raw()
+        schema = FeatureSchema.raw() if args.schema is None else FeatureSchema.load(args.schema)
+        rows = [featurize(instances[k], schema).values for k in keep]
     if args.schema_out is not None:
         schema.save(args.schema_out)
-    labels: dict[str, int] | None = None
-    if args.labels is not None:
-        labels = read_labels_csv(args.labels)
-        instances = [inst for inst in instances if inst.id in labels]
-    rows = [featurize(inst, schema).values for inst in instances]
-    ids = [inst.id for inst in instances]
+    ids = [instances[k].id for k in keep]
     out_labels = [None if labels is None else labels[i] for i in ids]
     write_features_csv(args.out, ids, out_labels, rows, schema)
     print(f"featurized {len(ids)} instances ({len(schema)} columns) -> {args.out}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -107,6 +107,13 @@ class FeatureSchema:
 
     def position(self, variable: Variable, shape_index: int) -> int:
         return (variable.index - 1) * len(self.shapes) + shape_index
+
+    def columns_in(self, source: FeatureSchema) -> list[int]:
+        """The position in `source`'s layout of each of this schema's
+        columns, so a row of `source` narrows to this schema by picking
+        those columns.  Every shape of this schema must be in `source`."""
+        index = {shape: i for i, shape in enumerate(source.shapes)}
+        return [source.position(v, index[shape]) for v in VARIABLES for shape in self.shapes]
 
     def descriptors(self) -> list[Descriptor]:
         return [
@@ -269,17 +276,15 @@ def permute_values(values: Sequence, sigma: Permutation, schema: FeatureSchema) 
     return out
 
 
-def permute_feature_vector(
-    fv: FeatureVector, sigma: Permutation, schema: FeatureSchema
-) -> FeatureVector:
-    return FeatureVector(fv.instance_id, tuple(permute_values(fv.values, sigma, schema)))
-
-
 # -- essentially-distinct filter ------------------------------------------
 
 
+# a column adds rank when its residual exceeds this share of its norm (or of 1)
+DISTINCT_REL_TOL = 1e-9
+
+
 def fit_distinct_filter(
-    rows: Sequence[Sequence], schema: FeatureSchema | None = None, rel_tol: float = 1e-9
+    rows: Sequence[Sequence], schema: FeatureSchema | None = None
 ) -> FeatureSchema:
     """Keep the descriptor shapes that are not in an affine relationship
     with previously kept shapes on the given reference rows.
@@ -315,14 +320,13 @@ def fit_distinct_filter(
         scale = np.linalg.norm(col)
         r = residual(col)
         r_norm = np.linalg.norm(r)
-        if r_norm > rel_tol * max(scale, 1.0):
+        if r_norm > DISTINCT_REL_TOL * max(scale, 1.0):
             return r / r_norm
         return None
 
     kept: list[Shape] = []
-    block = len(schema.shapes)
     for shape_index, shape in enumerate(schema.shapes):
-        columns = [matrix[:, (v.index - 1) * block + shape_index] for v in VARIABLES]
+        columns = [matrix[:, schema.position(v, shape_index)] for v in VARIABLES]
         if any(independent(col) is not None for col in columns):
             kept.append(shape)
             for col in columns:

@@ -17,35 +17,16 @@ class RandomBaseline:
     the same dataset yields the same accuracy.
     """
 
-    kind = "baseline"
-
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._n_features: int | None = None
-
-    @property
-    def n_features(self) -> int:
-        if self._n_features is None:
-            raise ValueError("classifier is not fitted")
-        return self._n_features
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomBaseline":
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("X must be a non-empty 2-d array")
-        self._n_features = X.shape[1]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         rng = np.random.default_rng(self.seed)
         return rng.integers(0, N_CLASSES, size=X.shape[0], dtype=np.int64)
-
-    def to_payload(self) -> dict:
-        return {"seed": self.seed, "n_features": self._n_features}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "RandomBaseline":
-        model = cls(seed=payload["seed"])
-        model._n_features = payload["n_features"]
-        return model

@@ -52,6 +52,11 @@ class RandomForestClassifier:
     ) -> None:
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if max_depth is not None and max_depth < 1:
+            raise ValueError("max_depth must be >= 1 or None")
+        if min_leaf < 1:
+            raise ValueError("min_leaf must be >= 1")
+        resolve_max_features(max_features, 1)  # raises on an unknown spec
         self.n_trees = int(n_trees)
         self.max_depth = max_depth
         self.min_leaf = int(min_leaf)

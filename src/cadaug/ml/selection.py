@@ -11,7 +11,6 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..seeding import derive_seed
-from .baseline import RandomBaseline
 from .forest import RandomForestClassifier
 from .knn import KNNClassifier
 from .scaling import Standardizer
@@ -84,6 +83,10 @@ class CVPlan:
                         f"unknown {kind} hyperparameters {unknown}; "
                         f"expected some of {list(_PARAMETERS[kind])}"
                     )
+                try:
+                    _make_classifier(kind, params, 0)
+                except (TypeError, ValueError) as err:
+                    raise ValueError(f"{kind} grid point {dict(params)}: {err}") from err
 
 
 def _make_classifier(kind: str, params: Mapping[str, Any], seed: int):
@@ -155,8 +158,6 @@ class TrainedModel:
             classifier = DecisionTreeClassifier.from_payload(payload)
         elif kind == "rf":
             classifier = RandomForestClassifier.from_payload(payload)
-        elif kind == "baseline":
-            classifier = RandomBaseline.from_payload(payload)
         else:
             raise ValueError(f"unknown model kind: {kind!r}")
         return cls(kind, dict(data["hyperparameters"]), classifier, list(data["cv"]))
@@ -252,8 +253,9 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     return TrainedModel(kind, winner, final, results)
 
 
-def accuracy(model: TrainedModel, dataset: Dataset) -> float:
-    """Fraction of dataset rows the model labels correctly."""
+def accuracy(model: Any, dataset: Dataset) -> float:
+    """Fraction of dataset rows the model (anything with ``predict``,
+    a ``TrainedModel`` or a fitted ``RandomBaseline``) labels correctly."""
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
     predictions = model.predict(dataset.matrix())

@@ -1,9 +1,21 @@
 """End-to-end experiment orchestration.
 
-Runs ingest -> label -> featurize -> split -> derive the three dataset
-provenances -> train every model on each training set -> evaluate on
-every testing set, writing every intermediate artifact under the output
-directory.  All randomness flows from one master seed through
+``run_pipeline`` is a list of stages, each writing its artifacts under the
+output directory:
+
+1. ingest: parse the corpus into instances (``instances.jsonl``);
+2. label: the best ordering of each instance (``labels.csv``);
+3. datasets: featurize each labelled instance once with the raw schema,
+   split by instance id, fit the essentially-distinct filter on the
+   training half (``schema.json``), narrow both halves to its columns and
+   derive their balanced and augmented variants (``datasets/``);
+4. train and evaluate: every model kind on each training set, scored on
+   every testing set, plus the uniform-random baseline (``models/``);
+5. report: the accuracy matrix (``matrix.json``, ``matrix.csv``,
+   ``report.md``).
+
+A stage's ``ValueError`` or ``OSError`` surfaces as a ``PipelineError``
+naming the stage.  All randomness flows from one master seed through
 :func:`cadaug.seeding.derive_seed`, so a fixed config reproduces every
 table cell bit for bit.
 """
@@ -11,6 +23,7 @@ table cell bit for bit.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
@@ -26,11 +39,11 @@ from .labelling import (
     read_timings_csv,
     write_labels_csv,
 )
-from .ml import CVPlan, DEFAULT_GRIDS, MODEL_KINDS, RandomBaseline, TrainedModel
+from .ml import CVPlan, DEFAULT_GRIDS, MODEL_KINDS, RandomBaseline
 from .ml import accuracy as model_accuracy
 from .ml import train as train_model
 from .seeding import derive_seed
-from .smtlib import IngestError, ProblemInstance, ingest_directory, write_instances_jsonl
+from .smtlib import ProblemInstance, ingest_directory, write_instances_jsonl
 
 __all__ = [
     "ExperimentConfig",
@@ -197,79 +210,80 @@ def label_instances(
     return labelled
 
 
-def run_pipeline(config: ExperimentConfig) -> ResultMatrix:
-    """Execute the full experiment and return the accuracy matrix."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    # ingest
+@contextmanager
+def _stage(name: str, context: str = ""):
+    """Report a ValueError or OSError raised inside as PipelineError(name)."""
     try:
+        yield
+    except (OSError, ValueError) as err:
+        raise PipelineError(name, f"{context}{err}") from err
+
+
+def _ingest(config: ExperimentConfig, out: Path) -> list[ProblemInstance]:
+    with _stage("ingest"):
         instances = ingest_directory(config.input_dir)
-    except OSError as err:
-        raise PipelineError("ingest", str(err)) from err
     if not instances:
         raise PipelineError("ingest", f"no usable instances under {config.input_dir}")
     write_instances_jsonl(instances, out / "instances.jsonl")
+    return instances
 
-    # label
-    try:
+
+def _label(
+    config: ExperimentConfig, out: Path, instances: Sequence[ProblemInstance]
+) -> list[tuple[ProblemInstance, int]]:
+    with _stage("label"):
         labelled = label_instances(instances, config.labeller, config.timings_csv, config.timeout)
-    except (OSError, ValueError) as err:
-        raise PipelineError("label", str(err)) from err
     if not labelled:
         raise PipelineError("label", "empty labelled dataset")
     write_labels_csv(((inst.id, label) for inst, label in labelled), out / "labels.csv")
+    return labelled
 
-    # featurize (raw schema) and split by instance id
+
+def _datasets(
+    config: ExperimentConfig, out: Path, labelled: Sequence[tuple[ProblemInstance, int]]
+) -> dict[tuple[str, str], Dataset]:
+    """The six datasets by (provenance, role), each saved under datasets/.
+
+    Every labelled instance is featurized once, with the raw schema.  The
+    essentially-distinct filter is fitted on the raw training half only;
+    it keeps or drops whole shapes, so both halves narrow to its schema by
+    picking the kept shapes' columns of their raw rows.
+    """
     raw_schema = FeatureSchema.raw()
-    instance_of = {inst.id: inst for inst, _ in labelled}
-    raw_rows = tuple(
-        Row(inst.id, featurize(inst, raw_schema).values, label)
-        for inst, label in labelled
+    rows = tuple(
+        Row(inst.id, featurize(inst, raw_schema).values, label) for inst, label in labelled
     )
-    full = Dataset(raw_rows, raw_schema, "unbalanced", "all")
-    try:
-        train_raw, test_raw = split(full, config.test_fraction, derive_seed(config.seed, "split"))
-    except ValueError as err:
-        raise PipelineError("split", str(err)) from err
-
-    # fit the essentially-distinct filter on the unbalanced training half only
-    try:
-        schema = fit_distinct_filter([r.values for r in train_raw.rows])
-    except ValueError as err:
-        raise PipelineError("filter", str(err)) from err
-    schema.save(out / "schema.json")
-
-    def filtered(ds: Dataset, role: str) -> Dataset:
-        rows = tuple(
-            Row(r.instance_id, featurize(instance_of[r.instance_id], schema).values, r.label)
-            for r in ds.rows
+    with _stage("split"):
+        train_raw, test_raw = split(
+            Dataset(rows, raw_schema, "unbalanced", "all"),
+            config.test_fraction,
+            derive_seed(config.seed, "split"),
         )
-        return Dataset(rows, schema, "unbalanced", role)
-
-    train_unb = filtered(train_raw, "train")
-    test_unb = filtered(test_raw, "test")
-
-    # derive the balanced and augmented variants of both halves
-    try:
-        datasets = {
-            ("unbalanced", "train"): train_unb,
-            ("unbalanced", "test"): test_unb,
-            ("balanced", "train"): balance(
-                train_unb, config.balance_mode, derive_seed(config.seed, "balance:train")
+    with _stage("filter"):
+        schema = fit_distinct_filter([r.values for r in train_raw.rows])
+    schema.save(out / "schema.json")
+    columns = schema.columns_in(raw_schema)
+    unbalanced = [
+        Dataset(
+            tuple(
+                Row(r.instance_id, tuple(r.values[c] for c in columns), r.label)
+                for r in half.rows
             ),
-            ("balanced", "test"): balance(
-                test_unb, config.balance_mode, derive_seed(config.seed, "balance:test")
-            ),
-            ("augmented", "train"): augment_full(train_unb),
-            ("augmented", "test"): augment_full(test_unb),
-        }
-    except ValueError as err:
-        raise PipelineError("augment", str(err)) from err
-
+            schema,
+            "unbalanced",
+            half.role,
+        )
+        for half in (train_raw, test_raw)
+    ]
+    datasets = {("unbalanced", ds.role): ds for ds in unbalanced}
+    with _stage("augment"):
+        for ds in unbalanced:
+            seed = derive_seed(config.seed, f"balance:{ds.role}")
+            datasets[("balanced", ds.role)] = balance(ds, config.balance_mode, seed)
+        for ds in unbalanced:
+            datasets[("augmented", ds.role)] = augment_full(ds)
     data_dir = out / "datasets"
     data_dir.mkdir(exist_ok=True)
-    summary: dict[str, dict[str, Any]] = {}
     for (provenance, role), ds in datasets.items():
         save_dataset(
             ds,
@@ -277,12 +291,14 @@ def run_pipeline(config: ExperimentConfig) -> ResultMatrix:
             seed=config.seed,
             mode=config.balance_mode if provenance == "balanced" else None,
         )
-        summary[f"{role}_{provenance}"] = {
-            "rows": len(ds),
-            "class_counts": ds.class_counts(),
-        }
+    return datasets
 
-    # train on each training provenance, evaluate on each testing provenance
+
+def _train_and_evaluate(
+    config: ExperimentConfig, out: Path, datasets: Mapping[tuple[str, str], Dataset]
+) -> tuple[dict[tuple[str, str, str], float], dict[str, float]]:
+    """Every model's accuracy by (model, trained_on, tested_on), and the
+    uniform-random baseline's by tested_on; models are saved under models/."""
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
     accuracy: dict[tuple[str, str, str], float] = {}
@@ -293,44 +309,61 @@ def run_pipeline(config: ExperimentConfig) -> ResultMatrix:
                 grids=config.grids,
                 seed=derive_seed(config.seed, f"train:{kind}:{trained_on}"),
             )
-            try:
+            with _stage("train", f"{kind} on {trained_on}: "):
                 model = train_model(kind, datasets[(trained_on, "train")], plan)
-            except ValueError as err:
-                raise PipelineError("train", f"{kind} on {trained_on}: {err}") from err
             model.save(model_dir / f"{kind}_{trained_on}.json")
             for tested_on in PROVENANCES:
                 accuracy[(kind, trained_on, tested_on)] = model_accuracy(
                     model, datasets[(tested_on, "test")]
                 )
-
-    # uniform-random reference on every test set
-    baseline_model = TrainedModel(
-        "baseline",
-        {},
-        RandomBaseline(seed=derive_seed(config.seed, "baseline")).fit(
-            train_unb.matrix(), train_unb.labels()
-        ),
-        [],
+    train_unb = datasets[("unbalanced", "train")]
+    baseline_model = RandomBaseline(seed=derive_seed(config.seed, "baseline")).fit(
+        train_unb.matrix(), train_unb.labels()
     )
     baseline = {
         tested_on: model_accuracy(baseline_model, datasets[(tested_on, "test")])
         for tested_on in PROVENANCES
     }
+    return accuracy, baseline
 
+
+def _report(
+    config: ExperimentConfig,
+    out: Path,
+    datasets: Mapping[tuple[str, str], Dataset],
+    accuracy: dict[tuple[str, str, str], float],
+    baseline: dict[str, float],
+) -> ResultMatrix:
     matrix = ResultMatrix(
         models=tuple(config.models),
         accuracy=accuracy,
-        dataset_summary=summary,
+        dataset_summary={
+            f"{role}_{provenance}": {"rows": len(ds), "class_counts": ds.class_counts()}
+            for (provenance, role), ds in datasets.items()
+        },
         baseline=baseline,
-        feature_counts={"raw": len(raw_schema), "distinct": len(schema)},
+        feature_counts={
+            "raw": len(FeatureSchema.raw()),
+            "distinct": len(datasets[("unbalanced", "train")].schema),
+        },
         improvements={},
         seed=config.seed,
         labeller=config.labeller,
     )
     matrix.improvements = improvement_summary(matrix)
     matrix.save(out / "matrix.json")
-
-    from .report import write_report
+    from .report import write_report  # report imports this module
 
     write_report(matrix, out)
     return matrix
+
+
+def run_pipeline(config: ExperimentConfig) -> ResultMatrix:
+    """Execute the full experiment and return the accuracy matrix."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    instances = _ingest(config, out)
+    labelled = _label(config, out, instances)
+    datasets = _datasets(config, out, labelled)
+    accuracy, baseline = _train_and_evaluate(config, out, datasets)
+    return _report(config, out, datasets, accuracy, baseline)

@@ -10,10 +10,8 @@ Every division in the sequence is exact in the polynomial ring, so no
 rational-function arithmetic is needed and the result is the exact
 determinant, sign included.
 
-``sylvester_matrix`` and ``determinant`` (Bareiss fraction-free
-elimination, whose divisions are exact too) compute the same value the
-direct way.  They are kept as the reference the tests compare
-``resultant`` against.
+The direct method, the Bareiss determinant of the Sylvester matrix, is
+the tests' oracle (``tests/resultant_reference.py``).
 """
 
 from __future__ import annotations
@@ -36,61 +34,6 @@ def _operand_degrees(p: Polynomial, q: Polynomial, v: Variable) -> tuple[int, in
     if n < 1:
         raise DegreeError(f"degree of second operand in {v} is {n}, need >= 1")
     return m, n
-
-
-def sylvester_matrix(p: Polynomial, q: Polynomial, v: Variable) -> list[list[Polynomial]]:
-    """The (m+n) x (m+n) Sylvester matrix of p and q with respect to v.
-
-    Requires deg_v(p) >= 1 and deg_v(q) >= 1.
-    """
-    m, n = _operand_degrees(p, q, v)
-    # coefficients_wrt returns v^0 .. v^deg; the matrix wants descending order.
-    a = list(reversed(p.coefficients_wrt(v)))
-    b = list(reversed(q.coefficients_wrt(v)))
-    size = m + n
-    zero = Polynomial.zero()
-    rows: list[list[Polynomial]] = []
-    for shift in range(n):
-        rows.append([zero] * shift + a + [zero] * (n - 1 - shift))
-    for shift in range(m):
-        rows.append([zero] * shift + b + [zero] * (m - 1 - shift))
-    assert all(len(row) == size for row in rows)
-    return rows
-
-
-def determinant(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a square matrix of polynomials (Bareiss elimination)."""
-    size = len(matrix)
-    if size == 0:
-        return Polynomial.one()
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix is not square")
-    work: list[list[KDict]] = [[entry.raw for entry in row] for row in matrix]
-    sign = 1
-    prev: KDict = dict(kernels.KEY_ONE)
-    for k in range(size - 1):
-        if not work[k][k]:
-            pivot_row = next((r for r in range(k + 1, size) if work[r][k]), None)
-            if pivot_row is None:
-                return Polynomial.zero()
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            row_i = work[i]
-            row_k = work[k]
-            head = row_i[k]
-            for j in range(k + 1, size):
-                numerator = kernels.ksub(
-                    kernels.kmul(row_i[j], row_k[k]),
-                    kernels.kmul(head, row_k[j]),
-                )
-                row_i[j] = kernels.kdiv_exact(numerator, prev)
-            row_i[k] = {}
-        prev = work[k][k]
-    final = work[size - 1][size - 1]
-    if sign < 0:
-        final = kernels.kneg(final)
-    return Polynomial(dict(final))
 
 
 def _kpow(a: KDict, e: int) -> KDict:

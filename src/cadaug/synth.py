@@ -94,9 +94,11 @@ def synthesize_corpus(
     return instances
 
 
-def timings_from_sotd(
-    instances: list[ProblemInstance], per_degree_seconds: float = 0.01
-) -> list[TimingRecord]:
+# fabricated seconds per unit of (1 + sotd score)
+_SECONDS_PER_DEGREE = 0.01
+
+
+def timings_from_sotd(instances: list[ProblemInstance]) -> list[TimingRecord]:
     """Fabricate a timings table whose argmin agrees with the sotd proxy.
 
     Each ordering's runtime is proportional to its sotd score; orderings
@@ -106,7 +108,7 @@ def timings_from_sotd(
     for inst in instances:
         scores = sotd_scores(inst)
         times = tuple(
-            None if s is None else per_degree_seconds * (1 + s) for s in scores
+            None if s is None else _SECONDS_PER_DEGREE * (1 + s) for s in scores
         )
         records.append(TimingRecord(inst.id, times))
     return records

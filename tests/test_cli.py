@@ -146,6 +146,28 @@ def test_label_and_run_write_identical_labels(workspace, tmp_path, labeller):
     assert staged == (tmp_path / "run" / "labels.csv").read_bytes()
 
 
+def test_run_datasets_equal_featurize_with_the_fitted_schema(workspace, tmp_path):
+    # run narrows raw rows to the fitted schema's columns; featurizing with
+    # that schema directly must give the same rows
+    root = workspace
+    out = tmp_path / "run"
+    assert run_cli("run", "--input", root / "corpus", "--models", "knn", "--cv-folds", "3",
+                   "--grid", root / "grid.json", "--out", out) == EXIT_OK
+    assert run_cli("featurize", "--instances", out / "instances.jsonl",
+                   "--schema", out / "schema.json", "--labels", out / "labels.csv",
+                   "--out", tmp_path / "direct.csv") == EXIT_OK
+
+    def rows(path):
+        header, *lines = path.read_text().splitlines()
+        return header, lines
+
+    header, direct = rows(tmp_path / "direct.csv")
+    train_header, train = rows(out / "datasets" / "train_unbalanced.csv")
+    test_header, test = rows(out / "datasets" / "test_unbalanced.csv")
+    assert header == train_header == test_header
+    assert sorted(train + test) == sorted(direct)
+
+
 def test_featurize_rejects_out_of_range_label(workspace, tmp_path, capsys):
     root = workspace
     first_id = (root / "labels.csv").read_text().splitlines()[1].split(",")[0]
@@ -170,7 +192,7 @@ def test_label_names_the_rejected_record(workspace, tmp_path, capsys):
 
 def test_grid_typos_are_config_errors(workspace, tmp_path):
     root = workspace
-    for grid in ({"dt": [{"maxdepth": 4}]}, {"rff": [{"n_trees": 5}]}):
+    for grid in ({"dt": [{"maxdepth": 4}]}, {"rff": [{"n_trees": 5}]}, {"dt": [{"max_depth": 0}]}):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid))
         assert run_cli("train", "--data", root / "train.csv", "--schema", root / "schema.json",
@@ -179,6 +201,7 @@ def test_grid_typos_are_config_errors(workspace, tmp_path):
         assert run_cli("run", "--input", root / "corpus", "--grid", path,
                        "--out", tmp_path / "o") == EXIT_CONFIG
         # rejected before labelling: nothing was written
+        assert not (tmp_path / "o" / "labels.csv").exists()
         assert not (tmp_path / "o").exists()
         assert not (tmp_path / "m.json").exists()
 

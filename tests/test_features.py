@@ -17,7 +17,6 @@ from cadaug.features import (
     featurize,
     featurize_exact,
     fit_distinct_filter,
-    permute_feature_vector,
     permute_values,
     read_features_csv,
     write_features_csv,
@@ -148,6 +147,10 @@ def test_feature_vector_requires_finite():
 
 
 # -- permutation action and equivariance ----------------------------------
+
+
+def permute_feature_vector(fv, sigma, schema):
+    return FeatureVector(fv.instance_id, tuple(permute_values(fv.values, sigma, schema)))
 
 
 def test_permute_identity_and_inverse():

@@ -327,9 +327,18 @@ def test_train_unknown_kind_and_bad_plan():
     ({"rf": [{"n_trees": 5}, {"n_tree": 5}]}, r"unknown rf hyperparameters \['n_tree'\]"),
     ({"knn": [3]}, "not an object"),
     ({"knn": [{"k": 3}, {}]}, "needs 'k'"),
+    ({"dt": [{"max_depth": 0}]}, "max_depth must be >= 1 or None"),
+    ({"dt": [{"max_depth": 4, "min_leaf": 0}]}, "min_leaf must be >= 1"),
+    ({"knn": [{"k": 0}]}, "k must be >= 1"),
+    ({"knn": [{"k": "3"}]}, r"knn grid point \{'k': '3'\}"),
+    ({"rf": [{"n_trees": 0}]}, "n_trees must be >= 1"),
+    ({"rf": [{"max_depth": 0}]}, "max_depth must be >= 1 or None"),
+    ({"rf": [{"min_leaf": 0}]}, "min_leaf must be >= 1"),
+    ({"rf": [{"max_features": "bogus"}]}, "unknown max_features spec: 'bogus'"),
 ])
 def test_cv_plan_rejects_grid_typos(grids, message):
-    # unchecked, {"maxdepth": 4} grew an unbounded tree and "rff" was never used
+    # unchecked, {"maxdepth": 4} grew an unbounded tree and "rff" was never
+    # used; bad values were reported only when training reached them
     with pytest.raises(ValueError, match=message):
         CVPlan(grids=grids)
 

@@ -42,10 +42,16 @@ def small_config(corpus_dir, out_dir, **overrides):
     return ExperimentConfig(**defaults)
 
 
-def test_run_pipeline_structure(corpus, tmp_path):
+@pytest.fixture(scope="module")
+def experiment(corpus, tmp_path_factory):
+    """One run shared by the tests that only read its result and files."""
     root, _ = corpus
-    out = tmp_path / "exp"
-    matrix = run_pipeline(small_config(root, out))
+    out = tmp_path_factory.mktemp("exp")
+    return run_pipeline(small_config(root, out)), out
+
+
+def test_run_pipeline_structure(experiment):
+    matrix, out = experiment
 
     assert matrix.models == ("knn", "dt", "rf")
     assert len(matrix.accuracy) == 27
@@ -73,10 +79,9 @@ def test_run_pipeline_structure(corpus, tmp_path):
     assert matrix.feature_counts["raw"] == 384
 
 
-def test_no_id_leaks_between_train_and_test(corpus, tmp_path):
-    root, _ = corpus
-    out = tmp_path / "exp"
-    run_pipeline(small_config(root, out))
+def test_no_id_leaks_between_train_and_test(experiment):
+    _, out = experiment
+
     def base_ids(path):
         with open(path) as fh:
             next(fh)
@@ -184,18 +189,16 @@ def test_improvement_summary_identity_and_zero_base():
     assert improvement_summary(degenerate)["balanced_vs_unbalanced_pct"] is None
 
 
-def test_matrix_json_roundtrip(corpus, tmp_path):
-    root, _ = corpus
-    matrix = run_pipeline(small_config(root, tmp_path / "exp"))
-    again = ResultMatrix.load(tmp_path / "exp" / "matrix.json")
+def test_matrix_json_roundtrip(experiment):
+    matrix, out = experiment
+    again = ResultMatrix.load(out / "matrix.json")
     assert again.accuracy == matrix.accuracy
     assert again.dataset_summary == matrix.dataset_summary
     assert again.improvements == matrix.improvements
     assert render_matrix_csv(again) == render_matrix_csv(matrix)
 
 
-def test_matrix_csv_row_count(corpus, tmp_path):
-    root, _ = corpus
-    matrix = run_pipeline(small_config(root, tmp_path / "exp"))
+def test_matrix_csv_row_count(experiment):
+    matrix, _ = experiment
     lines = render_matrix_csv(matrix).strip().split("\n")
     assert len(lines) == 1 + len(matrix.models) * 9

@@ -12,14 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from resultant_reference import determinant, sylvester_matrix
+
 from cadaug.poly import Polynomial, X1, X2, X3
-from cadaug.resultants import (
-    DegreeError,
-    determinant,
-    discriminant,
-    resultant,
-    sylvester_matrix,
-)
+from cadaug.resultants import DegreeError, discriminant, resultant
 
 P = Polynomial.parse
 

@@ -2,11 +2,12 @@
 
 ``perfbench/tracing.py`` replaces module attributes such as
 ``cadaug.pipeline.label_from_timings`` with timing wrappers.  These tests
-fail if the labelling loop stops looking those names up there (a dropped
-import, or a direct call into ``cadaug.labelling``), which would otherwise
-only show up as missing spans or a ``KeyError`` in ``--trace 1`` runs.
-The tracer likewise wraps ``DecisionTreeClassifier.fit`` and counts tree
-nodes from ``result.tree``, so forests must fit every tree through it.
+fail if the labelling loop or a stage of ``run_pipeline`` stops looking
+those names up there (a dropped import, or a direct call into another
+module), which would otherwise only show up as missing spans or a
+``KeyError`` in ``--trace 1`` runs.  The tracer likewise wraps
+``DecisionTreeClassifier.fit`` and counts tree nodes from ``result.tree``,
+so forests must fit every tree through it.
 """
 
 import importlib
@@ -22,6 +23,7 @@ from cadaug.ml import CVPlan, train
 from cadaug.labelling import TimingRecord, write_timings_csv
 from cadaug.poly import Polynomial, X1, X2, X3
 from cadaug.smtlib import ProblemInstance
+from cadaug.synth import synthesize_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 P = Polynomial.parse
@@ -101,3 +103,36 @@ def test_tree_fits_are_traced(tracing):
         else:
             assert not in_forest
         assert tracer.counts["ml.tree.nodes"] > 0, kind
+
+
+def test_every_pipeline_stage_is_traced(tracing, tmp_path):
+    synthesize_corpus(tmp_path / "corpus", 24, seed=3)
+    config = pipeline.ExperimentConfig(
+        input_dir=tmp_path / "corpus",
+        out_dir=tmp_path / "out",
+        cv_folds=2,
+        grids={"knn": [{"k": 1}], "dt": [{"max_depth": 3}], "rf": [{"n_trees": 2, "max_depth": 3}]},
+    )
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        pipeline.run_pipeline(config)
+    for name in (
+        "smtlib.ingest_directory",
+        "io.write_instances_jsonl",
+        "labelling.label_by_sotd",
+        "features.featurize",
+        "features.fit_distinct_filter",
+        "augment.split",
+        "augment.balance",
+        "augment.augment_full",
+        "io.save_dataset",
+        "ml.train.knn",
+        "ml.train.dt",
+        "ml.train.rf",
+        "ml.accuracy",
+        "io.write_report",
+    ):
+        assert tracer.count(name) > 0, name
+    labelled = len((tmp_path / "out" / "labels.csv").read_text().splitlines()) - 1
+    assert labelled > 0
+    assert tracer.count("features.featurize") == labelled  # once per labelled instance
