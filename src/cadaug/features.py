@@ -86,9 +86,14 @@ def _shape_name(shape: Shape) -> str:
     return ".".join([base, inner, "sign" if sign_m else "id", outer, "sign" if sign_p else "id"])
 
 
+_SHAPES_BY_NAME = {_shape_name(shape): shape for shape in all_shapes()}
+
+
 def _shape_from_name(text: str) -> Shape:
-    base, inner, sm, outer, sp = text.split(".")
-    return (base, inner, sm == "sign", outer, sp == "sign")
+    shape = _SHAPES_BY_NAME.get(text)
+    if shape is None:
+        raise ValueError(f"unknown descriptor shape {text!r}")
+    return shape
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,9 @@ def _aggregate(values: Sequence, op: str):
         return sum(values)
     if op == "avg":
         return _exact_mean(values)
-    # avg_nonzero: mean of the nonzero entries, 0 when there are none
+    if op != "avg_nonzero":
+        raise ValueError(f"unknown aggregation {op!r}")
+    # mean of the nonzero entries, 0 when there are none
     nonzero = [v for v in values if v]
     if not nonzero:
         return 0

@@ -7,7 +7,14 @@ import math
 import numpy as np
 
 from ..seeding import derive_seed
-from .tree import DecisionTreeClassifier, N_CLASSES, rank_columns
+from .tree import (
+    N_CLASSES,
+    DecisionTreeClassifier,
+    check_count,
+    check_depth,
+    predict_truncated,
+    rank_columns,
+)
 
 __all__ = ["RandomForestClassifier", "resolve_max_features"]
 
@@ -34,9 +41,13 @@ def resolve_max_features(spec: str | int | None, n_features: int) -> int | None:
 class RandomForestClassifier:
     """Majority-vote ensemble of randomized CART trees.
 
-    Each tree gets its own seed derived from the forest seed, a bootstrap
-    sample of the rows (unless ``bootstrap=False``), and a fresh random
-    feature subset at every split.  Vote ties go to the lowest label index.
+    Tree i has seed ``derive_seed(seed, f"tree:{i}")``.  A generator on
+    that seed draws the tree's bootstrap sample of the rows (unless
+    ``bootstrap=False``) and nothing else; the feature subset at each
+    split is keyed by the tree seed and the node's path (see
+    ``tree._grow``).  The forest grown with a depth bound is therefore
+    the deeper forest cut at that depth (``predict_truncated``).  Vote
+    ties go to the lowest label index.
     """
 
     kind = "rf"
@@ -50,18 +61,14 @@ class RandomForestClassifier:
         bootstrap: bool = True,
         seed: int = 0,
     ) -> None:
-        if n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+        if not isinstance(bootstrap, bool):
+            raise TypeError(f"bootstrap must be true or false, got {bootstrap!r}")
         resolve_max_features(max_features, 1)  # raises on an unknown spec
-        self.n_trees = int(n_trees)
-        self.max_depth = max_depth
-        self.min_leaf = int(min_leaf)
+        self.n_trees = check_count("n_trees", n_trees)
+        self.max_depth = check_depth(max_depth)
+        self.min_leaf = check_count("min_leaf", min_leaf)
         self.max_features = max_features
-        self.bootstrap = bool(bootstrap)
+        self.bootstrap = bootstrap
         self.seed = int(seed)
         self.trees: list[DecisionTreeClassifier] | None = None
         self._n_features: int | None = None
@@ -72,6 +79,15 @@ class RandomForestClassifier:
             raise ValueError("classifier is not fitted")
         return self._n_features
 
+    def _tree_samples(self, n: int):
+        """Each tree's seed and bootstrap rows (all n rows without bootstrap)."""
+        for i in range(self.n_trees):
+            seed = derive_seed(self.seed, f"tree:{i}")
+            if self.bootstrap:
+                yield seed, np.random.default_rng(seed).integers(0, n, size=n)
+            else:
+                yield seed, np.arange(n)
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
@@ -81,15 +97,9 @@ class RandomForestClassifier:
         mtry = resolve_max_features(self.max_features, d)
         ranked = rank_columns(X)
         self.trees = []
-        for i in range(self.n_trees):
-            rng = np.random.default_rng(derive_seed(self.seed, f"tree:{i}"))
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=n)
-                Xi, yi, ranked_i = X[sample], y[sample], ranked.rows(sample)
-            else:
-                Xi, yi, ranked_i = X, y, ranked
+        for seed, sample in self._tree_samples(n):
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf)
-            tree.fit(Xi, yi, rng=rng, mtry=mtry, ranked=ranked_i)
+            tree.fit(X[sample], y[sample], seed=seed, mtry=mtry, ranked=ranked.rows(sample))
             self.trees.append(tree)
         self._n_features = d
         return self
@@ -98,10 +108,33 @@ class RandomForestClassifier:
         if self.trees is None:
             raise ValueError("classifier is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        votes = np.zeros((X.shape[0], N_CLASSES), dtype=np.int64)
-        for tree in self.trees:
-            votes[np.arange(X.shape[0]), tree.predict(X)] += 1
-        return votes.argmax(axis=1)
+        return _vote([tree.predict(X) for tree in self.trees], X.shape[0])
+
+    def predict_truncated(
+        self,
+        X_fit: np.ndarray,
+        y_fit: np.ndarray,
+        X: np.ndarray,
+        max_depth: int | None,
+    ) -> np.ndarray:
+        """Predict with every tree cut at ``max_depth``.
+
+        ``(X_fit, y_fit)`` must be the rows this forest was fitted on: a
+        cut node predicts the majority of its tree's bootstrap rows that
+        reach it, and the bootstrap samples are drawn again from the tree
+        seeds.  This equals the prediction of the forest fitted with
+        ``max_depth`` and otherwise the same parameters.
+        """
+        if self.trees is None:
+            raise ValueError("classifier is not fitted")
+        X_fit = np.asarray(X_fit, dtype=np.float64)
+        y_fit = np.asarray(y_fit, dtype=np.int64)
+        X = np.asarray(X, dtype=np.float64)
+        predictions = [
+            predict_truncated(tree.tree, X_fit[sample], y_fit[sample], X, max_depth)
+            for tree, (_, sample) in zip(self.trees, self._tree_samples(X_fit.shape[0]))
+        ]
+        return _vote(predictions, X.shape[0])
 
     def to_payload(self) -> dict:
         if self.trees is None:
@@ -130,3 +163,12 @@ class RandomForestClassifier:
         model.trees = [DecisionTreeClassifier.from_payload(p) for p in payload["trees"]]
         model._n_features = payload["n_features"]
         return model
+
+
+def _vote(predictions: list[np.ndarray], n: int) -> np.ndarray:
+    """Majority vote over per-tree predictions; ties go to the lowest label."""
+    votes = np.zeros((n, N_CLASSES), dtype=np.int64)
+    rows = np.arange(n)
+    for predicted in predictions:
+        votes[rows, predicted] += 1
+    return votes.argmax(axis=1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scaling import Standardizer, standardize_fit
+from .tree import check_count
 
 __all__ = ["KNNClassifier", "N_CLASSES"]
 
@@ -22,9 +23,7 @@ class KNNClassifier:
     kind = "knn"
 
     def __init__(self, k: int = 5) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = int(k)
+        self.k = check_count("k", k)
         self.stats: Standardizer | None = None
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None

@@ -195,14 +195,59 @@ def _dt_predictions(
     ]
 
 
+def _rf_predictions(
+    grid: Sequence[Mapping[str, Any]],
+    X_fit: np.ndarray,
+    y_fit: np.ndarray,
+    X_test: np.ndarray,
+    seed: int,
+    fold: int,
+) -> list[np.ndarray]:
+    """Test predictions of every rf grid point on one fold, one forest
+    growth per setting of the parameters other than ``max_depth``.
+
+    Points that differ only in depth share the forest with seed
+    ``derive_seed(seed, f"rf:{rest}:{fold}")``, where ``rest`` is the repr
+    of their other parameters, sorted; it grows to the deepest bound.
+    Column draws are keyed by each node's path, so a forest bounded at
+    depth d is that forest cut at d and predicts what fitting the point
+    alone with the same seed predicts.
+    """
+    points = []
+    groups: dict[str, tuple[dict[str, Any], list[Any]]] = {}
+    for params in grid:
+        others = {name: value for name, value in params.items() if name != "max_depth"}
+        rest = repr(tuple(sorted(others.items())))
+        depth = params.get("max_depth")
+        groups.setdefault(rest, (others, []))[1].append(depth)
+        points.append((rest, depth))
+    forests = {
+        rest: _make_classifier(
+            "rf",
+            {**others, "max_depth": None if None in depths else max(depths)},
+            derive_seed(seed, f"rf:{rest}:{fold}"),
+        ).fit(X_fit, y_fit)
+        for rest, (others, depths) in groups.items()
+    }
+    return [
+        forests[rest].predict(X_test)
+        if depth == forests[rest].max_depth
+        else forests[rest].predict_truncated(X_fit, y_fit, X_test, depth)
+        for rest, depth in points
+    ]
+
+
 def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     """Select hyperparameters by k-fold CV and refit on the full dataset.
 
     The grid point with the best mean fold accuracy wins; ties go to the
     earliest point in grid order.  On each fold, dt grows one tree per
-    ``min_leaf`` value and scores every depth of the grid on it (see
-    ``_dt_predictions``); knn and rf fit every grid point, each rf point
-    with its own seed.  The results equal fitting each point on its own.
+    ``min_leaf`` value and rf one forest per setting of its other
+    parameters, and every depth of the grid is scored by cutting the
+    trees there (see ``_dt_predictions`` and ``_rf_predictions``); knn
+    fits every grid point.  The results equal fitting each point on its
+    own.  The winner is refitted on all rows, an rf winner with seed
+    ``derive_seed(plan.seed, "rf:final")``.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
@@ -223,12 +268,12 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
         X_fit, y_fit, X_test = X[mask], y[mask], X[fold]
         if kind == "dt":
             predictions = _dt_predictions(grid, X_fit, y_fit, X_test)
+        elif kind == "rf":
+            predictions = _rf_predictions(grid, X_fit, y_fit, X_test, plan.seed, fi)
         else:
             predictions = [
-                _make_classifier(kind, params, derive_seed(plan.seed, f"{kind}:{gi}:{fi}"))
-                .fit(X_fit, y_fit)
-                .predict(X_test)
-                for gi, params in enumerate(grid)
+                _make_classifier(kind, params, 0).fit(X_fit, y_fit).predict(X_test)
+                for params in grid
             ]
         for accuracies, predicted in zip(fold_accuracies, predictions):
             accuracies.append(float((predicted == y[fold]).mean()))

@@ -10,8 +10,13 @@ import numpy as np
 __all__ = [
     "DecisionTreeClassifier",
     "RankedColumns",
+    "check_count",
+    "check_depth",
+    "column_draw",
+    "draw_steps",
     "predict_truncated",
     "rank_columns",
+    "splitmix64",
     "tree_depth",
     "N_CLASSES",
 ]
@@ -19,6 +24,61 @@ __all__ = [
 N_CLASSES = 6
 
 _NO_LIMIT = sys.maxsize
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int; it must be an integer (not a bool or a float)
+    of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
+
+
+def check_depth(max_depth) -> int | None:
+    """A depth bound: None (unbounded) or an integer of at least 1."""
+    if max_depth is None:
+        return None
+    try:
+        return check_count("max_depth", max_depth)
+    except ValueError:
+        raise ValueError("max_depth must be >= 1 or None") from None
+
+
+def splitmix64(x: int) -> int:
+    """The SplitMix64 step: add the golden gamma, then the finalizer, mod 2^64."""
+    z = (x + _GOLDEN) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def draw_steps(n_features: int) -> np.ndarray:
+    """``(j + 1) * golden`` mod 2^64 for every column j, as uint64."""
+    return np.arange(1, n_features + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+
+
+def column_draw(key: int, steps: np.ndarray, mtry: int) -> np.ndarray:
+    """The candidate columns of the node with key ``key``, ascending.
+
+    Column j's draw key is the SplitMix64 finalizer of
+    ``key + steps[j]`` mod 2^64; the node takes the ``mtry`` columns with
+    the smallest draw keys.
+    """
+    z = steps + np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return np.sort(np.argsort(z, kind="stable")[:mtry])
+
 
 # sums over the class axis as a product: faster than .sum(axis=1) on small arrays
 _ONES = np.ones(N_CLASSES, dtype=np.intp)
@@ -119,28 +179,42 @@ def _grow(
     ranked: RankedColumns,
     max_depth: int,
     min_leaf: int,
-    rng: np.random.Generator | None,
+    seed: int | None,
     mtry: int | None,
 ) -> dict:
-    """Grow a tree iteratively (preorder, left child first)."""
+    """Grow a tree iteratively (preorder, left child first).
+
+    With ``mtry`` below the column count, each node draws its candidate
+    columns from its own key (``column_draw``): the root's key is
+    ``splitmix64(seed)`` and a node's left and right children have keys
+    ``splitmix64(key ^ 1)`` and ``splitmix64(key ^ 2)``.  A node's draw
+    thus depends only on the seed and its path, never on which other
+    nodes were split, so the tree grown with a depth bound is the deeper
+    tree cut there.
+    """
     n_features = X.shape[1]
     cells = ranked.codes + y[:, None]
     offsets, widths, values = ranked.offsets, ranked.widths, ranked.values
     all_columns = np.arange(n_features)
     all_bins = int(widths.sum())
     no_shift = np.zeros(n_features, dtype=np.intp)
+    drawing = mtry is not None and mtry < n_features
+    if drawing:
+        assert seed is not None
+        steps = draw_steps(n_features)
     root: dict = {}
-    stack: list[tuple[dict, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
+    stack: list[tuple[dict, np.ndarray, int, int]] = [
+        (root, np.arange(X.shape[0]), 0, splitmix64(seed) if drawing else 0)
+    ]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx, depth, key = stack.pop()
         counts = np.bincount(y[idx], minlength=N_CLASSES)
         majority = int(counts.argmax())
         if depth >= max_depth or counts[majority] == idx.size:
             node["label"] = majority
             continue
-        if mtry is not None and mtry < n_features:
-            assert rng is not None
-            columns = np.sort(rng.choice(n_features, size=mtry, replace=False))
+        if drawing:
+            columns = column_draw(key, steps, mtry)
             # move the candidates' bins end to end; shift maps them back
             column_widths = widths[columns]
             ends = column_widths.cumsum()
@@ -168,8 +242,12 @@ def _grow(
         node["threshold"] = threshold
         node["left"] = left
         node["right"] = right
-        stack.append((right, idx[~mask], depth + 1))
-        stack.append((left, idx[mask], depth + 1))
+        if drawing:
+            left_key, right_key = splitmix64(key ^ 1), splitmix64(key ^ 2)
+        else:
+            left_key = right_key = 0
+        stack.append((right, idx[~mask], depth + 1, right_key))
+        stack.append((left, idx[mask], depth + 1, left_key))
     return root
 
 
@@ -196,9 +274,9 @@ def predict_truncated(
 
     A node at depth ``max_depth`` predicts the majority label of the
     fitting rows ``(X_fit, y_fit)`` that reach it.  Growth has no other
-    dependence on the depth bound, so for a tree fitted without a random
-    generator this equals the prediction of the tree fitted with
-    ``max_depth`` on the same rows.
+    dependence on the depth bound (column draws are keyed by the node's
+    path), so this equals the prediction of the tree fitted with
+    ``max_depth`` on the same rows, seed and ``mtry``.
     """
     bound = max_depth if max_depth is not None else _NO_LIMIT
     out = np.empty(X.shape[0], dtype=np.int64)
@@ -239,18 +317,15 @@ class DecisionTreeClassifier:
     """Deterministic CART classifier.
 
     ``max_depth=None`` means unbounded; ``min_leaf`` is the minimum number
-    of training rows each side of a split must keep.
+    of training rows each side of a split must keep.  Both must be
+    integers.
     """
 
     kind = "dt"
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        self.max_depth = max_depth
-        self.min_leaf = int(min_leaf)
+        self.max_depth = check_depth(max_depth)
+        self.min_leaf = check_count("min_leaf", min_leaf)
         self.tree: dict | None = None
         self._n_features: int | None = None
 
@@ -264,12 +339,14 @@ class DecisionTreeClassifier:
         self,
         X: np.ndarray,
         y: np.ndarray,
-        rng: np.random.Generator | None = None,
+        seed: int | None = None,
         mtry: int | None = None,
         ranked: RankedColumns | None = None,
     ) -> "DecisionTreeClassifier":
-        """Grow the tree; ``ranked`` is ``rank_columns(X)`` when the caller
-        already has it (a forest encodes its matrix once for all trees)."""
+        """Grow the tree; with ``mtry`` each split considers ``mtry``
+        columns drawn from ``seed`` and the node's path (see ``_grow``).
+        ``ranked`` is ``rank_columns(X)`` when the caller already has it (a
+        forest encodes its matrix once for all trees)."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
@@ -277,7 +354,7 @@ class DecisionTreeClassifier:
         if ranked is None:
             ranked = rank_columns(X)
         bound = self.max_depth if self.max_depth is not None else _NO_LIMIT
-        self.tree = _grow(X, y, ranked, bound, self.min_leaf, rng, mtry)
+        self.tree = _grow(X, y, ranked, bound, self.min_leaf, seed, mtry)
         self._n_features = X.shape[1]
         return self
 

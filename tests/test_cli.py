@@ -192,7 +192,9 @@ def test_label_names_the_rejected_record(workspace, tmp_path, capsys):
 
 def test_grid_typos_are_config_errors(workspace, tmp_path):
     root = workspace
-    for grid in ({"dt": [{"maxdepth": 4}]}, {"rff": [{"n_trees": 5}]}, {"dt": [{"max_depth": 0}]}):
+    for grid in ({"dt": [{"maxdepth": 4}]}, {"rff": [{"n_trees": 5}]}, {"dt": [{"max_depth": 0}]},
+                 {"rf": [{"bootstrap": "false"}]}, {"knn": [{"k": 2.7}]},
+                 {"dt": [{"max_depth": 4.0}]}, {"rf": [{"n_trees": True}]}):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid))
         assert run_cli("train", "--data", root / "train.csv", "--schema", root / "schema.json",
@@ -204,6 +206,19 @@ def test_grid_typos_are_config_errors(workspace, tmp_path):
         assert not (tmp_path / "o" / "labels.csv").exists()
         assert not (tmp_path / "o").exists()
         assert not (tmp_path / "m.json").exists()
+
+
+def test_unknown_schema_shapes_are_data_errors(workspace, tmp_path, capsys):
+    root = workspace
+    schema = json.loads((root / "schema.json").read_text())
+    schema["shapes"][0] = "degree.bogus.id.max.id"
+    bad = tmp_path / "schema.json"
+    bad.write_text(json.dumps(schema))
+    capsys.readouterr()
+    assert run_cli("featurize", "--instances", root / "instances.jsonl", "--schema", bad,
+                   "--out", tmp_path / "data.csv") == EXIT_DATA
+    assert "unknown descriptor shape 'degree.bogus.id.max.id'" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()
 
 
 def test_label_keeps_same_stem_files_apart(tmp_path):

@@ -26,7 +26,7 @@ from cadaug.ml import (
     standardize_fit,
     train,
 )
-from cadaug.ml.tree import predict_truncated, rank_columns
+from cadaug.ml.tree import column_draw, draw_steps, predict_truncated, rank_columns, splitmix64
 from cadaug.seeding import derive_seed
 
 SCHEMA_12 = FeatureSchema(tuple(all_shapes()[:4]))  # 12 columns
@@ -231,6 +231,30 @@ def test_histogram_forest_equals_sorted_scan_on_discrete_columns(subset, max_dep
     )
 
 
+@pytest.mark.parametrize("key, n_features, mtry, expected", [
+    (0, 75, 9, [2, 4, 32, 33, 41, 42, 43, 52, 53]),
+    (2**64 - 1, 10, 3, [2, 7, 9]),
+    (12345678901234567890, 75, 25, [2, 3, 5, 8, 15, 18, 22, 24, 28, 35, 36, 37, 45,
+                                    47, 49, 51, 56, 57, 58, 59, 60, 61, 66, 72, 73]),
+])
+def test_column_draw_known_answers(key, n_features, mtry, expected):
+    # pins the node-keyed draw: a change here changes every forest
+    assert column_draw(key, draw_steps(n_features), mtry).tolist() == expected
+    assert tree_reference.draw_columns(key, n_features, mtry) == expected
+
+
+def test_splitmix64_matches_the_standard_generator():
+    # the first outputs of SplitMix64 seeded with 0
+    state, outputs = 0, []
+    for _ in range(3):
+        outputs.append(splitmix64(state))
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+    assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [tree_reference.splitmix64(k) for k in (0, 2**64 - 1)] == [
+        splitmix64(0), splitmix64(2**64 - 1)
+    ]
+
+
 def test_predict_truncated_equals_bounded_fit():
     rng = np.random.default_rng(8)
     X = rng.integers(0, 5, size=(120, 6)).astype(np.float64)
@@ -256,6 +280,26 @@ def test_forest_single_tree_degenerates_to_dt():
     assert forest.trees[0].tree == plain.tree
     queries = np.random.default_rng(1).normal(size=(40, X.shape[1]))
     assert (forest.predict(queries) == plain.predict(queries)).all()
+
+
+@pytest.mark.parametrize("subset, min_leaf, bootstrap", [
+    ("sqrt", 1, True), ("third", 3, True), (2, 1, False), (None, 2, True),
+])
+def test_bounded_forest_is_the_deep_forest_cut(subset, min_leaf, bootstrap):
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 7, size=(150, 9)).astype(np.float64)
+    y = (X[:, 0] * X[:, 1] + X[:, 2]).astype(np.int64) % N_CLASSES
+    queries = rng.integers(-1, 8, size=(60, 9)).astype(np.float64)
+    deep = RandomForestClassifier(6, None, min_leaf, subset, bootstrap, 11).fit(X, y)
+    deep_preds = deep.predict(queries)
+    for depth in (1, 2, 4, 6, None):
+        bounded = RandomForestClassifier(6, depth, min_leaf, subset, bootstrap, 11).fit(X, y)
+        cut = deep.predict_truncated(X, y, queries, depth)
+        assert (cut == bounded.predict(queries)).all(), depth
+    assert (deep.predict_truncated(X, y, queries, None) == deep_preds).all()
+    # the depths differ on these data
+    assert (RandomForestClassifier(6, 1, min_leaf, subset, bootstrap, 11)
+            .fit(X, y).predict(queries) != deep_preds).any()
 
 
 def test_forest_deterministic_per_seed():
@@ -335,6 +379,16 @@ def test_train_unknown_kind_and_bad_plan():
     ({"rf": [{"max_depth": 0}]}, "max_depth must be >= 1 or None"),
     ({"rf": [{"min_leaf": 0}]}, "min_leaf must be >= 1"),
     ({"rf": [{"max_features": "bogus"}]}, "unknown max_features spec: 'bogus'"),
+    # values of the wrong type were converted: "false" became bootstrap=True, 2.7 became k=2
+    ({"rf": [{"bootstrap": "false"}]}, "bootstrap must be true or false, got 'false'"),
+    ({"rf": [{"bootstrap": 0}]}, "bootstrap must be true or false, got 0"),
+    ({"knn": [{"k": 2.7}]}, "k must be an integer, got 2.7"),
+    ({"knn": [{"k": True}]}, "k must be an integer, got True"),
+    ({"rf": [{"n_trees": 10.0}]}, "n_trees must be an integer, got 10.0"),
+    ({"rf": [{"max_depth": 8.5}]}, "max_depth must be an integer, got 8.5"),
+    ({"rf": [{"min_leaf": False}]}, "min_leaf must be an integer, got False"),
+    ({"dt": [{"max_depth": "8"}]}, "max_depth must be an integer, got '8'"),
+    ({"dt": [{"min_leaf": 1.5}]}, "min_leaf must be an integer, got 1.5"),
 ])
 def test_cv_plan_rejects_grid_typos(grids, message):
     # unchecked, {"maxdepth": 4} grew an unbounded tree and "rff" was never
@@ -460,3 +514,62 @@ def test_dt_cv_shares_growth_exactly(grid):
     winner = model.hyperparameters
     plain = DecisionTreeClassifier(winner.get("max_depth"), winner.get("min_leaf", 1)).fit(X, y)
     assert json.dumps(model.classifier.to_payload()) == json.dumps(plain.to_payload())
+
+
+def _rf_cv_fitting_each_point(grid, dataset, plan):
+    """The rf CV record of ``train`` computed by fitting every grid point on
+    every fold alone, with the seed of its shared forest."""
+    X = dataset.matrix()
+    y = dataset.labels()
+    order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(len(y))
+    folds = np.array_split(order, plan.folds)
+    results = []
+    for params in grid:
+        others = {name: value for name, value in params.items() if name != "max_depth"}
+        rest = repr(tuple(sorted(others.items())))
+        fold_accuracies = []
+        for fi, fold in enumerate(folds):
+            mask = np.ones(len(y), dtype=bool)
+            mask[fold] = False
+            clf = RandomForestClassifier(**params, seed=derive_seed(plan.seed, f"rf:{rest}:{fi}"))
+            clf.fit(X[mask], y[mask])
+            fold_accuracies.append(float((clf.predict(X[fold]) == y[fold]).mean()))
+        results.append({
+            "params": dict(params),
+            "fold_accuracies": fold_accuracies,
+            "mean_accuracy": sum(fold_accuracies) / len(fold_accuracies),
+        })
+    return results
+
+
+@pytest.mark.parametrize("grid", [
+    [
+        {"n_trees": 4, "max_depth": depth, "max_features": subset}
+        for depth in (2, 4, None)
+        for subset in ("sqrt", "third")
+    ],
+    [  # repeated points, defaults spelled out or not, a depth-only group
+        {"n_trees": 3, "max_depth": 1},
+        {"n_trees": 3},
+        {"n_trees": 3, "max_depth": 3},
+        {"n_trees": 3, "max_depth": 1},
+        {"n_trees": 3, "max_depth": None, "min_leaf": 1},
+        {"n_trees": 3, "max_depth": 2, "bootstrap": False, "max_features": 2},
+    ],
+    [{"n_trees": 3, "max_depth": 3}, {"n_trees": 3, "max_depth": 3, "min_leaf": 4}],
+], ids=["default-shape", "mixed", "one-depth"])
+def test_rf_cv_shares_growth_exactly(grid):
+    rng = np.random.default_rng(21)
+    X = rng.integers(0, 6, size=(180, 12)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1] * X[:, 2]).astype(np.int64) % N_CLASSES
+    noisy = rng.random(180) < 0.3
+    y[noisy] = rng.integers(0, N_CLASSES, size=int(noisy.sum()))
+    ds = blob_dataset(X, y)
+    plan = CVPlan(folds=4, grids={"rf": grid}, seed=13)
+    model = train("rf", ds, plan)
+    expected = _rf_cv_fitting_each_point(grid, ds, plan)
+    assert model.cv_results == expected
+    # the grid points grow different forests on these data
+    assert len({r["mean_accuracy"] for r in expected}) > 1
+    plain = RandomForestClassifier(**model.hyperparameters, seed=derive_seed(13, "rf:final"))
+    assert json.dumps(model.classifier.to_payload()) == json.dumps(plain.fit(X, y).to_payload())

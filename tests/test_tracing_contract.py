@@ -83,7 +83,10 @@ def test_tree_fits_are_traced(tracing):
     dataset = _tree_dataset()
     plan = CVPlan(
         folds=2,
-        grids={"dt": [{"max_depth": 2}, {"max_depth": None}], "rf": [{"n_trees": 3, "max_depth": 3}]},
+        grids={
+            "dt": [{"max_depth": 2}, {"max_depth": None}],
+            "rf": [{"n_trees": 3, "max_depth": 3}, {"n_trees": 3, "max_depth": None}],
+        },
         seed=1,
     )
     NAME, PARENT = tracing.NAME, tracing.PARENT
@@ -98,7 +101,8 @@ def test_tree_fits_are_traced(tracing):
             if s[PARENT] is not None and tracer.spans[s[PARENT]][NAME] == "ml.forest.fit"
         ]
         if nested:
-            # 3 trees per forest, one forest per fold plus the final refit
+            # 3 trees per forest; the two depths share one forest per fold,
+            # plus the final refit
             assert len(in_forest) == len(fits) == 9
         else:
             assert not in_forest

@@ -3,8 +3,10 @@
 ``cadaug.ml.tree`` finds splits from class histograms over rank-encoded
 columns.  This module is the direct method it replaced: at each node, sort
 every candidate column, accumulate class counts with a prefix sum and
-score every position between distinct values.  Trees grown here must
-serialize to exactly the same JSON as trees grown by the library, for
+score every position between distinct values.  The per-node column draw
+is computed with Python integers mod 2^64, independently of the
+library's ``uint64`` arrays.  Trees grown here must serialize to exactly
+the same JSON as trees grown by the library, for
 ``DecisionTreeClassifier`` and ``RandomForestClassifier`` alike.
 """
 
@@ -15,6 +17,27 @@ import numpy as np
 from cadaug.ml.forest import resolve_max_features
 from cadaug.ml.tree import N_CLASSES, _NO_LIMIT
 from cadaug.seeding import derive_seed
+
+MASK = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def finalizer(z: int) -> int:
+    """The SplitMix64 output finalizer on a 64-bit integer."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def splitmix64(x: int) -> int:
+    return finalizer((x + GOLDEN) & MASK)
+
+
+def draw_columns(key: int, n_features: int, mtry: int) -> list[int]:
+    """The ``mtry`` columns with the smallest draw keys, ascending; column
+    j's draw key is ``finalizer(key + (j + 1) * GOLDEN)`` mod 2^64."""
+    keys = [finalizer((key + (j + 1) * GOLDEN) & MASK) for j in range(n_features)]
+    return sorted(sorted(range(n_features), key=keys.__getitem__)[:mtry])
 
 
 def best_split(
@@ -63,15 +86,18 @@ def grow(
     y: np.ndarray,
     max_depth: int,
     min_leaf: int,
-    rng: np.random.Generator | None,
+    seed: int | None,
     mtry: int | None,
 ) -> dict:
-    """Grow a tree iteratively (preorder, left child first)."""
+    """Grow a tree (preorder, left child first); a node with key k draws
+    its columns from k, and its children have keys splitmix64(k ^ 1) and
+    splitmix64(k ^ 2), starting from splitmix64(seed) at the root."""
     n_features = X.shape[1]
     root: dict = {}
-    stack: list[tuple[dict, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
+    start = splitmix64(seed) if seed is not None else None
+    stack: list[tuple[dict, np.ndarray, int, int | None]] = [(root, np.arange(X.shape[0]), 0, start)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx, depth, key = stack.pop()
         labels = y[idx]
         counts = np.bincount(labels, minlength=N_CLASSES)
         majority = int(counts.argmax())
@@ -79,8 +105,8 @@ def grow(
             node["label"] = majority
             continue
         if mtry is not None and mtry < n_features:
-            assert rng is not None
-            columns = np.sort(rng.choice(n_features, size=mtry, replace=False))
+            assert key is not None
+            columns = np.array(draw_columns(key, n_features, mtry))
         else:
             columns = np.arange(n_features)
         found = best_split(X[np.ix_(idx, columns)], labels, columns, min_leaf)
@@ -98,12 +124,14 @@ def grow(
         node["threshold"] = threshold
         node["left"] = left
         node["right"] = right
-        stack.append((right, idx[~mask], depth + 1))
-        stack.append((left, idx[mask], depth + 1))
+        left_key = splitmix64(key ^ 1) if key is not None else None
+        right_key = splitmix64(key ^ 2) if key is not None else None
+        stack.append((right, idx[~mask], depth + 1, right_key))
+        stack.append((left, idx[mask], depth + 1, left_key))
     return root
 
 
-def tree_payload(X, y, max_depth=None, min_leaf=1, rng=None, mtry=None) -> dict:
+def tree_payload(X, y, max_depth=None, min_leaf=1, seed=None, mtry=None) -> dict:
     """What ``DecisionTreeClassifier(max_depth, min_leaf).fit(...).to_payload()`` returns."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -112,7 +140,7 @@ def tree_payload(X, y, max_depth=None, min_leaf=1, rng=None, mtry=None) -> dict:
         "max_depth": max_depth,
         "min_leaf": min_leaf,
         "n_features": X.shape[1],
-        "tree": grow(X, y, bound, min_leaf, rng, mtry),
+        "tree": grow(X, y, bound, min_leaf, seed, mtry),
     }
 
 
@@ -126,9 +154,10 @@ def forest_payload(
     mtry = resolve_max_features(max_features, d)
     trees = []
     for i in range(n_trees):
-        rng = np.random.default_rng(derive_seed(seed, f"tree:{i}"))
+        tree_seed = derive_seed(seed, f"tree:{i}")
+        rng = np.random.default_rng(tree_seed)
         sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(tree_payload(X[sample], y[sample], max_depth, min_leaf, rng, mtry))
+        trees.append(tree_payload(X[sample], y[sample], max_depth, min_leaf, tree_seed, mtry))
     return {
         "n_trees": n_trees,
         "max_depth": max_depth,
