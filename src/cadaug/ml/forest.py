@@ -12,7 +12,6 @@ from .tree import (
     DecisionTreeClassifier,
     check_count,
     check_depth,
-    predict_truncated,
     rank_columns,
 )
 
@@ -46,7 +45,7 @@ class RandomForestClassifier:
     ``bootstrap=False``) and nothing else; the feature subset at each
     split is keyed by the tree seed and the node's path (see
     ``tree._grow``).  The forest grown with a depth bound is therefore
-    the deeper forest cut at that depth (``predict_truncated``).  Vote
+    the deeper forest cut at that depth (``predict_bounded``).  Vote
     ties go to the lowest label index.
     """
 
@@ -110,31 +109,31 @@ class RandomForestClassifier:
         X = np.asarray(X, dtype=np.float64)
         return _vote([tree.predict(X) for tree in self.trees], X.shape[0])
 
-    def predict_truncated(
-        self,
-        X_fit: np.ndarray,
-        y_fit: np.ndarray,
-        X: np.ndarray,
-        max_depth: int | None,
-    ) -> np.ndarray:
-        """Predict with every tree cut at ``max_depth``.
+    def predict_bounded(
+        self, X_fit: np.ndarray, y_fit: np.ndarray, X: np.ndarray, bounds: list[int | None]
+    ) -> list[np.ndarray]:
+        """Predictions with every tree cut at each depth in ``bounds``.
 
-        ``(X_fit, y_fit)`` must be the rows this forest was fitted on: a
-        cut node predicts the majority of its tree's bootstrap rows that
-        reach it, and the bootstrap samples are drawn again from the tree
-        seeds.  This equals the prediction of the forest fitted with
-        ``max_depth`` and otherwise the same parameters.
+        ``(X_fit, y_fit)`` must be the rows this forest was fitted on, and
+        no bound may be deeper than its own ``max_depth``.  Each tree's
+        bootstrap sample is drawn again from its seed, once for all bounds,
+        and the tree is cut there (``DecisionTreeClassifier.predict_bounded``);
+        at its own depth the forest predicts plainly.  Each result equals
+        the prediction of the forest fitted with that ``max_depth`` and
+        otherwise the same parameters.
         """
         if self.trees is None:
             raise ValueError("classifier is not fitted")
-        X_fit = np.asarray(X_fit, dtype=np.float64)
-        y_fit = np.asarray(y_fit, dtype=np.int64)
         X = np.asarray(X, dtype=np.float64)
-        predictions = [
-            predict_truncated(tree.tree, X_fit[sample], y_fit[sample], X, max_depth)
-            for tree, (_, sample) in zip(self.trees, self._tree_samples(X_fit.shape[0]))
-        ]
-        return _vote(predictions, X.shape[0])
+        cut = [bound for bound in bounds if bound != self.max_depth]
+        votes: dict[int | None, np.ndarray] = {}
+        if cut:
+            per_tree = [
+                tree.predict_bounded(X_fit[sample], y_fit[sample], X, cut)
+                for tree, (_, sample) in zip(self.trees, self._tree_samples(len(y_fit)))
+            ]
+            votes = {bound: _vote(column, X.shape[0]) for bound, column in zip(cut, zip(*per_tree))}
+        return [votes[bound] if bound in votes else self.predict(X) for bound in bounds]
 
     def to_payload(self) -> dict:
         if self.trees is None:

@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .scaling import Standardizer, standardize_fit
-from .tree import check_count
+from .tree import N_CLASSES, check_count
 
-__all__ = ["KNNClassifier", "N_CLASSES"]
-
-N_CLASSES = 6
+__all__ = ["KNNClassifier"]
 
 
 class KNNClassifier:
@@ -47,6 +45,17 @@ class KNNClassifier:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        return self._predict_each(X, [self.k])[0]
+
+    def predict_bounded(
+        self, X_fit: np.ndarray, y_fit: np.ndarray, X: np.ndarray, bounds: list[int]
+    ) -> list[np.ndarray]:
+        """The predictions of ``KNNClassifier(k)`` fitted on the same rows
+        (kept at fit, so ``X_fit`` and ``y_fit`` go unused) for each ``k``
+        in ``bounds``: one neighbour order, each ``k`` voting over a prefix."""
+        return self._predict_each(X, bounds)
+
+    def _predict_each(self, X: np.ndarray, ks: list[int]) -> list[np.ndarray]:
         if self._X is None or self._y is None or self.stats is None:
             raise ValueError("classifier is not fitted")
         Q = self.stats.transform(np.asarray(X, dtype=np.float64))
@@ -58,13 +67,16 @@ class KNNClassifier:
             + (train * train).sum(axis=1)[None, :]
         )
         np.clip(d2, 0.0, None, out=d2)
-        k = min(self.k, train.shape[0])
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = self._y[order]
-        out = np.empty(Q.shape[0], dtype=np.int64)
-        for i in range(Q.shape[0]):
-            out[i] = int(np.bincount(votes[i], minlength=N_CLASSES).argmax())
-        return out
+        reach = min(max(ks), train.shape[0])
+        labels = self._y[np.argsort(d2, axis=1, kind="stable")[:, :reach]]
+        votes = np.zeros((Q.shape[0], N_CLASSES), dtype=np.int64)
+        rows = np.arange(Q.shape[0])
+        # the vote after the first j + 1 neighbours; ties go to the lowest label
+        chosen = []
+        for j in range(reach):
+            votes[rows, labels[:, j]] += 1
+            chosen.append(votes.argmax(axis=1))
+        return [chosen[min(k, reach) - 1] for k in ks]
 
     def to_payload(self) -> dict:
         if self._X is None or self._y is None:

@@ -14,7 +14,7 @@ from ..seeding import derive_seed
 from .forest import RandomForestClassifier
 from .knn import KNNClassifier
 from .scaling import Standardizer
-from .tree import DecisionTreeClassifier, predict_truncated
+from .tree import DecisionTreeClassifier
 
 __all__ = [
     "MODEL_KINDS",
@@ -34,6 +34,10 @@ _PARAMETERS = {
     "dt": ("max_depth", "min_leaf"),
     "rf": ("n_trees", "max_depth", "min_leaf", "max_features", "bootstrap"),
 }
+
+# per kind, the hyperparameter a fitted model can also predict for at any
+# smaller value (``predict_bounded``)
+_BOUNDED = {"knn": "k", "dt": "max_depth", "rf": "max_depth"}
 
 DEFAULT_GRIDS: dict[str, list[dict[str, Any]]] = {
     "knn": [{"k": k} for k in (1, 3, 5, 11, 21)],
@@ -167,35 +171,8 @@ class TrainedModel:
         return cls.from_json(json.loads(Path(path).read_text()))
 
 
-def _dt_predictions(
-    grid: Sequence[Mapping[str, Any]],
-    X_fit: np.ndarray,
-    y_fit: np.ndarray,
-    X_test: np.ndarray,
-) -> list[np.ndarray]:
-    """Test predictions of every dt grid point, one tree growth per min_leaf.
-
-    A decision tree has no randomness, so the tree bounded at depth d is
-    the deepest tree of the same ``min_leaf`` cut at depth d, each cut node
-    labelled by the majority of the fitting rows that reach it.
-    """
-    classifiers = [_make_classifier("dt", params, 0) for params in grid]
-    depths: dict[int, list[Any]] = {}
-    for clf in classifiers:
-        depths.setdefault(clf.min_leaf, []).append(clf.max_depth)
-    trees = {
-        leaf: DecisionTreeClassifier(None if None in bounds else max(bounds), leaf)
-        .fit(X_fit, y_fit)
-        .tree
-        for leaf, bounds in depths.items()
-    }
-    return [
-        predict_truncated(trees[clf.min_leaf], X_fit, y_fit, X_test, clf.max_depth)
-        for clf in classifiers
-    ]
-
-
-def _rf_predictions(
+def _fold_predictions(
+    kind: str,
     grid: Sequence[Mapping[str, Any]],
     X_fit: np.ndarray,
     y_fit: np.ndarray,
@@ -203,51 +180,49 @@ def _rf_predictions(
     seed: int,
     fold: int,
 ) -> list[np.ndarray]:
-    """Test predictions of every rf grid point on one fold, one forest
-    growth per setting of the parameters other than ``max_depth``.
+    """Test predictions of every grid point on one fold, one fit per group.
 
-    Points that differ only in depth share the forest with seed
-    ``derive_seed(seed, f"rf:{rest}:{fold}")``, where ``rest`` is the repr
-    of their other parameters, sorted; it grows to the deepest bound.
-    Column draws are keyed by each node's path, so a forest bounded at
-    depth d is that forest cut at d and predicts what fitting the point
-    alone with the same seed predicts.
+    Grid points that differ only in the kind's bounded hyperparameter
+    (``_BOUNDED``) form a group, keyed by ``rest``, the repr of their
+    other parameters, sorted.  Each group fits one model at its largest
+    bound (an unbounded depth, ``None``, is the largest) with seed
+    ``derive_seed(seed, f"{kind}:{rest}:{fold}")``, which only rf uses,
+    and ``predict_bounded`` scores every bound of the group from it.
+    That equals fitting each point alone with the same seed.
     """
+    bounded = _BOUNDED[kind]
     points = []
     groups: dict[str, tuple[dict[str, Any], list[Any]]] = {}
     for params in grid:
-        others = {name: value for name, value in params.items() if name != "max_depth"}
+        others = {name: value for name, value in params.items() if name != bounded}
         rest = repr(tuple(sorted(others.items())))
-        depth = params.get("max_depth")
-        groups.setdefault(rest, (others, []))[1].append(depth)
-        points.append((rest, depth))
-    forests = {
-        rest: _make_classifier(
-            "rf",
-            {**others, "max_depth": None if None in depths else max(depths)},
-            derive_seed(seed, f"rf:{rest}:{fold}"),
+        bound = params.get(bounded)
+        bounds = groups.setdefault(rest, (others, []))[1]
+        if bound not in bounds:
+            bounds.append(bound)
+        points.append((rest, bound))
+    predictions: dict[tuple[str, Any], np.ndarray] = {}
+    for rest, (others, bounds) in groups.items():
+        largest = None if None in bounds else max(bounds)
+        model = _make_classifier(
+            kind, {**others, bounded: largest}, derive_seed(seed, f"{kind}:{rest}:{fold}")
         ).fit(X_fit, y_fit)
-        for rest, (others, depths) in groups.items()
-    }
-    return [
-        forests[rest].predict(X_test)
-        if depth == forests[rest].max_depth
-        else forests[rest].predict_truncated(X_fit, y_fit, X_test, depth)
-        for rest, depth in points
-    ]
+        for bound, predicted in zip(bounds, model.predict_bounded(X_fit, y_fit, X_test, bounds)):
+            predictions[rest, bound] = predicted
+    return [predictions[point] for point in points]
 
 
 def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     """Select hyperparameters by k-fold CV and refit on the full dataset.
 
     The grid point with the best mean fold accuracy wins; ties go to the
-    earliest point in grid order.  On each fold, dt grows one tree per
-    ``min_leaf`` value and rf one forest per setting of its other
-    parameters, and every depth of the grid is scored by cutting the
-    trees there (see ``_dt_predictions`` and ``_rf_predictions``); knn
-    fits every grid point.  The results equal fitting each point on its
-    own.  The winner is refitted on all rows, an rf winner with seed
-    ``derive_seed(plan.seed, "rf:final")``.
+    earliest point in grid order.  On each fold, the grid points of a
+    kind that differ only in ``k`` (knn) or ``max_depth`` (dt, rf) share
+    one fit at their largest value, and every value is scored from it:
+    the trees are cut at each depth, and knn votes over a prefix of one
+    neighbour order (see ``_fold_predictions``).  The results equal
+    fitting each point on its own.  The winner is refitted on all rows,
+    an rf winner with seed ``derive_seed(plan.seed, "rf:final")``.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
@@ -265,16 +240,7 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     for fi, fold in enumerate(folds):
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        X_fit, y_fit, X_test = X[mask], y[mask], X[fold]
-        if kind == "dt":
-            predictions = _dt_predictions(grid, X_fit, y_fit, X_test)
-        elif kind == "rf":
-            predictions = _rf_predictions(grid, X_fit, y_fit, X_test, plan.seed, fi)
-        else:
-            predictions = [
-                _make_classifier(kind, params, 0).fit(X_fit, y_fit).predict(X_test)
-                for params in grid
-            ]
+        predictions = _fold_predictions(kind, grid, X[mask], y[mask], X[fold], plan.seed, fi)
         for accuracies, predicted in zip(fold_accuracies, predictions):
             accuracies.append(float((predicted == y[fold]).mean()))
     results: list[dict[str, Any]] = []

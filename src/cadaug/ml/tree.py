@@ -366,6 +366,17 @@ class DecisionTreeClassifier:
         _predict_tree(self.tree, X, out)
         return out
 
+    def predict_bounded(
+        self, X_fit: np.ndarray, y_fit: np.ndarray, X: np.ndarray, bounds: list[int | None]
+    ) -> list[np.ndarray]:
+        """Predictions of the tree cut at each depth in ``bounds``
+        (``predict_truncated``).  ``(X_fit, y_fit)`` must be the rows it
+        was fitted on, and no bound may be deeper than its own
+        ``max_depth``."""
+        if self.tree is None:
+            raise ValueError("classifier is not fitted")
+        return [predict_truncated(self.tree, X_fit, y_fit, X, bound) for bound in bounds]
+
     def depth(self) -> int:
         if self.tree is None:
             raise ValueError("classifier is not fitted")

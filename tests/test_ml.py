@@ -26,7 +26,7 @@ from cadaug.ml import (
     standardize_fit,
     train,
 )
-from cadaug.ml.tree import column_draw, draw_steps, predict_truncated, rank_columns, splitmix64
+from cadaug.ml.tree import column_draw, draw_steps, rank_columns, splitmix64
 from cadaug.seeding import derive_seed
 
 SCHEMA_12 = FeatureSchema(tuple(all_shapes()[:4]))  # 12 columns
@@ -102,6 +102,18 @@ def test_knn_k_clamped_to_training_size():
     X = np.array([[0.0], [1.0], [2.0]])
     model = KNNClassifier(k=21).fit(X, np.array([0, 0, 1]))
     assert model.predict(np.array([[0.5]]))[0] == 0
+
+
+def test_knn_predict_bounded_equals_fitting_each_k():
+    # few distinct values, so many neighbours tie on distance
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 3, size=(60, 4)).astype(np.float64)
+    y = rng.integers(0, N_CLASSES, size=60)
+    queries = rng.integers(0, 3, size=(40, 4)).astype(np.float64)
+    ks = [7, 1, 2, 60, 7, 100, 4]
+    deep = KNNClassifier(k=100).fit(X, y)
+    for k, predicted in zip(ks, deep.predict_bounded(X, y, queries, ks)):
+        assert (predicted == KNNClassifier(k).fit(X, y).predict(queries)).all(), k
 
 
 # -- decision tree --------------------------------------------------------
@@ -260,11 +272,11 @@ def test_predict_truncated_equals_bounded_fit():
     X = rng.integers(0, 5, size=(120, 6)).astype(np.float64)
     y = rng.integers(0, N_CLASSES, size=120)
     queries = rng.integers(-1, 6, size=(50, 6)).astype(np.float64)
+    depths = [1, 2, 3, 5, None]
     for min_leaf in (1, 3):
         deep = DecisionTreeClassifier(None, min_leaf).fit(X, y)
-        for depth in (1, 2, 3, 5, None):
+        for depth, cut in zip(depths, deep.predict_bounded(X, y, queries, depths)):
             bounded = DecisionTreeClassifier(depth, min_leaf).fit(X, y)
-            cut = predict_truncated(deep.tree, X, y, queries, depth)
             assert (cut == bounded.predict(queries)).all(), (min_leaf, depth)
 
 
@@ -292,11 +304,10 @@ def test_bounded_forest_is_the_deep_forest_cut(subset, min_leaf, bootstrap):
     queries = rng.integers(-1, 8, size=(60, 9)).astype(np.float64)
     deep = RandomForestClassifier(6, None, min_leaf, subset, bootstrap, 11).fit(X, y)
     deep_preds = deep.predict(queries)
-    for depth in (1, 2, 4, 6, None):
+    depths = [1, 2, 4, 6, None]
+    for depth, cut in zip(depths, deep.predict_bounded(X, y, queries, depths)):
         bounded = RandomForestClassifier(6, depth, min_leaf, subset, bootstrap, 11).fit(X, y)
-        cut = deep.predict_truncated(X, y, queries, depth)
         assert (cut == bounded.predict(queries)).all(), depth
-    assert (deep.predict_truncated(X, y, queries, None) == deep_preds).all()
     # the depths differ on these data
     assert (RandomForestClassifier(6, 1, min_leaf, subset, bootstrap, 11)
             .fit(X, y).predict(queries) != deep_preds).any()
@@ -462,20 +473,26 @@ def test_default_grids_shape():
     assert all(g["n_trees"] == 100 for g in DEFAULT_GRIDS["rf"])
 
 
-def _dt_cv_fitting_each_point(grid, dataset, plan):
-    """The dt CV record of ``train`` computed by fitting every grid point on every fold."""
+CLASSIFIERS = {"knn": KNNClassifier, "dt": DecisionTreeClassifier, "rf": RandomForestClassifier}
+
+
+def _cv_fitting_each_point(kind, grid, dataset, plan):
+    """The CV record of ``train`` computed by fitting every grid point on
+    every fold alone; an rf point gets the seed of its shared forest."""
     X = dataset.matrix()
     y = dataset.labels()
     order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(len(y))
     folds = np.array_split(order, plan.folds)
     results = []
     for params in grid:
+        others = {name: value for name, value in params.items() if name != "max_depth"}
+        rest = repr(tuple(sorted(others.items())))
         fold_accuracies = []
-        for fold in folds:
+        for fi, fold in enumerate(folds):
             mask = np.ones(len(y), dtype=bool)
             mask[fold] = False
-            clf = DecisionTreeClassifier(params.get("max_depth"), params.get("min_leaf", 1))
-            clf.fit(X[mask], y[mask])
+            seed = {"seed": derive_seed(plan.seed, f"rf:{rest}:{fi}")} if kind == "rf" else {}
+            clf = CLASSIFIERS[kind](**params, **seed).fit(X[mask], y[mask])
             fold_accuracies.append(float((clf.predict(X[fold]) == y[fold]).mean()))
         results.append({
             "params": dict(params),
@@ -483,6 +500,24 @@ def _dt_cv_fitting_each_point(grid, dataset, plan):
             "mean_accuracy": sum(fold_accuracies) / len(fold_accuracies),
         })
     return results
+
+
+def _check_cv_shares_fits_exactly(kind, grid):
+    rng = np.random.default_rng(21)
+    X = rng.integers(0, 6, size=(180, 12)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1] * X[:, 2]).astype(np.int64) % N_CLASSES
+    noisy = rng.random(180) < 0.3
+    y[noisy] = rng.integers(0, N_CLASSES, size=int(noisy.sum()))
+    ds = blob_dataset(X, y)
+    plan = CVPlan(folds=4, grids={kind: grid}, seed=13)
+    model = train(kind, ds, plan)
+    expected = _cv_fitting_each_point(kind, grid, ds, plan)
+    assert model.cv_results == expected
+    # the grid points fit different models on these data
+    assert len(grid) == 1 or len({r["mean_accuracy"] for r in expected}) > 1
+    seed = {"seed": derive_seed(13, "rf:final")} if kind == "rf" else {}
+    plain = CLASSIFIERS[kind](**model.hyperparameters, **seed).fit(X, y)
+    assert json.dumps(model.classifier.to_payload()) == json.dumps(plain.to_payload())
 
 
 @pytest.mark.parametrize("grid", [
@@ -499,47 +534,7 @@ def _dt_cv_fitting_each_point(grid, dataset, plan):
     [{"max_depth": 1}, {}, {"max_depth": 2}],
 ], ids=["default", "repeated", "one-depth", "min-leaf-only", "mixed"])
 def test_dt_cv_shares_growth_exactly(grid):
-    rng = np.random.default_rng(21)
-    X = rng.integers(0, 6, size=(180, 12)).astype(np.float64)
-    y = (X[:, 0] + X[:, 1] * X[:, 2]).astype(np.int64) % N_CLASSES
-    noisy = rng.random(180) < 0.3
-    y[noisy] = rng.integers(0, N_CLASSES, size=int(noisy.sum()))
-    ds = blob_dataset(X, y)
-    plan = CVPlan(folds=4, grids={"dt": grid}, seed=13)
-    model = train("dt", ds, plan)
-    expected = _dt_cv_fitting_each_point(grid, ds, plan)
-    assert model.cv_results == expected
-    # the grid points grow different trees on these data
-    assert len({r["mean_accuracy"] for r in expected}) > 1
-    winner = model.hyperparameters
-    plain = DecisionTreeClassifier(winner.get("max_depth"), winner.get("min_leaf", 1)).fit(X, y)
-    assert json.dumps(model.classifier.to_payload()) == json.dumps(plain.to_payload())
-
-
-def _rf_cv_fitting_each_point(grid, dataset, plan):
-    """The rf CV record of ``train`` computed by fitting every grid point on
-    every fold alone, with the seed of its shared forest."""
-    X = dataset.matrix()
-    y = dataset.labels()
-    order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(len(y))
-    folds = np.array_split(order, plan.folds)
-    results = []
-    for params in grid:
-        others = {name: value for name, value in params.items() if name != "max_depth"}
-        rest = repr(tuple(sorted(others.items())))
-        fold_accuracies = []
-        for fi, fold in enumerate(folds):
-            mask = np.ones(len(y), dtype=bool)
-            mask[fold] = False
-            clf = RandomForestClassifier(**params, seed=derive_seed(plan.seed, f"rf:{rest}:{fi}"))
-            clf.fit(X[mask], y[mask])
-            fold_accuracies.append(float((clf.predict(X[fold]) == y[fold]).mean()))
-        results.append({
-            "params": dict(params),
-            "fold_accuracies": fold_accuracies,
-            "mean_accuracy": sum(fold_accuracies) / len(fold_accuracies),
-        })
-    return results
+    _check_cv_shares_fits_exactly("dt", grid)
 
 
 @pytest.mark.parametrize("grid", [
@@ -559,17 +554,14 @@ def _rf_cv_fitting_each_point(grid, dataset, plan):
     [{"n_trees": 3, "max_depth": 3}, {"n_trees": 3, "max_depth": 3, "min_leaf": 4}],
 ], ids=["default-shape", "mixed", "one-depth"])
 def test_rf_cv_shares_growth_exactly(grid):
-    rng = np.random.default_rng(21)
-    X = rng.integers(0, 6, size=(180, 12)).astype(np.float64)
-    y = (X[:, 0] + X[:, 1] * X[:, 2]).astype(np.int64) % N_CLASSES
-    noisy = rng.random(180) < 0.3
-    y[noisy] = rng.integers(0, N_CLASSES, size=int(noisy.sum()))
-    ds = blob_dataset(X, y)
-    plan = CVPlan(folds=4, grids={"rf": grid}, seed=13)
-    model = train("rf", ds, plan)
-    expected = _rf_cv_fitting_each_point(grid, ds, plan)
-    assert model.cv_results == expected
-    # the grid points grow different forests on these data
-    assert len({r["mean_accuracy"] for r in expected}) > 1
-    plain = RandomForestClassifier(**model.hyperparameters, seed=derive_seed(13, "rf:final"))
-    assert json.dumps(model.classifier.to_payload()) == json.dumps(plain.fit(X, y).to_payload())
+    _check_cv_shares_fits_exactly("rf", grid)
+
+
+@pytest.mark.parametrize("grid", [
+    DEFAULT_GRIDS["knn"],
+    [{"k": 5}, {"k": 1}, {"k": 11}, {"k": 5}, {"k": 2}],  # repeated and unsorted
+    [{"k": 3}, {"k": 134}, {"k": 135}, {"k": 500}],  # a fold fits on 135 rows
+    [{"k": 4}],
+], ids=["default", "repeated-unsorted", "beyond-fit-rows", "one-k"])
+def test_knn_cv_shares_neighbour_order_exactly(grid):
+    _check_cv_shares_fits_exactly("knn", grid)

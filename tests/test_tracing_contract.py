@@ -109,6 +109,15 @@ def test_tree_fits_are_traced(tracing):
         assert tracer.counts["ml.tree.nodes"] > 0, kind
 
 
+def test_knn_fits_once_per_fold(tracing):
+    plan = CVPlan(folds=2, grids={"knn": [{"k": 1}, {"k": 3}]}, seed=1)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        train("knn", _tree_dataset(), plan)
+    # the two k share one fit per fold, plus the final refit
+    assert tracer.count("ml.knn.fit") == 3
+
+
 def test_every_pipeline_stage_is_traced(tracing, tmp_path):
     synthesize_corpus(tmp_path / "corpus", 24, seed=3)
     config = pipeline.ExperimentConfig(
