@@ -106,13 +106,13 @@ def _cmd_featurize(args) -> int:
     if args.fit_distinct:
         # fit on every instance, then narrow the raw rows to the kept shapes
         raw_schema = FeatureSchema.raw()
-        raw_rows = [featurize(inst, raw_schema).values for inst in instances]
+        raw_rows = [featurize(inst, raw_schema) for inst in instances]
         schema = fit_distinct_filter(raw_rows)
         columns = schema.columns_in(raw_schema)
         rows = [[raw_rows[k][c] for c in columns] for k in keep]
     else:
         schema = FeatureSchema.raw() if args.schema is None else FeatureSchema.load(args.schema)
-        rows = [featurize(instances[k], schema).values for k in keep]
+        rows = [featurize(instances[k], schema) for k in keep]
     if args.schema_out is not None:
         schema.save(args.schema_out)
     ids = [instances[k].id for k in keep]

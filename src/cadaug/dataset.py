@@ -1,9 +1,13 @@
 """Labelled feature datasets and their on-disk form.
 
-A Dataset couples feature rows with the schema they were computed under,
-plus provenance (unbalanced / balanced / augmented) and role (all / train
-/ test).  On disk a dataset is a feature CSV next to a `.meta.json`
-sidecar carrying provenance, role, and the seed/mode that produced it.
+A Dataset holds its rows as arrays: ``ids`` (one instance id per row),
+``X`` (a C-contiguous ``(rows, len(schema))`` float64 matrix computed
+under ``schema``) and ``y`` (int64 best-ordering labels 0..5), plus
+provenance (unbalanced / balanced / augmented) and role (all / train /
+test).  The arrays are read-only, so derived datasets are built by
+gathering rows and columns into new arrays.  On disk a dataset is a
+feature CSV next to a `.meta.json` sidecar carrying provenance, role,
+and the seed/mode that produced it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,20 +25,11 @@ PROVENANCES = ("unbalanced", "balanced", "augmented")
 ROLES = ("all", "train", "test")
 
 
-@dataclass(frozen=True)
-class Row:
-    instance_id: str
-    values: tuple[float, ...]
-    label: int
-
-    def __post_init__(self):
-        if not 0 <= self.label <= 5:
-            raise ValueError(f"{self.instance_id}: label {self.label} out of range 0..5")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    rows: tuple[Row, ...]
+    ids: tuple[str, ...]
+    X: np.ndarray
+    y: np.ndarray
     schema: FeatureSchema
     provenance: str
     role: str
@@ -44,69 +39,51 @@ class Dataset:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}")
+        ids = tuple(self.ids)
         width = len(self.schema)
-        for row in self.rows:
-            if len(row.values) != width:
-                raise ValueError(
-                    f"{row.instance_id}: row width {len(row.values)} != schema width {width}"
-                )
-        if self.provenance != "augmented":
-            ids = [row.instance_id for row in self.rows]
-            if len(set(ids)) != len(ids):
-                raise ValueError("duplicate instance ids in unaugmented dataset")
+        X = np.array(self.X, dtype=np.float64, order="C")
+        if X.size == 0:
+            X = X.reshape(0, width)
+        if X.ndim != 2 or X.shape[1] != width:
+            raise ValueError(f"feature matrix of shape {X.shape} != schema width {width}")
+        y = np.array(self.y, dtype=np.int64)
+        if X.shape[0] != len(ids) or y.shape != (len(ids),):
+            raise ValueError(f"{len(ids)} ids, {X.shape[0]} feature rows and {y.size} labels")
+        bad = np.flatnonzero((y < 0) | (y > 5))
+        if bad.size:
+            raise ValueError(f"{ids[bad[0]]}: label {y[bad[0]]} out of range 0..5")
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{ids[bad[0]]}: non-finite feature value")
+        if self.provenance != "augmented" and len(set(ids)) != len(ids):
+            raise ValueError("duplicate instance ids in unaugmented dataset")
+        X.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def ids(self) -> list[str]:
-        return [row.instance_id for row in self.rows]
-
-    def matrix(self) -> np.ndarray:
-        return np.asarray([row.values for row in self.rows], dtype=np.float64)
-
-    def labels(self) -> np.ndarray:
-        return np.asarray([row.label for row in self.rows], dtype=np.int64)
-
-    def class_counts(self) -> list[int]:
-        counts = [0] * 6
-        for row in self.rows:
-            counts[row.label] += 1
-        return counts
-
-    def replace_rows(self, rows: Sequence[Row], provenance: str | None = None, role: str | None = None) -> Dataset:
-        return Dataset(
-            tuple(rows),
-            self.schema,
-            provenance if provenance is not None else self.provenance,
-            role if role is not None else self.role,
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            (self.ids, self.schema, self.provenance, self.role)
+            == (other.ids, other.schema, other.provenance, other.role)
+            and np.array_equal(self.X, other.X)
+            and np.array_equal(self.y, other.y)
         )
 
+    def __len__(self) -> int:
+        return len(self.ids)
 
-def make_dataset(
-    ids: Sequence[str],
-    matrix: Sequence[Sequence[float]],
-    labels: Sequence[int],
-    schema: FeatureSchema,
-    provenance: str = "unbalanced",
-    role: str = "all",
-) -> Dataset:
-    rows = tuple(
-        Row(i, tuple(float(v) for v in values), int(label))
-        for i, values, label in zip(ids, matrix, labels)
-    )
-    return Dataset(rows, schema, provenance, role)
+    def class_counts(self) -> list[int]:
+        return np.bincount(self.y, minlength=6).tolist()
 
 
 def save_dataset(ds: Dataset, csv_path, seed: Optional[int] = None, mode: Optional[str] = None):
     """Write the feature CSV and its `.meta.json` provenance sidecar."""
     csv_path = Path(csv_path)
-    write_features_csv(
-        csv_path,
-        [r.instance_id for r in ds.rows],
-        [r.label for r in ds.rows],
-        [r.values for r in ds.rows],
-        ds.schema,
-    )
+    write_features_csv(csv_path, ds.ids, ds.y.tolist(), ds.X.tolist(), ds.schema)
     meta = {"provenance": ds.provenance, "role": ds.role, "seed": seed, "mode": mode}
     sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -125,12 +102,12 @@ def load_dataset(csv_path, schema: FeatureSchema) -> tuple[Dataset, dict]:
             raise ValueError(f"{i}: dataset row has no label")
     side = sidecar_path(csv_path)
     meta = json.loads(side.read_text()) if side.exists() else {}
-    ds = make_dataset(
+    ds = Dataset(
         ids,
         matrix,
         labels,
         schema,
-        provenance=meta.get("provenance", "unbalanced"),
-        role=meta.get("role", "all"),
+        meta.get("provenance", "unbalanced"),
+        meta.get("role", "all"),
     )
     return ds, meta

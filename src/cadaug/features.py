@@ -120,6 +120,17 @@ class FeatureSchema:
         index = {shape: i for i, shape in enumerate(source.shapes)}
         return [source.position(v, index[shape]) for v in VARIABLES for shape in self.shapes]
 
+    def renamed_columns(self, sigma: Permutation) -> list[int]:
+        """The column of a row that each column of its sigma-image takes
+        its value from: renaming variables by sigma moves the value at
+        (shape, v) to (shape, sigma(v))."""
+        inverse = sigma.inverse()
+        return [
+            self.position(VARIABLES[inverse.apply_index(v.index) - 1], i)
+            for v in VARIABLES
+            for i in range(len(self.shapes))
+        ]
+
     def descriptors(self) -> list[Descriptor]:
         return [
             Descriptor(v, *shape) for v in VARIABLES for shape in self.shapes
@@ -147,16 +158,6 @@ class FeatureSchema:
     @classmethod
     def load(cls, path) -> FeatureSchema:
         return cls.from_json(json.loads(Path(path).read_text()))
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    instance_id: str
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"{self.instance_id}: non-finite feature value")
 
 
 # -- evaluation -----------------------------------------------------------
@@ -260,9 +261,9 @@ def featurize_exact(instance: ProblemInstance, schema: FeatureSchema | None = No
     return out
 
 
-def featurize(instance: ProblemInstance, schema: FeatureSchema | None = None) -> FeatureVector:
-    exact = featurize_exact(instance, schema)
-    return FeatureVector(instance.id, tuple(float(v) for v in exact))
+def featurize(instance: ProblemInstance, schema: FeatureSchema | None = None) -> list[float]:
+    """All schema features as floats, in schema order."""
+    return [float(v) for v in featurize_exact(instance, schema)]
 
 
 # -- permutation action ---------------------------------------------------
@@ -274,13 +275,7 @@ def permute_values(values: Sequence, sigma: Permutation, schema: FeatureSchema) 
         raise ValueError(
             f"feature vector length {len(values)} does not match schema length {len(schema)}"
         )
-    block = len(schema.shapes)
-    out = list(values)
-    for v in VARIABLES:
-        src = (v.index - 1) * block
-        dst = (sigma.apply_index(v.index) - 1) * block
-        out[dst : dst + block] = values[src : src + block]
-    return out
+    return [values[c] for c in schema.renamed_columns(sigma)]
 
 
 # -- essentially-distinct filter ------------------------------------------
@@ -290,11 +285,9 @@ def permute_values(values: Sequence, sigma: Permutation, schema: FeatureSchema) 
 DISTINCT_REL_TOL = 1e-9
 
 
-def fit_distinct_filter(
-    rows: Sequence[Sequence], schema: FeatureSchema | None = None
-) -> FeatureSchema:
+def fit_distinct_filter(matrix: np.ndarray, schema: FeatureSchema | None = None) -> FeatureSchema:
     """Keep the descriptor shapes that are not in an affine relationship
-    with previously kept shapes on the given reference rows.
+    with previously kept shapes on the rows of the given feature matrix.
 
     Shapes are scanned in canonical order; a shape is kept iff at least one
     of its three variable-columns adds rank over the kept columns plus the
@@ -303,9 +296,7 @@ def fit_distinct_filter(
     """
     if schema is None:
         schema = FeatureSchema.raw()
-    matrix = np.asarray(
-        [[float(v) for v in row] for row in rows], dtype=np.float64
-    )
+    matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise ValueError("need at least 2 feature rows to fit the filter")
     if matrix.shape[1] != len(schema):
@@ -315,31 +306,20 @@ def fit_distinct_filter(
 
     n = matrix.shape[0]
     basis: list[np.ndarray] = [np.full(n, 1.0 / math.sqrt(n))]
-
-    def residual(col: np.ndarray) -> np.ndarray:
-        r = col.astype(np.float64)
-        for _ in range(2):  # re-orthogonalize for numerical stability
-            for q in basis:
-                r = r - (q @ r) * q
-        return r
-
-    def independent(col: np.ndarray) -> np.ndarray | None:
-        scale = np.linalg.norm(col)
-        r = residual(col)
-        r_norm = np.linalg.norm(r)
-        if r_norm > DISTINCT_REL_TOL * max(scale, 1.0):
-            return r / r_norm
-        return None
-
     kept: list[Shape] = []
     for shape_index, shape in enumerate(schema.shapes):
-        columns = [matrix[:, schema.position(v, shape_index)] for v in VARIABLES]
-        if any(independent(col) is not None for col in columns):
+        rank = len(basis)
+        for v in VARIABLES:
+            col = matrix[:, schema.position(v, shape_index)]
+            r = col.copy()  # contiguous: a strided dot product may round differently
+            for _ in range(2):  # re-orthogonalize for numerical stability
+                for q in basis:
+                    r = r - (q @ r) * q
+            r_norm = np.linalg.norm(r)
+            if r_norm > DISTINCT_REL_TOL * max(np.linalg.norm(col), 1.0):
+                basis.append(r / r_norm)
+        if len(basis) > rank:
             kept.append(shape)
-            for col in columns:
-                q = independent(col)
-                if q is not None:
-                    basis.append(q)
     return FeatureSchema(tuple(kept))
 
 

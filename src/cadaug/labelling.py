@@ -92,20 +92,24 @@ class TimingRecord:
                 raise ValueError(f"{self.instance_id}: non-positive time for ordering {i}")
 
 
+def _lowest(scores: Iterable) -> Optional[Ordering]:
+    """The ordering with the lowest score, ties to the lowest index; a
+    None score is skipped, and all None gives None."""
+    best: Optional[Ordering] = None
+    best_score = None
+    for ordering, score in zip(ORDERINGS, scores):
+        if score is not None and (best_score is None or score < best_score):
+            best, best_score = ordering, score
+    return best
+
+
 def label_from_timings(rec: TimingRecord, timeout: float = DEFAULT_TIMEOUT) -> Optional[Ordering]:
     """The fastest ordering, or None (discard) when all six timed out.
 
     An entry counts as timed out when it is the TIMEOUT marker or when it
     exceeds the threshold.  Ties break to the lowest ordering index.
     """
-    best: Optional[Ordering] = None
-    best_time = None
-    for ordering, t in zip(ORDERINGS, rec.times):
-        if t is None or t > timeout:
-            continue
-        if best_time is None or t < best_time:
-            best, best_time = ordering, t
-    return best
+    return _lowest(None if t is None or t > timeout else t for t in rec.times)
 
 
 def read_timings_csv(path) -> dict[str, TimingRecord]:
@@ -305,11 +309,4 @@ def sotd_scores(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> li
 def label_by_sotd(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> Optional[Ordering]:
     """Argmin-sotd ordering, ties to the lowest index; None (discard) when
     every ordering exceeded the budget."""
-    best: Optional[Ordering] = None
-    best_score: Optional[int] = None
-    for ordering, score in zip(ORDERINGS, sotd_scores(polys, budget)):
-        if score is None:
-            continue
-        if best_score is None or score < best_score:
-            best, best_score = ordering, score
-    return best
+    return _lowest(sotd_scores(polys, budget))

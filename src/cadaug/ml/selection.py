@@ -74,6 +74,8 @@ class CVPlan:
         for kind, grid in self.grids.items():
             if kind not in MODEL_KINDS:
                 raise ValueError(f"grid for unknown model kind {kind!r}")
+            if not isinstance(grid, (list, tuple)):
+                raise ValueError(f"{kind} grid {grid!r} is not a list of grid points")
             if not grid:
                 raise ValueError(f"empty hyperparameter grid for {kind!r}")
             for params in grid:
@@ -226,8 +228,7 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {kind!r}")
-    X = dataset.matrix()
-    y = np.asarray(dataset.labels(), dtype=np.int64)
+    X, y = dataset.X, dataset.y
     n = len(y)
     if n < plan.folds:
         raise DegenerateDataError(f"{n} rows cannot fill {plan.folds} folds")
@@ -269,5 +270,4 @@ def accuracy(model: Any, dataset: Dataset) -> float:
     a ``TrainedModel`` or a fitted ``RandomBaseline``) labels correctly."""
     if len(dataset) == 0:
         raise ValueError("cannot score an empty dataset")
-    predictions = model.predict(dataset.matrix())
-    return float((predictions == np.asarray(dataset.labels())).mean())
+    return float((model.predict(dataset.X) == dataset.y).mean())

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from .augment import augment_full, balance, split
-from .dataset import Dataset, PROVENANCES, Row, save_dataset
+from .dataset import Dataset, PROVENANCES, save_dataset
 from .features import FeatureSchema, featurize, fit_distinct_filter
 from .features import featurize_exact  # noqa: F401  perfbench/tracing.py patches it here
 from .labelling import (
@@ -250,29 +250,21 @@ def _datasets(
     picking the kept shapes' columns of their raw rows.
     """
     raw_schema = FeatureSchema.raw()
-    rows = tuple(
-        Row(inst.id, featurize(inst, raw_schema).values, label) for inst, label in labelled
-    )
+    ids = [inst.id for inst, _ in labelled]
+    X = [featurize(inst, raw_schema) for inst, _ in labelled]
+    y = [label for _, label in labelled]
     with _stage("split"):
         train_raw, test_raw = split(
-            Dataset(rows, raw_schema, "unbalanced", "all"),
+            Dataset(ids, X, y, raw_schema, "unbalanced", "all"),
             config.test_fraction,
             derive_seed(config.seed, "split"),
         )
     with _stage("filter"):
-        schema = fit_distinct_filter([r.values for r in train_raw.rows])
+        schema = fit_distinct_filter(train_raw.X)
     schema.save(out / "schema.json")
     columns = schema.columns_in(raw_schema)
     unbalanced = [
-        Dataset(
-            tuple(
-                Row(r.instance_id, tuple(r.values[c] for c in columns), r.label)
-                for r in half.rows
-            ),
-            schema,
-            "unbalanced",
-            half.role,
-        )
+        Dataset(half.ids, half.X[:, columns], half.y, schema, "unbalanced", half.role)
         for half in (train_raw, test_raw)
     ]
     datasets = {("unbalanced", ds.role): ds for ds in unbalanced}
@@ -318,7 +310,7 @@ def _train_and_evaluate(
                 )
     train_unb = datasets[("unbalanced", "train")]
     baseline_model = RandomBaseline(seed=derive_seed(config.seed, "baseline")).fit(
-        train_unb.matrix(), train_unb.labels()
+        train_unb.X, train_unb.y
     )
     baseline = {
         tested_on: model_accuracy(baseline_model, datasets[(tested_on, "test")])

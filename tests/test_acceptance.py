@@ -22,7 +22,7 @@ import pytest
 
 from cadaug.augment import augment_full, balance, permute_ordering_label
 from cadaug.cli import EXIT_OK, main
-from cadaug.dataset import Dataset, Row, make_dataset
+from cadaug.dataset import Dataset
 from cadaug.features import (
     Descriptor,
     FeatureSchema,
@@ -88,11 +88,9 @@ def _varmap():
 
 def _profile_dataset():
     labels = [cls for cls, count in enumerate(PROFILE) for _ in range(count)]
-    rows = tuple(
-        Row(f"p{i:04d}", (float(i), i / 2.0, i / 3.0), label)
-        for i, label in enumerate(labels)
-    )
-    return Dataset(rows, TINY, "unbalanced", "all")
+    ids = [f"p{i:04d}" for i in range(len(labels))]
+    X = [(float(i), i / 2.0, i / 3.0) for i in range(len(labels))]
+    return Dataset(ids, X, labels, TINY, "unbalanced", "all")
 
 
 # -- criterion 1 ----------------------------------------------------------
@@ -225,9 +223,9 @@ def test_criterion_5_balancing_and_augmentation(capfd):
         assert sorted(counts) == [169, 170, 170, 170, 170, 170]
 
         augmented = augment_full(ds)
-        assert len(augmented.rows) == 6114
+        assert len(augmented.ids) == 6114
         assert augmented.class_counts() == [1019] * 6
-        assert len({row.instance_id for row in augmented.rows}) == 6114
+        assert len(set(augmented.ids)) == 6114
         elapsed = time.perf_counter() - start
         # both transforms on the 1019-row profile within 5 s
         assert elapsed < 5.0
@@ -319,10 +317,10 @@ def test_criterion_8_model_sanity(capfd):
         X, y = _blobs(100, seed=2)
         ids = [f"b{i:04d}" for i in range(len(y))]
         labels = [int(v) for v in y]
-        train_ds = make_dataset(
+        train_ds = Dataset(
             ids[:480], X[:480], labels[:480], SCHEMA_12, "unbalanced", "train"
         )
-        test_ds = make_dataset(
+        test_ds = Dataset(
             ids[480:], X[480:], labels[480:], SCHEMA_12, "unbalanced", "test"
         )
         for kind in ("knn", "dt", "rf"):
@@ -333,8 +331,8 @@ def test_criterion_8_model_sanity(capfd):
         # the random baseline sits at chance on class-balanced data,
         # tolerance 0.03 around 1/6 on 6114 rows
         balanced = augment_full(_profile_dataset())
-        Xb = np.array([row.values for row in balanced.rows])
-        yb = np.array([row.label for row in balanced.rows])
+        Xb = balanced.X
+        yb = balanced.y
         baseline = RandomBaseline(seed=11).fit(Xb, yb)
         acc = float((baseline.predict(Xb) == yb).mean())
         assert abs(acc - 1 / 6) <= 0.03

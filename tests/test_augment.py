@@ -5,14 +5,8 @@ from collections import Counter
 
 import pytest
 
-from cadaug.augment import (
-    apply_permutation,
-    augment_full,
-    balance,
-    permute_ordering_label,
-    split,
-)
-from cadaug.dataset import Dataset, Row, load_dataset, make_dataset, save_dataset
+from cadaug.augment import augment_full, balance, permute_ordering_label, split
+from cadaug.dataset import Dataset, load_dataset, save_dataset
 from cadaug.features import FeatureSchema, featurize, featurize_exact, permute_values
 from cadaug.labelling import ORDERINGS, label_by_sotd, sotd_scores
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
@@ -22,19 +16,17 @@ from cadaug.symmetry import ALL_PERMUTATIONS, IDENTITY, Permutation
 P = Polynomial.parse
 
 TINY_SCHEMA = FeatureSchema((("degree", "max", False, "max", False),))
+PAIR_SCHEMA = FeatureSchema(
+    (("degree", "max", False, "max", False), ("degree", "sum", False, "max", False))
+)
 
 PROFILE_COUNTS = (406, 93, 135, 51, 202, 132)  # sums to 1019
 
 
-def tiny_rows(labels, start=0):
-    rows = []
-    for k, label in enumerate(labels, start=start):
-        rows.append(Row(f"r{k:04d}", (float(k), k + 0.25, k + 0.5), label))
-    return rows
-
-
 def tiny_dataset(labels, provenance="unbalanced", role="all"):
-    return Dataset(tuple(tiny_rows(labels)), TINY_SCHEMA, provenance, role)
+    ids = [f"r{k:04d}" for k in range(len(labels))]
+    X = [(float(k), k + 0.25, k + 0.5) for k in range(len(labels))]
+    return Dataset(ids, X, labels, TINY_SCHEMA, provenance, role)
 
 
 # -- label permutation ----------------------------------------------------
@@ -67,24 +59,33 @@ def test_label_permutation_composition():
 # -- row action -----------------------------------------------------------
 
 
-def test_apply_permutation_moves_blocks_and_label():
-    row = Row("a", (10.0, 20.0, 30.0), 2)
-    swapped = apply_permutation(row, Permutation.swap(1, 2), TINY_SCHEMA)
-    assert swapped.values == (20.0, 10.0, 30.0)
-    assert swapped.label == 0
-    assert swapped.instance_id == "a"
+def test_augment_moves_blocks_and_label():
+    ds = Dataset(["a"], [[10.0, 20.0, 30.0]], [2], TINY_SCHEMA, "unbalanced", "all")
+    out = augment_full(ds)
+    swapped = ALL_PERMUTATIONS.index(Permutation.swap(1, 2))
+    assert out.ids[swapped] == "a#213"
+    assert out.X[swapped].tolist() == [20.0, 10.0, 30.0]
+    assert out.y[swapped] == 0
 
 
-def test_apply_permutation_group_laws():
-    row = Row("a", (1.0, 2.0, 3.0), 4)
+def test_renamed_columns_move_whole_blocks():
+    # x1 block (1, 2), x2 block (3, 4), x3 block (5, 6)
+    row = [1, 2, 3, 4, 5, 6]
+    assert permute_values(row, Permutation.swap(1, 2), PAIR_SCHEMA) == [3, 4, 1, 2, 5, 6]
+    # x1 -> x2, x2 -> x3, x3 -> x1
+    assert permute_values(row, Permutation((2, 3, 1)), PAIR_SCHEMA) == [5, 6, 1, 2, 3, 4]
+
+
+def test_renamed_columns_group_laws():
+    row = list(range(len(PAIR_SCHEMA)))
+
+    def act(sigma, values):
+        return [values[c] for c in PAIR_SCHEMA.renamed_columns(sigma)]
+
     for a in ALL_PERMUTATIONS:
         for b in ALL_PERMUTATIONS:
-            direct = apply_permutation(row, b.compose(a), TINY_SCHEMA)
-            stepwise = apply_permutation(apply_permutation(row, a, TINY_SCHEMA), b, TINY_SCHEMA)
-            assert direct == stepwise
-    for a in ALL_PERMUTATIONS:
-        back = apply_permutation(apply_permutation(row, a, TINY_SCHEMA), a.inverse(), TINY_SCHEMA)
-        assert back == row
+            assert act(b.compose(a), row) == act(b, act(a, row))
+        assert act(a.inverse(), act(a, row)) == row
 
 
 def random_instance(rng, id_="r"):
@@ -105,34 +106,40 @@ def random_instance(rng, id_="r"):
             return ProblemInstance(id_, frozenset(polys), (("x", X1), ("y", X2), ("z", X3)))
 
 
-def test_apply_permutation_matches_rename_pipeline():
-    # the end-to-end oracle: block permutation + label re-encoding agrees
-    # with featurizing and re-labelling the renamed instance (skipping
-    # instances whose argmin is tied, where the tie-break is not invariant)
+def test_augment_full_matches_rename_pipeline():
+    # the end-to-end oracle: every augmented row equals featurizing and
+    # re-labelling the renamed instance (skipping instances whose argmin is
+    # tied, where the tie-break is not invariant)
     rng = random.Random(77)
     schema = FeatureSchema.raw()
-    checked = 0
-    while checked < 4:
-        inst = random_instance(rng)
+    instances = []
+    while len(instances) < 4:
+        inst = random_instance(rng, f"r{len(instances)}")
         scores = sotd_scores(inst)
         finite = [s for s in scores if s is not None]
-        if not finite or sum(1 for s in scores if s == min(finite)) != 1:
-            continue
-        checked += 1
-        label = label_by_sotd(inst)
-        row = Row(inst.id, featurize(inst, schema).values, label.index)
+        if finite and sum(1 for s in scores if s == min(finite)) == 1:
+            instances.append(inst)
+    ds = Dataset(
+        [inst.id for inst in instances],
+        [featurize(inst, schema) for inst in instances],
+        [label_by_sotd(inst).index for inst in instances],
+        schema,
+        "unbalanced",
+        "all",
+    )
+    out = augment_full(ds)
+    assert len(out) == 6 * len(instances)
+    rows = zip(out.ids, out.X.tolist(), out.y.tolist())
+    for inst in instances:
         for sigma in ALL_PERMUTATIONS:
             renamed = ProblemInstance(
                 inst.id,
                 frozenset(p.rename(sigma) for p in inst.polynomials),
                 inst.variable_map,
             )
-            expect = Row(
-                inst.id,
-                featurize(renamed, schema).values,
-                label_by_sotd(renamed).index,
-            )
-            assert apply_permutation(row, sigma, schema) == expect
+            expect_id = f"{inst.id}#{sigma.name}"
+            expect = (expect_id, featurize(renamed, schema), label_by_sotd(renamed).index)
+            assert next(rows) == expect
 
 
 # -- balance --------------------------------------------------------------
@@ -147,7 +154,38 @@ def test_balance_random_is_deterministic():
     assert c != a
     assert a.provenance == "balanced"
     assert len(a) == len(ds)
-    assert sorted(a.ids()) == sorted(ds.ids())
+    assert sorted(a.ids) == sorted(ds.ids)
+
+
+@pytest.mark.parametrize("mode", ["random", "exact"])
+def test_balance_matches_row_by_row_reference(mode):
+    # random: one rng.choice(ALL_PERMUTATIONS) per row, in row order;
+    # exact: the least-filled class, ties to the lowest image triple
+    labels = [l for l, c in enumerate(PROFILE_COUNTS) for _ in range(c)]
+    ds = Dataset(
+        [f"r{k}" for k in range(len(labels))],
+        [[k, 10 * k, 100 * k, k + 1, k + 2, k + 3] for k in range(len(labels))],
+        labels,
+        PAIR_SCHEMA,
+        "unbalanced",
+        "train",
+    )
+    out = balance(ds, mode, seed=8)
+    rng = random.Random(8)
+    counts = [0] * 6
+    assert out.ids == ds.ids
+    rows = zip(ds.X.tolist(), labels, out.X.tolist(), out.y.tolist())
+    for values, label, got_values, got_label in rows:
+        if mode == "random":
+            sigma = rng.choice(ALL_PERMUTATIONS)
+        else:
+            sigma = min(
+                ALL_PERMUTATIONS,
+                key=lambda s: (counts[permute_ordering_label(label, s)], s.images),
+            )
+            counts[permute_ordering_label(label, sigma)] += 1
+        assert got_values == permute_values(values, sigma, PAIR_SCHEMA)
+        assert got_label == permute_ordering_label(label, sigma)
 
 
 def test_balance_random_changes_distribution():
@@ -209,9 +247,8 @@ def test_augment_full_single_row():
     ds = tiny_dataset([3])
     out = augment_full(ds)
     assert len(out) == 6
-    assert sorted(r.label for r in out.rows) == [0, 1, 2, 3, 4, 5]
-    ids = [r.instance_id for r in out.rows]
-    assert ids == [f"r0000#{s.name}" for s in ALL_PERMUTATIONS]
+    assert sorted(out.y.tolist()) == [0, 1, 2, 3, 4, 5]
+    assert list(out.ids) == [f"r0000#{s.name}" for s in ALL_PERMUTATIONS]
 
 
 def test_augment_full_refuses_twice():
@@ -224,12 +261,8 @@ def test_augment_full_refuses_twice():
 def test_augment_full_row_order():
     ds = tiny_dataset([0, 5])
     out = augment_full(ds)
-    assert [r.instance_id for r in out.rows[:6]] == [
-        f"r0000#{s.name}" for s in ALL_PERMUTATIONS
-    ]
-    assert [r.instance_id for r in out.rows[6:]] == [
-        f"r0001#{s.name}" for s in ALL_PERMUTATIONS
-    ]
+    assert list(out.ids[:6]) == [f"r0000#{s.name}" for s in ALL_PERMUTATIONS]
+    assert list(out.ids[6:]) == [f"r0001#{s.name}" for s in ALL_PERMUTATIONS]
 
 
 # -- split ----------------------------------------------------------------
@@ -243,8 +276,8 @@ def test_split_1019_at_20_percent():
     assert len(train) == 815
     assert train.role == "train"
     assert test.role == "test"
-    assert set(train.ids()).isdisjoint(test.ids())
-    assert sorted(train.ids() + test.ids()) == sorted(ds.ids())
+    assert set(train.ids).isdisjoint(test.ids)
+    assert sorted(train.ids + test.ids) == sorted(ds.ids)
 
 
 def test_split_two_rows_half():
@@ -278,8 +311,8 @@ def test_split_then_augment_never_leaks():
     aug_train = augment_full(train)
     aug_test = augment_full(test)
     base = lambda rid: rid.split("#")[0]
-    train_bases = {base(r.instance_id) for r in aug_train.rows}
-    test_bases = {base(r.instance_id) for r in aug_test.rows}
+    train_bases = {base(i) for i in aug_train.ids}
+    test_bases = {base(i) for i in aug_test.ids}
     assert train_bases.isdisjoint(test_bases)
 
 
@@ -287,12 +320,17 @@ def test_split_then_augment_never_leaks():
 
 
 def test_dataset_validation():
+    with pytest.raises(ValueError, match="r0001: label 6 out of range"):
+        tiny_dataset([0, 6, -1])
     with pytest.raises(ValueError):
-        Row("a", (1.0, 2.0, 3.0), 6)
+        Dataset(["a"], [[1.0]], [0], TINY_SCHEMA, "unbalanced", "all")
     with pytest.raises(ValueError):
-        Dataset((Row("a", (1.0,), 0),), TINY_SCHEMA, "unbalanced", "all")
-    with pytest.raises(ValueError):
-        Dataset(tuple(tiny_rows([0]) + tiny_rows([1])), TINY_SCHEMA, "unbalanced", "all")
+        Dataset(["a", "b"], [[1.0, 2.0, 3.0]], [0, 1], TINY_SCHEMA, "unbalanced", "all")
+    with pytest.raises(ValueError, match="b: non-finite feature value"):
+        Dataset(["a", "b"], [[1.0, 2.0, 3.0], [1.0, float("inf"), 3.0]], [0, 1],
+                TINY_SCHEMA, "unbalanced", "all")
+    with pytest.raises(ValueError, match="duplicate"):
+        Dataset(["a", "a"], [[1.0, 2.0, 3.0]] * 2, [0, 1], TINY_SCHEMA, "unbalanced", "all")
     with pytest.raises(ValueError):
         tiny_dataset([0], provenance="mystery")
     with pytest.raises(ValueError):
@@ -308,8 +346,9 @@ def test_augmented_dataset_allows_repeated_base_ids():
 def test_dataset_accessors():
     ds = tiny_dataset([0, 1, 1, 4])
     assert ds.class_counts() == [1, 2, 0, 0, 1, 0]
-    assert ds.matrix().shape == (4, 3)
-    assert list(ds.labels()) == [0, 1, 1, 4]
+    assert ds.X.shape == (4, 3)
+    assert ds.X.flags.c_contiguous and not ds.X.flags.writeable
+    assert ds.y.tolist() == [0, 1, 1, 4]
     assert len(ds) == 4
 
 

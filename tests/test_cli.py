@@ -194,7 +194,8 @@ def test_grid_typos_are_config_errors(workspace, tmp_path):
     root = workspace
     for grid in ({"dt": [{"maxdepth": 4}]}, {"rff": [{"n_trees": 5}]}, {"dt": [{"max_depth": 0}]},
                  {"rf": [{"bootstrap": "false"}]}, {"knn": [{"k": 2.7}]},
-                 {"dt": [{"max_depth": 4.0}]}, {"rf": [{"n_trees": True}]}):
+                 {"dt": [{"max_depth": 4.0}]}, {"rf": [{"n_trees": True}]}, {"knn": 5},
+                 {"rf": None}):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid))
         assert run_cli("train", "--data", root / "train.csv", "--schema", root / "schema.json",

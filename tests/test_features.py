@@ -11,7 +11,6 @@ from cadaug.features import (
     BASES,
     Descriptor,
     FeatureSchema,
-    FeatureVector,
     all_shapes,
     evaluate_descriptor,
     featurize,
@@ -134,33 +133,21 @@ def test_featurize_matches_descriptor_loop():
 
 def test_featurize_float_vector():
     fv = featurize(WORKED)
-    assert isinstance(fv, FeatureVector)
-    assert len(fv.values) == 384
-    assert fv.instance_id == "worked"
+    assert len(fv) == 384
     exact = featurize_exact(WORKED)
-    assert fv.values == tuple(float(v) for v in exact)
-
-
-def test_feature_vector_requires_finite():
-    with pytest.raises(ValueError):
-        FeatureVector("bad", (1.0, float("inf")))
+    assert fv == [float(v) for v in exact]
+    assert all(type(v) is float for v in fv)
 
 
 # -- permutation action and equivariance ----------------------------------
 
 
-def permute_feature_vector(fv, sigma, schema):
-    return FeatureVector(fv.instance_id, tuple(permute_values(fv.values, sigma, schema)))
-
-
 def test_permute_identity_and_inverse():
     schema = FeatureSchema.raw()
     fv = featurize(WORKED, schema)
-    assert permute_feature_vector(fv, IDENTITY, schema) == fv
+    assert permute_values(fv, IDENTITY, schema) == fv
     for sigma in ALL_PERMUTATIONS:
-        back = permute_feature_vector(
-            permute_feature_vector(fv, sigma, schema), sigma.inverse(), schema
-        )
+        back = permute_values(permute_values(fv, sigma, schema), sigma.inverse(), schema)
         assert back == fv
 
 
@@ -320,7 +307,7 @@ def test_feature_csv_roundtrip(tmp_path):
     rng = random.Random(32)
     schema = FeatureSchema.raw()
     instances = [random_instance(rng, f"i{k}") for k in range(5)]
-    matrix = [featurize(i, schema).values for i in instances]
+    matrix = [featurize(i, schema) for i in instances]
     ids = [i.id for i in instances]
     labels = [0, 3, None, 5, 2]
     path = tmp_path / "features.csv"

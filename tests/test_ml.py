@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tree_reference
 
-from cadaug.dataset import Dataset, make_dataset
+from cadaug.dataset import Dataset
 from cadaug.features import FeatureSchema, all_shapes
 from cadaug.ml import (
     N_CLASSES,
@@ -45,7 +45,7 @@ def blobs(n_per_class=100, n_features=12, seed=0, spread=1.0, sep=50.0):
 
 def blob_dataset(X, y, role="all"):
     ids = [f"b{i:04d}" for i in range(len(y))]
-    return make_dataset(ids, X, [int(v) for v in y], SCHEMA_12, "unbalanced", role)
+    return Dataset(ids, X, [int(v) for v in y], SCHEMA_12, "unbalanced", role)
 
 
 # -- standardization ------------------------------------------------------
@@ -400,6 +400,9 @@ def test_train_unknown_kind_and_bad_plan():
     ({"rf": [{"min_leaf": False}]}, "min_leaf must be an integer, got False"),
     ({"dt": [{"max_depth": "8"}]}, "max_depth must be an integer, got '8'"),
     ({"dt": [{"min_leaf": 1.5}]}, "min_leaf must be an integer, got 1.5"),
+    # a kind mapped to something other than a list raised TypeError
+    ({"knn": 5}, "knn grid 5 is not a list"),
+    ({"rf": None}, "rf grid None is not a list"),
 ])
 def test_cv_plan_rejects_grid_typos(grids, message):
     # unchecked, {"maxdepth": 4} grew an unbounded tree and "rff" was never
@@ -461,7 +464,7 @@ def test_model_rejects_wrong_width_and_empty_dataset():
     model = train("dt", ds, CVPlan(folds=3, grids={"dt": [{"max_depth": 4}]}, seed=0))
     with pytest.raises(ValueError):
         model.predict(np.zeros((2, 5)))
-    empty = Dataset((), SCHEMA_12, "unbalanced", "test")
+    empty = Dataset((), [], (), SCHEMA_12, "unbalanced", "test")
     with pytest.raises(ValueError):
         accuracy(model, empty)
 
@@ -479,8 +482,8 @@ CLASSIFIERS = {"knn": KNNClassifier, "dt": DecisionTreeClassifier, "rf": RandomF
 def _cv_fitting_each_point(kind, grid, dataset, plan):
     """The CV record of ``train`` computed by fitting every grid point on
     every fold alone; an rf point gets the seed of its shared forest."""
-    X = dataset.matrix()
-    y = dataset.labels()
+    X = dataset.X
+    y = dataset.y
     order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(len(y))
     folds = np.array_split(order, plan.folds)
     results = []

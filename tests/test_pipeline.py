@@ -1,9 +1,11 @@
 """End-to-end pipeline tests on small synthetic corpora."""
 
+import hashlib
 import json
 
 import pytest
 
+from cadaug.dataset import PROVENANCES
 from cadaug.features import FeatureSchema
 from cadaug.labelling import write_timings_csv
 from cadaug.pipeline import (
@@ -103,6 +105,45 @@ def test_pipeline_determinism(corpus, tmp_path):
     assert (tmp_path / "a" / "report.md").read_bytes() == (
         tmp_path / "b" / "report.md"
     ).read_bytes()
+
+
+# sha256 of the artifacts of an exact-balanced run of the 50-instance
+# corpus, pinned so that a change to any byte of them fails here; knn
+# models and matrix.* are left out because knn distances go through BLAS,
+# whose rounding may vary between builds
+PINNED_DIGESTS = {
+    "labels.csv": "2e5867e6fc9a2212ea8e457e616acc37f713e680fec93b8a602af5e0964574c7",
+    "schema.json": "12a76c357c3ba7085144cda304fb5be55d4c549dd3cb7201aad63bfb2050bd27",
+    "datasets/test_augmented.csv": "527bec0ebffc790322f894c6779b4ac4e2a3e286d0d8c33fe007a53720105289",
+    "datasets/test_augmented.meta.json": "ab25d9c9e76532dbb469d971deb81480840222b680fcf10ccfb411f96defe380",
+    "datasets/test_balanced.csv": "9288820dcf17bfd7f55ed485a599d54b1b17a287334131bc9bbc8231dbd19a08",
+    "datasets/test_balanced.meta.json": "6cbdd4e9830598a54f02346b41feb402b7d584f3b3114f2b01ab3b3bb7e18a2e",
+    "datasets/test_unbalanced.csv": "7eb86f472de0ff66cbd821232a0835ff933184b8f62ae0abe6b3e29fa666d2dc",
+    "datasets/test_unbalanced.meta.json": "084be93d1a253aab7f79117d524b71731ba01861215994805e950af9d898f5e8",
+    "datasets/train_augmented.csv": "50fdf33e24ccaf04aa796095e46901b8a0748c6e703f8ea0d2519ab843eb3fa4",
+    "datasets/train_augmented.meta.json": "08e96de242a73935297ca23067b0df1f8ff481567c2c3b20e3170465150abe86",
+    "datasets/train_balanced.csv": "0a81b00f6e4d47bbaa549b8c1f2678fbedd55a4322119787dd37b58af4ba9312",
+    "datasets/train_balanced.meta.json": "2640ddd9b0d8572bba1c358c7cf2ab47491a29651faccb02cf1e4f21f9e46cbc",
+    "datasets/train_unbalanced.csv": "134c290b9a550998934c32b4707c65d19fcd9b00abcc2229df5a62c9b83aca4c",
+    "datasets/train_unbalanced.meta.json": "e57d5c00a6d65065fa98559ff6109fca0e1d5d1e880f940bb7d138b668f07ef5",
+    "models/dt_unbalanced.json": "0990e730788b67a7bc89841b247aebc0d247b8b15521fe7785b9a99bcf94a424",
+    "models/dt_balanced.json": "ba1b84356a2ae135ec9a9608df36bdc419b876a19645b5267ff984f03530a95b",
+    "models/dt_augmented.json": "9ab1d4b303dbd4db7b640eb081ad85af5d2a1b3e359604130b4a2285ed144085",
+    "models/rf_unbalanced.json": "32f55e6e52c15f3f81a8245a3aa34e82b19621782791af97816aa21349358ccc",
+    "models/rf_balanced.json": "ea80192c6474d345e3604992bf33fb7e2e3132647c479f3470629a2f413710c0",
+    "models/rf_augmented.json": "490900206e09c538c5e1e92b3f89795a43cb8443ff73498085354e5c7d9267a2",
+}
+
+
+def test_artifacts_match_pinned_digests(corpus, tmp_path):
+    root, _ = corpus
+    out = tmp_path / "out"
+    run_pipeline(small_config(root, out, balance_mode="exact"))
+    names = ["labels.csv", "schema.json"]
+    names += sorted(p.relative_to(out).as_posix() for p in (out / "datasets").iterdir())
+    names += [f"models/{kind}_{prov}.json" for kind in ("dt", "rf") for prov in PROVENANCES]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    assert digests == PINNED_DIGESTS
 
 
 def test_timings_labeller_reproduces_sotd_run(corpus, tmp_path):

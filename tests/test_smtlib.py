@@ -450,6 +450,16 @@ def test_ingest_directory(tmp_path, caplog):
     assert [i.id for i in without_dedup] == ["a_good", "b_good", "d_dup"]
 
 
+def test_ingest_directory_skips_files_that_are_not_utf8(tmp_path, caplog):
+    (tmp_path / "a_latin1.smt2").write_bytes(b"; caf\xe9\n" + DECLS.encode() + b"(assert (> x y))")
+    (tmp_path / "b_good.smt2").write_text(DECLS + "(assert (> (+ x y) z))")
+    with caplog.at_level(logging.WARNING, logger="cadaug.ingest"):
+        instances = ingest_directory(tmp_path)
+    assert [i.id for i in instances] == ["b_good"]
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert len(messages) == 1 and messages[0].startswith("skipping a_latin1: 'utf-8' codec")
+
+
 def test_ingest_directory_ids_are_relative_paths(tmp_path, caplog):
     for sub, body in (("a", "(+ x y)"), ("b", "(* x y)")):
         (tmp_path / sub).mkdir()

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cadaug import pipeline
-from cadaug.dataset import make_dataset
+from cadaug.dataset import Dataset
 from cadaug.features import FeatureSchema, all_shapes
 from cadaug.ml import CVPlan, train
 from cadaug.labelling import TimingRecord, write_timings_csv
@@ -76,7 +76,7 @@ def _tree_dataset():
     X = rng.integers(0, 4, size=(40, 12)).astype(np.float64)
     y = (X[:, 0] + X[:, 1]).astype(int) % 3
     schema = FeatureSchema(tuple(all_shapes()[:4]))  # 12 columns
-    return make_dataset([f"r{i}" for i in range(40)], X, y, schema)
+    return Dataset([f"r{i}" for i in range(40)], X, y, schema, "unbalanced", "all")
 
 
 def test_tree_fits_are_traced(tracing):
