@@ -139,6 +139,15 @@ def test_featurize_float_vector():
     assert all(type(v) is float for v in fv)
 
 
+def test_feature_vector_requires_finite(tmp_path):
+    schema = FeatureSchema(all_shapes()[:1])
+    for bad in (float("inf"), float("nan")):
+        path = tmp_path / "f.csv"
+        write_features_csv(path, ["a", "b"], [0, 1], [[1.0, 2.0, 3.0], [1.0, bad, 3.0]], schema)
+        with pytest.raises(ValueError, match="row for b: f001 is .*not a finite number"):
+            read_features_csv(path)
+
+
 # -- permutation action and equivariance ----------------------------------
 
 
