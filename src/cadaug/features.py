@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from cadaug import kernels
+from cadaug.jsonfields import json_field
 from cadaug.poly import Variable, VARIABLES
 from cadaug.smtlib import ProblemInstance
 from cadaug.symmetry import Permutation
@@ -89,8 +90,8 @@ def _shape_name(shape: Shape) -> str:
 _SHAPES_BY_NAME = {_shape_name(shape): shape for shape in all_shapes()}
 
 
-def _shape_from_name(text: str) -> Shape:
-    shape = _SHAPES_BY_NAME.get(text)
+def _shape_named(text: str) -> Shape:
+    shape = _SHAPES_BY_NAME.get(text) if isinstance(text, str) else None
     if shape is None:
         raise ValueError(f"unknown descriptor shape {text!r}")
     return shape
@@ -150,7 +151,8 @@ class FeatureSchema:
 
     @classmethod
     def from_json(cls, obj: dict) -> FeatureSchema:
-        return cls(tuple(_shape_from_name(s) for s in obj["shapes"]))
+        names = json_field(obj, "shapes", list, "feature schema")
+        return cls(tuple(_shape_named(s) for s in names))
 
     def save(self, path):
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
@@ -346,8 +348,8 @@ def write_features_csv(
 def read_features_csv(path):
     """Returns (ids, labels, matrix); labels are ints or None.
 
-    A value that is not a finite number (``nan``, ``inf``) is rejected,
-    naming its row id and column.
+    A label that is not an integer, or a value that is not a finite number
+    (``nan``, ``inf``), is rejected, naming its row id and column.
     """
     ids: list[str] = []
     labels: list[Optional[int]] = []
@@ -365,7 +367,12 @@ def read_features_csv(path):
             if len(parts) != width + 2:
                 raise ValueError(f"row for {parts[0]} has {len(parts) - 2} values, want {width}")
             ids.append(parts[0])
-            labels.append(int(parts[1]) if parts[1] != "" else None)
+            try:
+                labels.append(int(parts[1]) if parts[1] != "" else None)
+            except ValueError:
+                raise ValueError(
+                    f"row for {parts[0]}: label is {parts[1]!r}, not an integer"
+                ) from None
             values.append([float(x) for x in parts[2:]])
     matrix = np.asarray(values, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(matrix))

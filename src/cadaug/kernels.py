@@ -22,8 +22,8 @@ computation.  Callers reach them as attributes of this module
 (``kernels.kmul(...)``), and no kernel calls ``kmul`` or ``kdiv_exact``
 itself, so replacing those attributes sees every call.  The
 21-bit-per-exponent limit is far beyond anything the projection degree
-budget allows to survive; ``Polynomial.from_terms``, the polynomial parser
-and SMT-LIB ingestion reject inputs whose degrees would exceed it.
+budget allows to survive; ``Polynomial.from_terms`` and SMT-LIB ingestion
+reject inputs whose degrees would exceed it.
 """
 
 from fractions import Fraction

@@ -10,6 +10,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ..dataset import Dataset
+from ..jsonfields import json_field
 from ..seeding import derive_seed
 from .forest import RandomForestClassifier
 from .knn import KNNClassifier
@@ -153,20 +154,26 @@ class TrainedModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainedModel":
-        if data.get("format") != "cadaug-model" or data.get("version") != 1:
+        header = (data.get("format"), data.get("version")) if isinstance(data, dict) else None
+        if header != ("cadaug-model", 1):
             raise ValueError("not a version-1 cadaug model file")
-        kind = data["kind"]
-        payload = data["payload"]
-        if kind == "knn":
-            stats = Standardizer.from_json(data["stats"])
-            classifier: Any = KNNClassifier.from_payload(payload, stats)
-        elif kind == "dt":
-            classifier = DecisionTreeClassifier.from_payload(payload)
-        elif kind == "rf":
-            classifier = RandomForestClassifier.from_payload(payload)
-        else:
-            raise ValueError(f"unknown model kind: {kind!r}")
-        return cls(kind, dict(data["hyperparameters"]), classifier, list(data["cv"]))
+        kind = json_field(data, "kind", str, "model file")
+        payload = json_field(data, "payload", dict, "model file")
+        hyperparameters = json_field(data, "hyperparameters", dict, "model file")
+        cv = json_field(data, "cv", list, "model file")
+        try:
+            if kind == "knn":
+                stats = Standardizer.from_json(json_field(data, "stats", dict, "model file"))
+                classifier: Any = KNNClassifier.from_payload(payload, stats)
+            elif kind == "dt":
+                classifier = DecisionTreeClassifier.from_payload(payload)
+            elif kind == "rf":
+                classifier = RandomForestClassifier.from_payload(payload)
+            else:
+                raise ValueError(f"unknown model kind: {kind!r}")
+        except KeyError as err:
+            raise ValueError(f"model file: {kind} payload lacks key {err}") from None
+        return cls(kind, dict(hyperparameters), classifier, list(cv))
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":

@@ -32,6 +32,7 @@ from .augment import augment_full, balance, split
 from .dataset import Dataset, PROVENANCES, save_dataset
 from .features import FeatureSchema, featurize, fit_distinct_filter
 from .features import featurize_exact  # noqa: F401  perfbench/tracing.py patches it here
+from .jsonfields import json_field
 from .labelling import (
     DEFAULT_TIMEOUT,
     label_by_sotd,
@@ -137,21 +138,28 @@ class ResultMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "ResultMatrix":
-        if data.get("format") != "cadaug-matrix" or data.get("version") != 1:
+        header = (data.get("format"), data.get("version")) if isinstance(data, dict) else None
+        if header != ("cadaug-matrix", 1):
             raise ValueError("not a version-1 cadaug matrix file")
+
+        def get(key: str, kind: type) -> Any:
+            return json_field(data, key, kind, "matrix file")
+
+        cell = "matrix accuracy cell"
         accuracy = {
-            (c["model"], c["trained_on"], c["tested_on"]): c["accuracy"]
-            for c in data["accuracy"]
+            tuple(json_field(c, key, str, cell) for key in ("model", "trained_on", "tested_on")):
+                json_field(c, "accuracy", float, cell)
+            for c in get("accuracy", list)
         }
         return cls(
-            models=tuple(data["models"]),
+            models=tuple(get("models", list)),
             accuracy=accuracy,
-            dataset_summary=dict(data["dataset_summary"]),
-            baseline=dict(data["baseline"]),
-            feature_counts=dict(data["feature_counts"]),
-            improvements=dict(data["improvements"]),
-            seed=data["seed"],
-            labeller=data["labeller"],
+            dataset_summary=dict(get("dataset_summary", dict)),
+            baseline=dict(get("baseline", dict)),
+            feature_counts=dict(get("feature_counts", dict)),
+            improvements=dict(get("improvements", dict)),
+            seed=get("seed", int),
+            labeller=get("labeller", str),
         )
 
     def save(self, path: str | Path) -> None:

@@ -7,13 +7,14 @@ operations are pure, so polynomials can be shared freely.
 
 Canonical form: a term map with no zero coefficients, iterated in graded
 lexicographic order with x1 < x2 < x3.  Two equal polynomials always have
-identical term maps, and ``str``/``parse`` round-trip exactly.
+identical term maps and render the same ``str``.  ``str`` is output only:
+polynomials are built with ``variable``, ``constant``, ``from_terms`` and
+the ring operators, never parsed from infix text.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -317,10 +318,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
 
-    @classmethod
-    def parse(cls, text: str) -> Polynomial:
-        return _parse_polynomial(text)
-
 
 def _normalize_coeff(c: Coeff) -> Coeff:
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -355,94 +352,3 @@ def _render_term(exponents: tuple[int, int, int], coeff: Coeff) -> str:
         return f"-{vars_text}"
     return f"{coeff}*{vars_text}"
 
-
-_TOKEN_RE = re.compile(r"\s*(x[123]|\d+|[-+*/^()])")
-
-
-class PolynomialParseError(ValueError):
-    """Raised when polynomial text does not match the canonical grammar."""
-
-
-def _tokenize_polynomial(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise PolynomialParseError(f"bad character at offset {pos}: {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def _parse_polynomial(text: str) -> Polynomial:
-    tokens = _tokenize_polynomial(text)
-    if not tokens:
-        raise PolynomialParseError("empty polynomial text")
-    pos = 0
-    result = Polynomial.zero()
-    sign = 1
-    first = True
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok in "+-":
-            sign = -1 if tok == "-" else 1
-            pos += 1
-            if pos >= len(tokens):
-                raise PolynomialParseError("trailing sign")
-        elif not first:
-            raise PolynomialParseError(f"expected + or - before {tok!r}")
-        term, pos = _parse_term(tokens, pos)
-        result = result + term * sign
-        sign = 1
-        first = False
-    return result
-
-
-def _parse_term(tokens: list[str], pos: int) -> tuple[Polynomial, int]:
-    factors: list[Polynomial] = []
-    while True:
-        factor, pos = _parse_factor(tokens, pos)
-        factors.append(factor)
-        if pos < len(tokens) and tokens[pos] == "*":
-            pos += 1
-            continue
-        break
-    for v in VARIABLES:
-        degree = sum(f.degree_in(v) for f in factors)
-        if degree > kernels.EXP_MASK:
-            raise PolynomialParseError(
-                f"term has degree {degree} in {v}, above the limit {kernels.EXP_MASK}"
-            )
-    term = factors[0]
-    for f in factors[1:]:
-        term = term * f
-    return term, pos
-
-
-def _parse_factor(tokens: list[str], pos: int) -> tuple[Polynomial, int]:
-    if pos >= len(tokens):
-        raise PolynomialParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok.isdigit():
-        value: Coeff = int(tok)
-        pos += 1
-        if pos + 1 < len(tokens) and tokens[pos] == "/" and tokens[pos + 1].isdigit():
-            value = Fraction(value, int(tokens[pos + 1]))
-            pos += 2
-        return Polynomial.constant(value), pos
-    if tok.startswith("x"):
-        v = Variable(int(tok[1]))
-        pos += 1
-        if pos + 1 < len(tokens) and tokens[pos] == "^":
-            if not tokens[pos + 1].isdigit():
-                raise PolynomialParseError("exponent must be a number")
-            exp = int(tokens[pos + 1])
-            if exp > kernels.EXP_MASK:
-                raise PolynomialParseError(f"exponent {exp} above the limit {kernels.EXP_MASK}")
-            pos += 2
-            return Polynomial.variable(v) ** exp, pos
-        return Polynomial.variable(v), pos
-    raise PolynomialParseError(f"unexpected token {tok!r}")

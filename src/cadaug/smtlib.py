@@ -222,9 +222,6 @@ class ProblemInstance:
         """Polynomials in a deterministic canonical order."""
         return sorted(self.polynomials, key=lambda p: p.sort_key())
 
-    def varmap_dict(self) -> dict[str, Variable]:
-        return dict(self.variable_map)
-
 
 def normalize_atom(p: Polynomial) -> Polynomial:
     """Canonical form of an atom polynomial: integer coefficients via
@@ -620,7 +617,8 @@ def read_instances_jsonl(path: str | Path) -> list[ProblemInstance]:
 
 def ingest_directory(root: str | Path, deduplicate: bool = True) -> list[ProblemInstance]:
     """Parse every .smt2 file under root (lexicographic order), skipping and
-    logging files the parser rejects and files that are not UTF-8 text.
+    logging files the parser rejects, files that are not UTF-8 text and
+    entries that cannot be read (a directory named ``*.smt2``, say).
 
     An instance's id is its path relative to root without the suffix, as a
     POSIX path: ``p`` for ``root/p.smt2``, ``a/p`` for ``root/a/p.smt2``.
@@ -631,7 +629,7 @@ def ingest_directory(root: str | Path, deduplicate: bool = True) -> list[Problem
         instance_id = path.relative_to(root).with_suffix("").as_posix()
         try:
             instances.append(parse_script(path.read_text(), instance_id))
-        except (IngestError, UnicodeDecodeError) as err:
+        except (IngestError, UnicodeDecodeError, OSError) as err:
             logger.warning("skipping %s: %s", instance_id, err)
     if deduplicate:
         instances = dedup_syntactic(instances)

@@ -31,12 +31,6 @@ class Permutation:
         images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
         return cls(tuple(images))
 
-    @classmethod
-    def from_name(cls, name: str) -> Permutation:
-        if len(name) != 3 or not name.isdigit():
-            raise ValueError(f"bad permutation name: {name!r}")
-        return cls(tuple(int(ch) for ch in name))
-
     @property
     def name(self) -> str:
         """Compact image string, e.g. "213" for the swap of x1 and x2."""

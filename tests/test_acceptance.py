@@ -52,7 +52,7 @@ from cadaug.synth import synthesize_corpus
 
 import random
 
-P = Polynomial.parse
+x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
 # the skewed six-class profile (1019 rows) used by the bookkeeping checks
 PROFILE = (406, 93, 135, 51, 202, 132)
@@ -100,7 +100,7 @@ def test_criterion_1_worked_descriptor_examples(capfd):
     with verdict(capfd, 1, "worked descriptor examples"):
         inst = ProblemInstance(
             "worked",
-            frozenset({P("x2^2 - x2*x1"), P("x3^3*x1 - x1^2 + 1")}),
+            frozenset({x2**2 - x2*x1, x3**3*x1 - x1**2 + 1}),
             _varmap(),
         )
         d_avg = Descriptor(X1, "degree", "avg", False, "sum", False)
@@ -244,13 +244,13 @@ def test_criterion_6_labeller_semantics(capfd):
         assert label_from_timings(over, timeout=60.0) == Ordering(1)
 
         # projection-based proxy: pinned chain cost and tie-break
-        chain = projection_chain({P("x1^2 - x2")}, ORDERINGS[0])
+        chain = projection_chain({x1**2 - x2}, ORDERINGS[0])
         assert sotd(chain) == 4
-        assert label_by_sotd({P("x1 + x2 + x3")}) == Ordering(0)
+        assert label_by_sotd({x1 + x2 + x3}) == Ordering(0)
 
         # algebra underneath the projection operator
-        assert resultant(P("x1^2 - 1"), P("x1 - 1"), X1).is_zero()
-        assert discriminant(P("x1^2 + x2*x1 + x3"), X1) == P("4*x3 - x2^2")
+        assert resultant(x1**2 - 1, x1 - 1, X1).is_zero()
+        assert discriminant(x1**2 + x2*x1 + x3, X1) == 4*x3 - x2**2
 
 
 # -- criterion 7 ----------------------------------------------------------

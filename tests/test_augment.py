@@ -13,8 +13,6 @@ from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
 from cadaug.smtlib import ProblemInstance
 from cadaug.symmetry import ALL_PERMUTATIONS, IDENTITY, Permutation
 
-P = Polynomial.parse
-
 TINY_SCHEMA = FeatureSchema((("degree", "max", False, "max", False),))
 PAIR_SCHEMA = FeatureSchema(
     (("degree", "max", False, "max", False), ("degree", "sum", False, "max", False))

@@ -222,6 +222,52 @@ def test_unknown_schema_shapes_are_data_errors(workspace, tmp_path, capsys):
     assert not (tmp_path / "data.csv").exists()
 
 
+def test_ingest_skips_a_directory_named_like_a_script(tmp_path, caplog):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    decls = "(declare-fun x () Real)(declare-fun y () Real)(declare-fun z () Real)"
+    (corpus / "a.smt2").write_text(decls + "(assert (> (+ x y) z))")
+    (corpus / "sub.smt2").mkdir()
+    assert run_cli("ingest", "--input", corpus, "--out", tmp_path / "i.jsonl") == EXIT_OK
+    assert any(rec.getMessage().startswith("skipping sub: ") for rec in caplog.records)
+    assert len((tmp_path / "i.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("shapes", [None, "degree.max.id.max.id"], ids=["missing", "string"])
+def test_split_rejects_a_schema_without_a_shape_list(workspace, tmp_path, capsys, shapes):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({} if shapes is None else {"shapes": shapes}))
+    capsys.readouterr()
+    assert run_cli("split", "--data", workspace / "data.csv", "--schema", schema,
+                   "--out-train", tmp_path / "tr.csv",
+                   "--out-test", tmp_path / "te.csv") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "feature schema: " in err and "'shapes'" in err
+
+
+@pytest.mark.parametrize("body, message", [
+    ({}, "model file: missing key 'kind'"),
+    ({"kind": "dt", "hyperparameters": {}, "cv": [], "payload": {}},
+     "model file: dt payload lacks key 'max_depth'"),
+], ids=["no-kind", "empty-payload"])
+def test_evaluate_rejects_a_model_file_without_its_keys(workspace, tmp_path, capsys,
+                                                        body, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"format": "cadaug-model", "version": 1, **body}))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", model, "--data", workspace / "test.csv",
+                   "--schema", workspace / "schema.json") == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_report_rejects_a_matrix_file_without_cells(tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"format": "cadaug-matrix", "version": 1}))
+    capsys.readouterr()
+    assert run_cli("report", "--matrix", matrix, "--out", tmp_path / "r") == EXIT_DATA
+    assert "matrix file: missing key 'accuracy'" in capsys.readouterr().err
+
+
 def test_label_keeps_same_stem_files_apart(tmp_path):
     corpus = tmp_path / "corpus"
     decls = "(declare-fun x () Real)(declare-fun y () Real)(declare-fun z () Real)"

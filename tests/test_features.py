@@ -24,7 +24,7 @@ from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
 from cadaug.smtlib import ProblemInstance
 from cadaug.symmetry import ALL_PERMUTATIONS, IDENTITY, Permutation
 
-P = Polynomial.parse
+x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
 
 def make_instance(id_, polys):
@@ -86,7 +86,7 @@ def test_descriptor_validation():
 
 # -- worked examples ------------------------------------------------------
 
-WORKED = make_instance("worked", [P("x2^2 - x2*x1"), P("x3^3*x1 - x1^2 + 1")])
+WORKED = make_instance("worked", [x2**2 - x2*x1, x3**3*x1 - x1**2 + 1])
 
 
 def test_worked_example_three_halves():
@@ -103,7 +103,7 @@ def test_worked_example_one():
 
 
 def test_absent_variable_gives_zero():
-    inst = FakeInstance([P("x3^3 - 1")])
+    inst = FakeInstance([x3**3 - 1])
     d = Descriptor(X1, "degree", "sum", False, "sum", False)
     assert evaluate_descriptor(inst, d) == 0
     d = Descriptor(X1, "gated_degree", "avg_nonzero", False, "avg", False)
@@ -111,7 +111,7 @@ def test_absent_variable_gives_zero():
 
 
 def test_gated_degree_base():
-    inst = FakeInstance([P("x1^2*x2 + x3")])
+    inst = FakeInstance([x1**2*x2 + x3])
     # monomials: x1^2*x2 (total degree 3, contains x1), x3 (no x1)
     d = Descriptor(X1, "gated_degree", "sum", False, "sum", False)
     assert evaluate_descriptor(inst, d) == 3
@@ -146,6 +146,13 @@ def test_feature_vector_requires_finite(tmp_path):
         write_features_csv(path, ["a", "b"], [0, 1], [[1.0, 2.0, 3.0], [1.0, bad, 3.0]], schema)
         with pytest.raises(ValueError, match="row for b: f001 is .*not a finite number"):
             read_features_csv(path)
+
+
+def test_feature_csv_label_must_be_an_integer(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("id,label,f000\na,0,1.0\nb,x,2.0\n")
+    with pytest.raises(ValueError, match="row for b: label is 'x', not an integer"):
+        read_features_csv(path)
 
 
 # -- permutation action and equivariance ----------------------------------
@@ -200,7 +207,7 @@ def test_equivariance_exact_filtered_schema():
 
 
 def test_polynomial_order_does_not_matter():
-    polys = [P("x1^2 - x2"), P("x3 - 1"), P("x1*x2*x3 + 2")]
+    polys = [x1**2 - x2, x3 - 1, x1*x2*x3 + 2]
     a = make_instance("s", polys)
     b = make_instance("s", list(reversed(polys)))
     assert featurize_exact(a) == featurize_exact(b)

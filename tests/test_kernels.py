@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from cadaug import kernels
-from cadaug.poly import X1, Polynomial
+from cadaug.poly import VARIABLES, X1, Polynomial
 from cadaug.resultants import resultant
+
+x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
 
 def random_kdict(rng, max_terms=6, max_exp=5, fractions=False):
@@ -131,8 +133,8 @@ def test_kdiv_zero_numerator():
 def test_resultant_reaches_kernels_through_module_attributes(monkeypatch):
     # Call counting (perfbench tracing) replaces these two attributes; a
     # caller that imported the functions directly would bypass it.
-    p = Polynomial.parse("x2*x1^3 + x3*x1 + 1")
-    q = Polynomial.parse("x3*x1^3 + x2*x1^2 + x1 + x2")
+    p = x2*x1**3 + x3*x1 + 1
+    q = x3*x1**3 + x2*x1**2 + x1 + x2
     calls = {"kmul": 0, "kdiv_exact": 0}
 
     def counting(name):

@@ -26,7 +26,7 @@ from cadaug.labelling import (
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
 from cadaug.symmetry import ALL_PERMUTATIONS
 
-P = Polynomial.parse
+x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
 
 def sigma_image(ordering, sigma):
@@ -177,22 +177,22 @@ def test_labels_csv_bad_header(tmp_path):
 
 
 def test_projection_known_values():
-    assert mccallum_projection({P("x1^2 - x2")}, X1) == {P("x2")}
-    assert mccallum_projection({P("x3^3 - 1")}, X1) == {P("x3^3 - 1")}
-    assert mccallum_projection({P("x1 - x2"), P("x1 + x2")}, X1) == {P("x2")}
+    assert mccallum_projection({x1**2 - x2}, X1) == {x2}
+    assert mccallum_projection({x3**3 - 1}, X1) == {x3**3 - 1}
+    assert mccallum_projection({x1 - x2, x1 + x2}, X1) == {x2}
 
 
 def test_projection_drops_constants_and_normalizes():
     # coefficient -4x2^2 and discriminant -16x2^2 both normalize to x2^2;
     # the constant coefficient 1 is dropped
-    out = mccallum_projection({P("x1^2 - 4*x2^2")}, X1)
-    assert out == {P("x2^2")}
+    out = mccallum_projection({x1**2 - 4*x2**2}, X1)
+    assert out == {x2**2}
 
 
 def test_projection_chain_levels():
-    chain = projection_chain({P("x1^2 - x2")}, Ordering(0))
-    assert chain[0] == {P("x1^2 - x2")}
-    assert chain[1] == {P("x2")}
+    chain = projection_chain({x1**2 - x2}, Ordering(0))
+    assert chain[0] == {x1**2 - x2}
+    assert chain[1] == {x2}
     assert chain[2] == set()
 
 
@@ -220,17 +220,17 @@ def test_projection_monotone_in_variables():
 
 
 def test_sotd_known_value():
-    assert sotd([{P("x1^2 - x2")}, {P("x2")}]) == 4
+    assert sotd([{x1**2 - x2}, {x2}]) == 4
 
 
 def test_sotd_constants_only():
     assert sotd([set(), set()]) == 0
-    assert sotd([{P("5")}]) == 0
+    assert sotd([{Polynomial.constant(5)}]) == 0
 
 
 def test_sotd_set_semantics():
-    a = {P("x1*x2 - 1")}
-    b = {P("x1*x2 - 1"), P("x1*x2 - 1")}  # same element, still one
+    a = {x1*x2 - 1}
+    b = {x1*x2 - 1, x1*x2 - 1}  # same element, still one
     assert len(b) == 1
     assert sotd([a]) == sotd([b])
 
@@ -239,19 +239,19 @@ def test_sotd_set_semantics():
 
 
 def test_symmetric_instance_ties_to_zero():
-    assert label_by_sotd({P("x1 + x2 + x3")}) == Ordering(0)
+    assert label_by_sotd({x1 + x2 + x3}) == Ordering(0)
 
 
 def test_budget_discard():
     tiny = ProjectionBudget(max_polys=0, max_total_degree=200)
-    assert label_by_sotd({P("x1 + x2 + x3")}, tiny) is None
-    assert sotd_scores({P("x1 + x2 + x3")}, tiny) == [None] * 6
+    assert label_by_sotd({x1 + x2 + x3}, tiny) is None
+    assert sotd_scores({x1 + x2 + x3}, tiny) == [None] * 6
 
 
 def test_degree_budget():
     tiny = ProjectionBudget(max_polys=512, max_total_degree=2)
     with pytest.raises(BudgetExceededError):
-        projection_chain({P("x1^3 - x2")}, Ordering(0), tiny)
+        projection_chain({x1**3 - x2}, Ordering(0), tiny)
 
 
 def random_polyset(rng):

@@ -14,10 +14,10 @@ import pytest
 
 from resultant_reference import determinant, sylvester_matrix
 
-from cadaug.poly import Polynomial, X1, X2, X3
+from cadaug.poly import VARIABLES, Polynomial, X1, X2, X3
 from cadaug.resultants import DegreeError, discriminant, resultant
 
-P = Polynomial.parse
+x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
 
 def cofactor_det(matrix):
@@ -49,41 +49,44 @@ def random_poly(rng, max_terms=4, max_exp=3):
 
 
 def test_sylvester_shape_and_entries():
-    p = P("x1^2 + 3*x1 - x2")  # degree 2 in x1
-    q = P("2*x1 + x3")  # degree 1 in x1
+    p = x1**2 + 3*x1 - x2  # degree 2 in x1
+    q = 2*x1 + x3  # degree 1 in x1
     m = sylvester_matrix(p, q, X1)
     assert len(m) == 3 and all(len(row) == 3 for row in m)
-    assert m[0] == [P("1"), P("3"), P("-x2")]
-    assert m[1] == [P("2"), P("x3"), P("0")]
-    assert m[2] == [P("0"), P("2"), P("x3")]
+    assert m[0] == [Polynomial.constant(1), Polynomial.constant(3), -x2]
+    assert m[1] == [Polynomial.constant(2), x3, Polynomial.constant(0)]
+    assert m[2] == [Polynomial.constant(0), Polynomial.constant(2), x3]
 
 
 def test_sylvester_requires_degree_one():
     with pytest.raises(DegreeError):
-        sylvester_matrix(P("x2"), P("x1"), X1)
+        sylvester_matrix(x2, x1, X1)
     with pytest.raises(DegreeError):
-        sylvester_matrix(P("x1"), P("5"), X1)
+        sylvester_matrix(x1, Polynomial.constant(5), X1)
 
 
 # -- determinant ----------------------------------------------------------
 
 
 def test_determinant_small_known():
-    assert determinant([[P("x1")]]) == P("x1")
-    assert determinant([[P("1"), P("x2")], [P("x1"), P("1")]]) == P("1 - x1*x2")
+    assert determinant([[x1]]) == x1
+    assert determinant([[Polynomial.constant(1), x2], [x1, Polynomial.constant(1)]]) == 1 - x1*x2
     # singular: second row is a multiple of the first
-    assert determinant([[P("x1"), P("x2")], [P("2*x1"), P("2*x2")]]).is_zero()
+    assert determinant([[x1, x2], [2*x1, 2*x2]]).is_zero()
 
 
 def test_determinant_needs_pivot_swap():
     # zero in the corner forces a row swap and a sign flip
-    m = [[P("0"), P("1")], [P("1"), P("0")]]
-    assert determinant(m) == P("-1")
+    m = [
+        [Polynomial.constant(0), Polynomial.constant(1)],
+        [Polynomial.constant(1), Polynomial.constant(0)],
+    ]
+    assert determinant(m) == Polynomial.constant(-1)
 
 
 def test_determinant_rejects_ragged():
     with pytest.raises(ValueError):
-        determinant([[P("1"), P("2")], [P("3")]])
+        determinant([[Polynomial.constant(1), Polynomial.constant(2)], [Polynomial.constant(3)]])
 
 
 def test_determinant_matches_cofactor_oracle():
@@ -108,11 +111,11 @@ def test_determinant_row_swap_cases_match_oracle():
 
 
 def test_resultant_linear_pair():
-    assert resultant(P("x1 - x2"), P("x1 - x3"), X1) == P("x2 - x3")
+    assert resultant(x1 - x2, x1 - x3, X1) == x2 - x3
 
 
 def test_resultant_quadratic_linear():
-    assert resultant(P("x1^2 - x3"), P("x1 - x2"), X1) == P("x2^2 - x3")
+    assert resultant(x1**2 - x3, x1 - x2, X1) == x2**2 - x3
 
 
 def test_resultant_matches_sylvester_cofactor():
@@ -217,12 +220,12 @@ def test_resultant_high_degree_matches_bareiss():
 def test_resultant_remainder_degree_drop():
     # x1^4 + x2 mod x1^3 + x3 leaves -x3*x1 + x2: the remainder degree
     # drops by 2, so the next PRS step has delta = 2.
-    p, q = P("x1^4 + x2"), P("x1^3 + x3")
+    p, q = x1**4 + x2, x1**3 + x3
     assert resultant(p, q, X1) == sylvester_det(p, q, X1)
     # x1^4 + x2 mod x1^2 + x3 is the constant x3^2 + x2: delta = 2 in the
     # first step, then a constant remainder against a degree-2 divisor.
-    p, q = P("x1^4 + x2"), P("x1^2 + x3")
-    assert resultant(p, q, X1) == sylvester_det(p, q, X1) == P("x2^2 + 2*x2*x3^2 + x3^4")
+    p, q = x1**4 + x2, x1**2 + x3
+    assert resultant(p, q, X1) == sylvester_det(p, q, X1) == x2**2 + 2*x2*x3**2 + x3**4
     # The same shapes with non-unit leading coefficients, against d*x^2 + e:
     # a*x^5 + b*x + c gives delta = 3, then a remainder of degree <= 1;
     # a*x^4 + c gives delta = 2, then a constant remainder.
@@ -261,31 +264,31 @@ def test_resultant_fraction_coefficients():
         q = random_in_v(rng, n, X1, fractions=True)
         assert resultant(p, q, X1) == sylvester_det(p, q, X1)
     half = Fraction(1, 2)
-    assert resultant(P("x1 - x2") * half, P("x1 - x3"), X1) == P("x2 - x3") * half
+    assert resultant((x1 - x2) * half, x1 - x3, X1) == (x2 - x3) * half
 
 
 def test_resultant_degree_errors():
     with pytest.raises(DegreeError):
-        resultant(P("x2 + 1"), P("x1"), X1)
+        resultant(x2 + 1, x1, X1)
     with pytest.raises(DegreeError):
-        resultant(P("x1"), Polynomial.zero(), X1)
+        resultant(x1, Polynomial.zero(), X1)
 
 
 # -- discriminant ---------------------------------------------------------
 
 
 def test_discriminant_known_values():
-    assert discriminant(P("x1^2 - x2"), X1) == P("-4*x2")
+    assert discriminant(x1**2 - x2, X1) == -4*x2
     # disc of x^2 + b x + c is 4c - b^2 under this convention
-    assert discriminant(P("x1^2 + x2*x1 + x3"), X1) == P("4*x3 - x2^2")
+    assert discriminant(x1**2 + x2*x1 + x3, X1) == 4*x3 - x2**2
 
 
 def test_discriminant_perfect_square_vanishes():
-    assert discriminant(P("x1^2 - 2*x1*x2 + x2^2"), X1).is_zero()
+    assert discriminant(x1**2 - 2*x1*x2 + x2**2, X1).is_zero()
 
 
 def test_discriminant_degree_errors():
     with pytest.raises(DegreeError):
-        discriminant(P("x1 + x2"), X1)
+        discriminant(x1 + x2, X1)
     with pytest.raises(DegreeError):
-        discriminant(P("x2^2"), X1)
+        discriminant(x2**2, X1)

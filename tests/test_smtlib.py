@@ -2,12 +2,13 @@
 
 import json
 import logging
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadaug.poly import Polynomial, X1, X2, X3
+from cadaug.poly import VARIABLES, Polynomial, X1, X2, X3
 from cadaug.smtlib import (
     ConstantAtomError,
     ExponentOverflowError,
@@ -27,7 +28,7 @@ from cadaug.smtlib import (
     write_instances_jsonl,
 )
 
-P = Polynomial.parse
+x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
 DECLS = "(declare-fun x () Real)(declare-fun y () Real)(declare-fun z () Real)"
 
@@ -36,8 +37,8 @@ def test_basic_script():
     script = DECLS + "(assert (> (* x x) y))(assert (= (* z z z) 1))"
     inst = parse_script(script, "demo")
     assert inst.id == "demo"
-    assert inst.polynomials == frozenset({P("x1^2 - x2"), P("x3^3 - 1")})
-    assert inst.varmap_dict() == {"x": X1, "y": X2, "z": X3}
+    assert inst.polynomials == frozenset({x1**2 - x2, x3**3 - 1})
+    assert dict(inst.variable_map) == {"x": X1, "y": X2, "z": X3}
 
 
 def test_duplicate_atom_stored_once():
@@ -61,8 +62,8 @@ def test_four_used_variables_error():
 def test_declared_but_unused_variable_is_ignored():
     script = DECLS + "(declare-fun w () Real)(assert (> (+ x y z) 0))"
     inst = parse_script(script)
-    assert "w" not in inst.varmap_dict()
-    assert inst.varmap_dict() == {"x": X1, "y": X2, "z": X3}
+    assert "w" not in dict(inst.variable_map)
+    assert dict(inst.variable_map) == {"x": X1, "y": X2, "z": X3}
 
 
 def test_canonicalization_follows_declaration_order():
@@ -70,13 +71,13 @@ def test_canonicalization_follows_declaration_order():
         "(declare-fun a () Real)(declare-fun b () Real)(declare-fun c () Real)"
         "(assert (> (+ a b c) 0))"
     )
-    assert parse_script(script).varmap_dict() == {"a": X1, "b": X2, "c": X3}
+    assert dict(parse_script(script).variable_map) == {"a": X1, "b": X2, "c": X3}
     script = (
         "(declare-fun z () Real)(declare-fun y () Real)(declare-fun x () Real)"
         "(assert (> (+ z y x) 0))"
     )
     inst = parse_script(script)
-    assert inst.varmap_dict() == {"z": X1, "y": X2, "x": X3}
+    assert dict(inst.variable_map) == {"z": X1, "y": X2, "x": X3}
     # declaration order, not alphabetical: z got x1
     assert inst.variable_map[0] == ("z", X1)
 
@@ -93,24 +94,24 @@ def test_atom_normalization_sign():
     # coefficient -1; normalization flips it to y - x
     script = DECLS + "(assert (> x y))(assert (> z 1))"
     inst = parse_script(script)
-    assert P("x2 - x1") in inst.polynomials
-    assert P("x3 - 1") in inst.polynomials
+    assert x2 - x1 in inst.polynomials
+    assert x3 - 1 in inst.polynomials
 
 
 def test_atom_normalization_clears_denominators_only():
     # coefficients are multiplied through but common integer content stays
     script = DECLS + "(assert (> (* 2 x) (* 2 y)))(assert (> (/ z 2) 1))"
     inst = parse_script(script)
-    assert P("2*x2 - 2*x1") in inst.polynomials
-    assert P("x3 - 2") in inst.polynomials
+    assert 2*x2 - 2*x1 in inst.polynomials
+    assert x3 - 2 in inst.polynomials
 
 
 def test_decimal_numerals_are_exact():
     script = DECLS + "(assert (> (+ x y) 1.25))(assert (> z 0.5))"
     inst = parse_script(script)
     # 4(x + y) - 5 after clearing 1.25 = 5/4
-    assert P("4*x1 + 4*x2 - 5") in inst.polynomials
-    assert P("2*x3 - 1") in inst.polynomials
+    assert 4*x1 + 4*x2 - 5 in inst.polynomials
+    assert 2*x3 - 1 in inst.polynomials
 
 
 def test_unary_minus_and_subtraction_chain():
@@ -118,33 +119,33 @@ def test_unary_minus_and_subtraction_chain():
     inst = parse_script(script)
     # -x - (y - z - 1) = -x - y + z + 1; leading coefficient (on x3) is
     # already positive, so no sign flip
-    assert inst.polynomials == frozenset({P("x3 - x2 - x1 + 1")})
+    assert inst.polynomials == frozenset({x3 - x2 - x1 + 1})
 
 
 def test_chained_relation():
     script = DECLS + "(assert (< x y z))"
     inst = parse_script(script)
-    assert inst.polynomials == frozenset({P("x2 - x1"), P("x3 - x2")})
+    assert inst.polynomials == frozenset({x2 - x1, x3 - x2})
 
 
 def test_distinct_pairs():
     script = DECLS + "(assert (distinct x y z))"
     inst = parse_script(script)
-    assert inst.polynomials == frozenset({P("x2 - x1"), P("x3 - x1"), P("x3 - x2")})
+    assert inst.polynomials == frozenset({x2 - x1, x3 - x1, x3 - x2})
 
 
 def test_boolean_structure_is_flattened():
     script = DECLS + "(assert (and (or (> x 1) (not (< y 2))) (=> (> z 3) (> x 4))))"
     inst = parse_script(script)
     assert inst.polynomials == frozenset(
-        {P("x1 - 1"), P("x2 - 2"), P("x3 - 3"), P("x1 - 4")}
+        {x1 - 1, x2 - 2, x3 - 3, x1 - 4}
     )
 
 
 def test_term_level_let():
     script = DECLS + "(assert (> (let ((t (* x x))) (+ t y)) z))"
     inst = parse_script(script)
-    assert inst.polynomials == frozenset({P("x1^2 + x2 - x3")})
+    assert inst.polynomials == frozenset({x1**2 + x2 - x3})
 
 
 def test_let_shadows_declaration():
@@ -162,7 +163,7 @@ def test_dead_let_binding_does_not_count_usage():
         + "(assert (> (let ((t (* w w))) (+ x y z)) 0))"
     )
     inst = parse_script(script)
-    assert "w" not in inst.varmap_dict()
+    assert "w" not in dict(inst.variable_map)
 
 
 def test_let_bound_boolean_rejected():
@@ -175,7 +176,7 @@ def test_division_by_constant_expression():
     script = DECLS + "(assert (> (/ x (+ 1 1)) (+ y z)))"
     inst = parse_script(script)
     # x/2 - y - z clears to x - 2y - 2z, then flips so the x3 term is positive
-    assert inst.polynomials == frozenset({P("2*x3 + 2*x2 - x1")})
+    assert inst.polynomials == frozenset({2*x3 + 2*x2 - x1})
 
 
 def test_division_by_variable_rejected():
@@ -227,7 +228,7 @@ def squaring_chain(k):
 
 def test_exponent_overflow_rejected():
     inst = parse_script(squaring_chain(20))
-    assert P(f"x1^{2**20} + x2 + x3") in inst.polynomials
+    assert x1**2**20 + x2 + x3 in inst.polynomials
     # x^(2^21) does not fit 21 exponent bits; unchecked, it carried into
     # the x2 field and was ingested as x3 + 2*x2.
     with pytest.raises(ExponentOverflowError) as exc:
@@ -256,7 +257,7 @@ def test_comments_strings_and_options_ignored():
         "(check-sat)\n(exit)\n"
     )
     inst = parse_script(script)
-    assert inst.polynomials == frozenset({P("x1 + x2 + x3")})
+    assert inst.polynomials == frozenset({x1 + x2 + x3})
 
 
 def test_declare_const_supported():
@@ -264,7 +265,7 @@ def test_declare_const_supported():
         "(declare-const x Real)(declare-const y Real)(declare-const z Real)"
         "(assert (> (* x y) z))"
     )
-    assert parse_script(script).polynomials == frozenset({P("x1*x2 - x3")})
+    assert parse_script(script).polynomials == frozenset({x1*x2 - x3})
 
 
 def test_redeclaration_rejected():
@@ -281,17 +282,17 @@ def make_instance(id_, polys):
 
 
 def test_dedup_identical_sets():
-    a = make_instance("a", [P("x1 + x2 + x3")])
-    b = make_instance("b", [P("x1 + x2 + x3")])
-    c = make_instance("c", [P("x1*x2 - x3")])
+    a = make_instance("a", [x1 + x2 + x3])
+    b = make_instance("b", [x1 + x2 + x3])
+    c = make_instance("c", [x1*x2 - x3])
     assert dedup_syntactic([a, b, c]) == [a, c]
     # the smaller id survives regardless of position
     assert dedup_syntactic([b, a, c]) == [a, c]
 
 
 def test_dedup_keeps_role_variants():
-    a = make_instance("a", [P("x1^2 - x2"), P("x3 - 1")])
-    b = make_instance("b", [P("x2^2 - x1"), P("x3 - 1")])
+    a = make_instance("a", [x1**2 - x2, x3 - 1])
+    b = make_instance("b", [x2**2 - x1, x3 - 1])
     assert dedup_syntactic([a, b]) == [a, b]
 
 
@@ -303,10 +304,9 @@ def test_dedup_empty():
 
 
 def test_poly_to_smt_roundtrip():
-    assert poly_to_smt(P("7")) == "7"
+    assert poly_to_smt(Polynomial.constant(7)) == "7"
     assert poly_to_smt(Polynomial.zero()) == "0"
-    for text in ["x1^2 - x2", "3*x1*x2*x3 + 1", "-2*x1 + 5", "1/2*x1^3 - 3/4*x2"]:
-        p = P(text)
+    for p in [x1**2 - x2, 3*x1*x2*x3 + 1, -2*x1 + 5, Fraction(1, 2)*x1**3 - Fraction(3, 4)*x2]:
         full = (
             "(declare-fun x1 () Real)(declare-fun x2 () Real)(declare-fun x3 () Real)"
             f"(assert (> {poly_to_smt(p)} 0))(assert (> (* x1 x2 x3) 0))"
@@ -460,6 +460,16 @@ def test_ingest_directory_skips_files_that_are_not_utf8(tmp_path, caplog):
     assert len(messages) == 1 and messages[0].startswith("skipping a_latin1: 'utf-8' codec")
 
 
+def test_ingest_directory_skips_entries_it_cannot_read(tmp_path, caplog):
+    (tmp_path / "a_good.smt2").write_text(DECLS + "(assert (> (+ x y) z))")
+    (tmp_path / "sub.smt2").mkdir()
+    with caplog.at_level(logging.WARNING, logger="cadaug.ingest"):
+        instances = ingest_directory(tmp_path)
+    assert [i.id for i in instances] == ["a_good"]
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert len(messages) == 1 and messages[0].startswith("skipping sub: ")
+
+
 def test_ingest_directory_ids_are_relative_paths(tmp_path, caplog):
     for sub, body in (("a", "(+ x y)"), ("b", "(* x y)")):
         (tmp_path / sub).mkdir()
@@ -487,6 +497,6 @@ def test_instance_invariants():
     with pytest.raises(IngestError):
         ProblemInstance("e", frozenset(), ())
     with pytest.raises(ConstantAtomError):
-        make_instance("z", [Polynomial.zero(), P("x1 + x2 + x3")])
+        make_instance("z", [Polynomial.zero(), x1 + x2 + x3])
     with pytest.raises(VariableCountError):
-        make_instance("v", [P("x1 + x2")])
+        make_instance("v", [x1 + x2])

@@ -56,15 +56,6 @@ def test_inverse():
         assert p.inverse().compose(p) == IDENTITY
 
 
-def test_from_name_roundtrip():
-    for p in ALL_PERMUTATIONS:
-        assert Permutation.from_name(p.name) == p
-    with pytest.raises(ValueError):
-        Permutation.from_name("122")
-    with pytest.raises(ValueError):
-        Permutation.from_name("1234")
-
-
 def test_invalid_images_rejected():
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))

@@ -21,12 +21,12 @@ from cadaug.dataset import Dataset
 from cadaug.features import FeatureSchema, all_shapes
 from cadaug.ml import CVPlan, train
 from cadaug.labelling import TimingRecord, write_timings_csv
-from cadaug.poly import Polynomial, X1, X2, X3
+from cadaug.poly import VARIABLES, Polynomial, X1, X2, X3
 from cadaug.smtlib import ProblemInstance
 from cadaug.synth import synthesize_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-P = Polynomial.parse
+x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def tracing(monkeypatch):
 
 def _instances(n):
     varmap = (("x", X1), ("y", X2), ("z", X3))
-    polys = [frozenset({P(f"x1^{k + 1} + x2*x3 - {k + 1}"), P("x1*x2 + x3")}) for k in range(n)]
+    polys = [frozenset({x1**(k + 1) + x2*x3 - (k + 1), x1*x2 + x3}) for k in range(n)]
     return [ProblemInstance(f"i{k}", p, varmap) for k, p in enumerate(polys)]
 
 
