@@ -348,8 +348,8 @@ def write_features_csv(
 def read_features_csv(path):
     """Returns (ids, labels, matrix); labels are ints or None.
 
-    A label that is not an integer, or a value that is not a finite number
-    (``nan``, ``inf``), is rejected, naming its row id and column.
+    A label that is not an integer, or a value that is not a number or not
+    finite (``nan``, ``inf``), is rejected, naming its row id and column.
     """
     ids: list[str] = []
     labels: list[Optional[int]] = []
@@ -373,7 +373,15 @@ def read_features_csv(path):
                 raise ValueError(
                     f"row for {parts[0]}: label is {parts[1]!r}, not an integer"
                 ) from None
-            values.append([float(x) for x in parts[2:]])
+            row = []
+            for name, cell in zip(header[2:], parts[2:]):
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"row for {parts[0]}: {name} is {cell!r}, not a number"
+                    ) from None
+            values.append(row)
     matrix = np.asarray(values, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:

@@ -13,7 +13,7 @@ from .selection import (
     accuracy,
     train,
 )
-from .tree import DecisionTreeClassifier, N_CLASSES, tree_depth
+from .tree import DecisionTreeClassifier, N_CLASSES
 
 __all__ = [
     "CVPlan",
@@ -30,5 +30,4 @@ __all__ = [
     "accuracy",
     "standardize_fit",
     "train",
-    "tree_depth",
 ]

@@ -10,9 +10,12 @@ from ..seeding import derive_seed
 from .tree import (
     N_CLASSES,
     DecisionTreeClassifier,
+    TreeArrays,
     check_count,
+    check_cuttable,
     check_depth,
     rank_columns,
+    route,
 )
 
 __all__ = ["RandomForestClassifier", "resolve_max_features"]
@@ -45,8 +48,9 @@ class RandomForestClassifier:
     ``bootstrap=False``) and nothing else; the feature subset at each
     split is keyed by the tree seed and the node's path (see
     ``tree._grow``).  The forest grown with a depth bound is therefore
-    the deeper forest cut at that depth (``predict_bounded``).  Vote
-    ties go to the lowest label index.
+    the deeper forest cut at that depth (``predict_bounded``), each cut
+    node predicting the majority of its tree's bootstrap rows, recorded
+    at growth.  Vote ties go to the lowest label index.
     """
 
     kind = "rf"
@@ -78,15 +82,6 @@ class RandomForestClassifier:
             raise ValueError("classifier is not fitted")
         return self._n_features
 
-    def _tree_samples(self, n: int):
-        """Each tree's seed and bootstrap rows (all n rows without bootstrap)."""
-        for i in range(self.n_trees):
-            seed = derive_seed(self.seed, f"tree:{i}")
-            if self.bootstrap:
-                yield seed, np.random.default_rng(seed).integers(0, n, size=n)
-            else:
-                yield seed, np.arange(n)
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
@@ -96,48 +91,39 @@ class RandomForestClassifier:
         mtry = resolve_max_features(self.max_features, d)
         ranked = rank_columns(X)
         self.trees = []
-        for seed, sample in self._tree_samples(n):
+        for i in range(self.n_trees):
+            seed = derive_seed(self.seed, f"tree:{i}")
+            if self.bootstrap:
+                sample = np.random.default_rng(seed).integers(0, n, size=n)
+            else:
+                sample = np.arange(n)
             tree = DecisionTreeClassifier(self.max_depth, self.min_leaf)
             tree.fit(X[sample], y[sample], seed=seed, mtry=mtry, ranked=ranked.rows(sample))
             self.trees.append(tree)
         self._n_features = d
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def _fitted(self) -> list[DecisionTreeClassifier]:
         if self.trees is None:
             raise ValueError("classifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return _vote([tree.predict(X) for tree in self.trees], X.shape[0])
+        return self.trees
 
-    def predict_bounded(
-        self, X_fit: np.ndarray, y_fit: np.ndarray, X: np.ndarray, bounds: list[int | None]
-    ) -> list[np.ndarray]:
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return _predict([tree.arrays for tree in self._fitted()], X, [None])[0]
+
+    def predict_bounded(self, X: np.ndarray, bounds: list[int | None]) -> list[np.ndarray]:
         """Predictions with every tree cut at each depth in ``bounds``.
 
-        ``(X_fit, y_fit)`` must be the rows this forest was fitted on, and
-        no bound may be deeper than its own ``max_depth``.  Each tree's
-        bootstrap sample is drawn again from its seed, once for all bounds,
-        and the tree is cut there (``DecisionTreeClassifier.predict_bounded``);
-        at its own depth the forest predicts plainly.  Each result equals
-        the prediction of the forest fitted with that ``max_depth`` and
-        otherwise the same parameters.
+        No bound may be deeper than the forest's own ``max_depth``.  Each
+        result equals the prediction of the forest fitted with that
+        ``max_depth`` and otherwise the same parameters.  A forest read
+        from a model file cannot be cut.
         """
-        if self.trees is None:
-            raise ValueError("classifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        cut = [bound for bound in bounds if bound != self.max_depth]
-        votes: dict[int | None, np.ndarray] = {}
-        if cut:
-            per_tree = [
-                tree.predict_bounded(X_fit[sample], y_fit[sample], X, cut)
-                for tree, (_, sample) in zip(self.trees, self._tree_samples(len(y_fit)))
-            ]
-            votes = {bound: _vote(column, X.shape[0]) for bound, column in zip(cut, zip(*per_tree))}
-        return [votes[bound] if bound in votes else self.predict(X) for bound in bounds]
+        arrays = [check_cuttable(tree.arrays) for tree in self._fitted()]
+        return _predict(arrays, X, bounds)
 
     def to_payload(self) -> dict:
-        if self.trees is None:
-            raise ValueError("classifier is not fitted")
+        trees = self._fitted()
         return {
             "n_trees": self.n_trees,
             "max_depth": self.max_depth,
@@ -146,7 +132,7 @@ class RandomForestClassifier:
             "bootstrap": self.bootstrap,
             "seed": self.seed,
             "n_features": self._n_features,
-            "trees": [tree.to_payload() for tree in self.trees],
+            "trees": [tree.to_payload() for tree in trees],
         }
 
     @classmethod
@@ -164,10 +150,14 @@ class RandomForestClassifier:
         return model
 
 
-def _vote(predictions: list[np.ndarray], n: int) -> np.ndarray:
-    """Majority vote over per-tree predictions; ties go to the lowest label."""
-    votes = np.zeros((n, N_CLASSES), dtype=np.int64)
-    rows = np.arange(n)
-    for predicted in predictions:
-        votes[rows, predicted] += 1
-    return votes.argmax(axis=1)
+def _predict(arrays: list[TreeArrays], X: np.ndarray, bounds: list[int | None]) -> list[np.ndarray]:
+    """The forest's vote with its trees cut at each depth in ``bounds``."""
+    return [_vote(labels) for labels in route(arrays, X, bounds)]
+
+
+def _vote(labels: np.ndarray) -> np.ndarray:
+    """Majority vote over a ``(trees, rows)`` label array; ties go to the
+    lowest label."""
+    n = labels.shape[1]
+    cells = labels + N_CLASSES * np.arange(n)
+    return np.bincount(cells.ravel(), minlength=n * N_CLASSES).reshape(n, N_CLASSES).argmax(axis=1)

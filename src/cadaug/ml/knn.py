@@ -47,12 +47,10 @@ class KNNClassifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._predict_each(X, [self.k])[0]
 
-    def predict_bounded(
-        self, X_fit: np.ndarray, y_fit: np.ndarray, X: np.ndarray, bounds: list[int]
-    ) -> list[np.ndarray]:
+    def predict_bounded(self, X: np.ndarray, bounds: list[int]) -> list[np.ndarray]:
         """The predictions of ``KNNClassifier(k)`` fitted on the same rows
-        (kept at fit, so ``X_fit`` and ``y_fit`` go unused) for each ``k``
-        in ``bounds``: one neighbour order, each ``k`` voting over a prefix."""
+        for each ``k`` in ``bounds``: one neighbour order, each ``k``
+        voting over a prefix."""
         return self._predict_each(X, bounds)
 
     def _predict_each(self, X: np.ndarray, ks: list[int]) -> list[np.ndarray]:

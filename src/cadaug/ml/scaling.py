@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..jsonfields import json_field
+
 __all__ = ["Standardizer", "standardize_fit"]
 
 _ZERO_VARIANCE = 1e-12
@@ -46,8 +48,15 @@ class Standardizer:
 
     @classmethod
     def from_json(cls, data: dict) -> "Standardizer":
-        return cls(tuple(float(v) for v in data["mean"]),
-                   tuple(float(v) for v in data["scale"]))
+        return cls(_numbers(data, "mean"), _numbers(data, "scale"))
+
+
+def _numbers(data: dict, key: str) -> tuple[float, ...]:
+    """``data[key]``, which must be an array of numbers."""
+    values = json_field(data, key, list, "model file stats")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"model file stats: {key!r} is not an array of numbers")
+    return tuple(float(v) for v in values)
 
 
 def standardize_fit(matrix: np.ndarray) -> Standardizer:

@@ -194,10 +194,13 @@ def _fold_predictions(
     Grid points that differ only in the kind's bounded hyperparameter
     (``_BOUNDED``) form a group, keyed by ``rest``, the repr of their
     other parameters, sorted.  Each group fits one model at its largest
-    bound (an unbounded depth, ``None``, is the largest) with seed
-    ``derive_seed(seed, f"{kind}:{rest}:{fold}")``, which only rf uses,
-    and ``predict_bounded`` scores every bound of the group from it.
-    That equals fitting each point alone with the same seed.
+    bound (an unbounded depth, ``None``, is the largest) on
+    ``(X_fit, y_fit)`` with seed ``derive_seed(seed, f"{kind}:{rest}:{fold}")``,
+    which only rf uses, and ``predict_bounded`` scores every bound of the
+    group on ``X_test`` from that model alone: knn votes over a prefix of
+    one neighbour order, and trees are cut at each depth, a cut node
+    predicting the majority recorded when it was grown.  That equals
+    fitting each point alone with the same seed.
     """
     bounded = _BOUNDED[kind]
     points = []
@@ -216,7 +219,7 @@ def _fold_predictions(
         model = _make_classifier(
             kind, {**others, bounded: largest}, derive_seed(seed, f"{kind}:{rest}:{fold}")
         ).fit(X_fit, y_fit)
-        for bound, predicted in zip(bounds, model.predict_bounded(X_fit, y_fit, X_test, bounds)):
+        for bound, predicted in zip(bounds, model.predict_bounded(X_test, bounds)):
             predictions[rest, bound] = predicted
     return [predictions[point] for point in points]
 

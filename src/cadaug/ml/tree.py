@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
+
+from ..jsonfields import json_field
 
 __all__ = [
     "DecisionTreeClassifier",
     "RankedColumns",
+    "TreeArrays",
     "check_count",
+    "check_cuttable",
     "check_depth",
     "column_draw",
     "draw_steps",
-    "predict_truncated",
     "rank_columns",
+    "route",
     "splitmix64",
-    "tree_depth",
     "N_CLASSES",
 ]
 
@@ -173,6 +176,121 @@ def _best_split(
     return int(column[best]), lo, hi
 
 
+class TreeArrays(NamedTuple):
+    """A fitted tree as preorder node arrays (the root is node 0).
+
+    A split node sends a row to ``left`` when its value in column
+    ``feature`` is at most ``threshold``, else to ``right``.  A leaf points
+    to itself on both sides.  ``value`` is the majority label of the
+    fitting rows that reach each node, split nodes included, so the node
+    a row holds after d steps is its prediction with the tree cut at
+    depth d.  A tree read from a model file has only leaf labels: its
+    split nodes hold ``_UNKNOWN``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def depth(self) -> int:
+        """Number of split levels below the root (a lone leaf has depth 0)."""
+        level, frontier = 0, np.zeros(1, dtype=np.intp)
+        while True:
+            frontier = frontier[self.left[frontier] != frontier]
+            if frontier.size == 0:
+                return level
+            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            level += 1
+
+    def to_dict(self) -> dict:
+        """The nested-dict form of model files: split nodes hold
+        ``feature``, ``threshold``, ``left`` and ``right``, leaves ``label``."""
+        leaf = self.left == np.arange(self.left.size)
+        nodes = [
+            {"label": value} if is_leaf else {"feature": feature, "threshold": threshold}
+            for is_leaf, feature, threshold, value in zip(
+                leaf.tolist(), self.feature.tolist(), self.threshold.tolist(), self.value.tolist()
+            )
+        ]
+        for node, left, right in zip(nodes, self.left.tolist(), self.right.tolist()):
+            if "feature" in node:
+                node["left"] = nodes[left]
+                node["right"] = nodes[right]
+        return nodes[0]
+
+    @classmethod
+    def from_dict(cls, root: dict, n_features: int) -> "TreeArrays":
+        """Read the nested-dict form back; a node with a missing, mistyped
+        or out-of-range key is a ``ValueError``."""
+        nodes = _Preorder()
+        stack: list[tuple[Any, int]] = [(root, -1)]
+        while stack:
+            node, right_of = stack.pop()
+            if not isinstance(node, dict):
+                raise ValueError(f"{_NODE}: not an object")
+            if "label" in node:
+                label = json_field(node, "label", int, _NODE)
+                if not 0 <= label < N_CLASSES:
+                    raise ValueError(f"{_NODE}: label {label} is not a class index")
+                nodes.add(label, right_of)
+                continue
+            feature = json_field(node, "feature", int, _NODE)
+            if not 0 <= feature < n_features:
+                raise ValueError(f"{_NODE}: feature {feature} is not a column index")
+            threshold = float(json_field(node, "threshold", float, _NODE))
+            index = nodes.add(_UNKNOWN, right_of)
+            nodes.split(index, feature, threshold)
+            stack.append((json_field(node, "right", dict, _NODE), index))
+            stack.append((json_field(node, "left", dict, _NODE), -1))
+        return nodes.arrays()
+
+
+_UNKNOWN = -1
+_NODE = "model file tree node"
+
+
+class _Preorder:
+    """Node arrays filled in preorder, left child first: a split node's
+    left child is the node added next, and its right child is linked when
+    it is added."""
+
+    def __init__(self) -> None:
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[int] = []
+
+    def add(self, value: int, right_of: int) -> int:
+        """Add a leaf predicting ``value``, the right child of node
+        ``right_of`` (-1: a left child or the root); return its index."""
+        node = len(self.value)
+        if right_of >= 0:
+            self.right[right_of] = node
+        self.feature.append(0)
+        self.threshold.append(0.0)
+        self.left.append(node)
+        self.right.append(node)
+        self.value.append(value)
+        return node
+
+    def split(self, node: int, feature: int, threshold: float) -> None:
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.left[node] = node + 1
+
+    def arrays(self) -> TreeArrays:
+        return TreeArrays(
+            np.array(self.feature, dtype=np.intp),
+            np.array(self.threshold, dtype=np.float64),
+            np.array(self.left, dtype=np.intp),
+            np.array(self.right, dtype=np.intp),
+            np.array(self.value, dtype=np.int64),
+        )
+
+
 def _grow(
     X: np.ndarray,
     y: np.ndarray,
@@ -181,7 +299,7 @@ def _grow(
     min_leaf: int,
     seed: int | None,
     mtry: int | None,
-) -> dict:
+) -> TreeArrays:
     """Grow a tree iteratively (preorder, left child first).
 
     With ``mtry`` below the column count, each node draws its candidate
@@ -202,16 +320,18 @@ def _grow(
     if drawing:
         assert seed is not None
         steps = draw_steps(n_features)
-    root: dict = {}
-    stack: list[tuple[dict, np.ndarray, int, int]] = [
-        (root, np.arange(X.shape[0]), 0, splitmix64(seed) if drawing else 0)
+    nodes = _Preorder()
+    # each entry: the node's rows, depth and key, and the node whose right
+    # child it is (-1 for a left child or the root)
+    stack: list[tuple[np.ndarray, int, int, int]] = [
+        (np.arange(X.shape[0]), 0, splitmix64(seed) if drawing else 0, -1)
     ]
     while stack:
-        node, idx, depth, key = stack.pop()
+        idx, depth, key, right_of = stack.pop()
         counts = np.bincount(y[idx], minlength=N_CLASSES)
         majority = int(counts.argmax())
+        node = nodes.add(majority, right_of)
         if depth >= max_depth or counts[majority] == idx.size:
-            node["label"] = majority
             continue
         if drawing:
             columns = column_draw(key, steps, mtry)
@@ -225,7 +345,6 @@ def _grow(
             columns, shift, node_cells, n_bins = all_columns, no_shift, cells[idx], all_bins
         found = _best_split(node_cells, counts, n_bins, min_leaf)
         if found is None:
-            node["label"] = majority
             continue
         j, lo, hi = found
         feature = int(columns[j])
@@ -234,83 +353,49 @@ def _grow(
         # the midpoint of adjacent floats can round up to the upper value
         mask = X[idx, feature] <= threshold
         if not 0 < np.count_nonzero(mask) < idx.size:
-            node["label"] = majority
             continue
-        left: dict = {}
-        right: dict = {}
-        node["feature"] = feature
-        node["threshold"] = threshold
-        node["left"] = left
-        node["right"] = right
+        nodes.split(node, feature, threshold)
         if drawing:
             left_key, right_key = splitmix64(key ^ 1), splitmix64(key ^ 2)
         else:
             left_key = right_key = 0
-        stack.append((right, idx[~mask], depth + 1, right_key))
-        stack.append((left, idx[mask], depth + 1, left_key))
-    return root
+        stack.append((idx[~mask], depth + 1, right_key, node))
+        stack.append((idx[mask], depth + 1, left_key, -1))
+    return nodes.arrays()
 
 
-def _predict_tree(root: dict, X: np.ndarray, out: np.ndarray) -> None:
-    stack: list[tuple[dict, np.ndarray]] = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if "label" in node:
-            out[idx] = node["label"]
-            continue
-        mask = X[idx, node["feature"]] <= node["threshold"]
-        stack.append((node["right"], idx[~mask]))
-        stack.append((node["left"], idx[mask]))
+def route(
+    trees: Sequence[TreeArrays], X: np.ndarray, depths: Sequence[int | None]
+) -> list[np.ndarray]:
+    """Every tree's labels for every row of ``X``, with the trees cut at
+    each depth in ``depths`` (``None``: not cut), as ``(trees, rows)``
+    arrays.
 
-
-def predict_truncated(
-    root: dict,
-    X_fit: np.ndarray,
-    y_fit: np.ndarray,
-    X: np.ndarray,
-    max_depth: int | None,
-) -> np.ndarray:
-    """Predict with a fitted tree cut at ``max_depth``.
-
-    A node at depth ``max_depth`` predicts the majority label of the
-    fitting rows ``(X_fit, y_fit)`` that reach it.  Growth has no other
-    dependence on the depth bound (column draws are keyed by the node's
-    path), so this equals the prediction of the tree fitted with
-    ``max_depth`` on the same rows, seed and ``mtry``.
+    The trees' nodes are laid end to end, and each level moves every row
+    of every tree one step down with one gather; a row at a leaf stays.
+    After d steps a row holds the node whose ``value`` is its prediction
+    at cut depth d.
     """
-    bound = max_depth if max_depth is not None else _NO_LIMIT
-    out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(root, np.arange(X_fit.shape[0]), np.arange(X.shape[0]), 0)]
-    while stack:
-        node, fit_idx, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if "label" in node:
-            out[idx] = node["label"]
-            continue
-        if depth >= bound:
-            out[idx] = np.bincount(y_fit[fit_idx], minlength=N_CLASSES).argmax()
-            continue
-        feature, threshold = node["feature"], node["threshold"]
-        fit_mask = X_fit[fit_idx, feature] <= threshold
-        mask = X[idx, feature] <= threshold
-        stack.append((node["right"], fit_idx[~fit_mask], idx[~mask], depth + 1))
-        stack.append((node["left"], fit_idx[fit_mask], idx[mask], depth + 1))
-    return out
-
-
-def tree_depth(node: dict) -> int:
-    """Number of split levels below this node (a leaf has depth 0)."""
-    best = 0
-    stack = [(node, 0)]
-    while stack:
-        current, depth = stack.pop()
-        if "label" in current:
-            best = max(best, depth)
-            continue
-        stack.append((current["left"], depth + 1))
-        stack.append((current["right"], depth + 1))
-    return best
+    X = np.asarray(X, dtype=np.float64)
+    sizes = np.array([tree.left.size for tree in trees])
+    starts = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left + start for tree, start in zip(trees, starts)])
+    right = np.concatenate([tree.right + start for tree, start in zip(trees, starts)])
+    value = np.concatenate([tree.value for tree in trees])
+    leaf = left == np.arange(left.size)
+    rows = np.arange(X.shape[0])
+    at = np.repeat(starts, X.shape[0]).reshape(len(trees), X.shape[0])
+    level = 0
+    labels: dict[int | None, np.ndarray] = {}
+    for depth in sorted(set(depths), key=lambda d: _NO_LIMIT if d is None else d):
+        bound = _NO_LIMIT if depth is None else depth
+        while level < bound and not leaf[at].all():
+            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+            level += 1
+        labels[depth] = value[at]
+    return [labels[depth] for depth in depths]
 
 
 class DecisionTreeClassifier:
@@ -318,7 +403,8 @@ class DecisionTreeClassifier:
 
     ``max_depth=None`` means unbounded; ``min_leaf`` is the minimum number
     of training rows each side of a split must keep.  Both must be
-    integers.
+    integers.  The fitted tree is ``arrays`` (``TreeArrays``); ``tree`` is
+    its nested-dict form, built on each access.
     """
 
     kind = "dt"
@@ -326,7 +412,7 @@ class DecisionTreeClassifier:
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
         self.max_depth = check_depth(max_depth)
         self.min_leaf = check_count("min_leaf", min_leaf)
-        self.tree: dict | None = None
+        self.arrays: TreeArrays | None = None
         self._n_features: int | None = None
 
     @property
@@ -334,6 +420,16 @@ class DecisionTreeClassifier:
         if self._n_features is None:
             raise ValueError("classifier is not fitted")
         return self._n_features
+
+    @property
+    def tree(self) -> dict | None:
+        """The fitted tree as nested dicts (``TreeArrays.to_dict``), or None."""
+        return None if self.arrays is None else self.arrays.to_dict()
+
+    def _fitted(self) -> TreeArrays:
+        if self.arrays is None:
+            raise ValueError("classifier is not fitted")
+        return self.arrays
 
     def fit(
         self,
@@ -354,47 +450,44 @@ class DecisionTreeClassifier:
         if ranked is None:
             ranked = rank_columns(X)
         bound = self.max_depth if self.max_depth is not None else _NO_LIMIT
-        self.tree = _grow(X, y, ranked, bound, self.min_leaf, seed, mtry)
+        self.arrays = _grow(X, y, ranked, bound, self.min_leaf, seed, mtry)
         self._n_features = X.shape[1]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.tree is None:
-            raise ValueError("classifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        _predict_tree(self.tree, X, out)
-        return out
+        return route([self._fitted()], X, [None])[0][0]
 
-    def predict_bounded(
-        self, X_fit: np.ndarray, y_fit: np.ndarray, X: np.ndarray, bounds: list[int | None]
-    ) -> list[np.ndarray]:
-        """Predictions of the tree cut at each depth in ``bounds``
-        (``predict_truncated``).  ``(X_fit, y_fit)`` must be the rows it
-        was fitted on, and no bound may be deeper than its own
-        ``max_depth``."""
-        if self.tree is None:
-            raise ValueError("classifier is not fitted")
-        return [predict_truncated(self.tree, X_fit, y_fit, X, bound) for bound in bounds]
+    def predict_bounded(self, X: np.ndarray, bounds: list[int | None]) -> list[np.ndarray]:
+        """Predictions of the tree cut at each depth in ``bounds``, each
+        node predicting the majority of its fitting rows recorded at
+        growth.  No bound may be deeper than the tree's own ``max_depth``;
+        a tree read from a model file cannot be cut."""
+        arrays = check_cuttable(self._fitted())
+        return [labels[0] for labels in route([arrays], X, bounds)]
 
     def depth(self) -> int:
-        if self.tree is None:
-            raise ValueError("classifier is not fitted")
-        return tree_depth(self.tree)
+        return self._fitted().depth()
 
     def to_payload(self) -> dict:
-        if self.tree is None:
-            raise ValueError("classifier is not fitted")
         return {
             "max_depth": self.max_depth,
             "min_leaf": self.min_leaf,
             "n_features": self._n_features,
-            "tree": self.tree,
+            "tree": self._fitted().to_dict(),
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "DecisionTreeClassifier":
         model = cls(max_depth=payload["max_depth"], min_leaf=payload["min_leaf"])
-        model.tree = payload["tree"]
-        model._n_features = payload["n_features"]
+        model._n_features = json_field(payload, "n_features", int, "model file")
+        model.arrays = TreeArrays.from_dict(
+            json_field(payload, "tree", dict, "model file"), model._n_features
+        )
         return model
+
+
+def check_cuttable(arrays: TreeArrays) -> TreeArrays:
+    """``arrays``, which must hold the majority of every split node."""
+    if (arrays.value == _UNKNOWN).any():
+        raise ValueError("a tree read from a model file cannot be cut at a depth")
+    return arrays

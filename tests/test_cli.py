@@ -260,6 +260,45 @@ def test_evaluate_rejects_a_model_file_without_its_keys(workspace, tmp_path, cap
     assert message in capsys.readouterr().err
 
 
+def _first_leaf(node):
+    while "label" not in node:
+        node = node["left"]
+    return node
+
+
+@pytest.mark.parametrize("kind, damage, message", [
+    ("knn", lambda m: m["stats"].update(mean=5), "model file stats: 'mean' is not an array"),
+    ("knn", lambda m: m["stats"]["scale"].__setitem__(0, "1"),
+     "model file stats: 'scale' is not an array of numbers"),
+    ("dt", lambda m: m["payload"]["tree"].pop("threshold"),
+     "model file tree node: missing key 'threshold'"),
+    ("dt", lambda m: m["payload"]["tree"].update(feature="0"),
+     "model file tree node: 'feature' is not an integer"),
+    ("dt", lambda m: m["payload"]["tree"].update(left=[]),
+     "model file tree node: 'left' is not an object"),
+    ("rf", lambda m: _first_leaf(m["payload"]["trees"][1]["tree"]).update(label=None),
+     "model file tree node: 'label' is not an integer"),
+    ("rf", lambda m: _first_leaf(m["payload"]["trees"][0]["tree"]).update(label=6),
+     "model file tree node: label 6 is not a class index"),
+], ids=["knn-mean", "knn-scale", "dt-threshold", "dt-feature", "dt-left", "rf-label",
+        "rf-class"])
+def test_evaluate_rejects_mistyped_model_contents(workspace, tmp_path, capsys,
+                                                  kind, damage, message):
+    root = workspace
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--data", root / "train.csv", "--schema", root / "schema.json",
+                   "--model", kind, "--cv-folds", "3", "--grid", root / "grid.json",
+                   "--out", model) == EXIT_OK
+    body = json.loads(model.read_text())
+    assert (kind == "knn") == (body["stats"] is not None)
+    damage(body)
+    model.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", model, "--data", root / "test.csv",
+                   "--schema", root / "schema.json") == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
 def test_report_rejects_a_matrix_file_without_cells(tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"format": "cadaug-matrix", "version": 1}))

@@ -155,6 +155,13 @@ def test_feature_csv_label_must_be_an_integer(tmp_path):
         read_features_csv(path)
 
 
+def test_feature_csv_value_must_be_a_number(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("id,label,f000,f001\na,0,1.0,2.0\nb,1,3.0,x\n")
+    with pytest.raises(ValueError, match="row for b: f001 is 'x', not a number"):
+        read_features_csv(path)
+
+
 # -- permutation action and equivariance ----------------------------------
 
 

@@ -1,10 +1,11 @@
 """Tests for the from-scratch classifiers and CV selection."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tree_reference
@@ -26,7 +27,7 @@ from cadaug.ml import (
     standardize_fit,
     train,
 )
-from cadaug.ml.tree import column_draw, draw_steps, rank_columns, splitmix64
+from cadaug.ml.tree import column_draw, draw_steps, rank_columns, route, splitmix64
 from cadaug.seeding import derive_seed
 
 SCHEMA_12 = FeatureSchema(tuple(all_shapes()[:4]))  # 12 columns
@@ -112,7 +113,7 @@ def test_knn_predict_bounded_equals_fitting_each_k():
     queries = rng.integers(0, 3, size=(40, 4)).astype(np.float64)
     ks = [7, 1, 2, 60, 7, 100, 4]
     deep = KNNClassifier(k=100).fit(X, y)
-    for k, predicted in zip(ks, deep.predict_bounded(X, y, queries, ks)):
+    for k, predicted in zip(ks, deep.predict_bounded(queries, ks)):
         assert (predicted == KNNClassifier(k).fit(X, y).predict(queries)).all(), k
 
 
@@ -267,7 +268,7 @@ def test_splitmix64_matches_the_standard_generator():
     ]
 
 
-def test_predict_truncated_equals_bounded_fit():
+def test_tree_cut_equals_bounded_fit():
     rng = np.random.default_rng(8)
     X = rng.integers(0, 5, size=(120, 6)).astype(np.float64)
     y = rng.integers(0, N_CLASSES, size=120)
@@ -275,9 +276,83 @@ def test_predict_truncated_equals_bounded_fit():
     depths = [1, 2, 3, 5, None]
     for min_leaf in (1, 3):
         deep = DecisionTreeClassifier(None, min_leaf).fit(X, y)
-        for depth, cut in zip(depths, deep.predict_bounded(X, y, queries, depths)):
+        for depth, cut in zip(depths, deep.predict_bounded(queries, depths)):
             bounded = DecisionTreeClassifier(depth, min_leaf).fit(X, y)
             assert (cut == bounded.predict(queries)).all(), (min_leaf, depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    split_problems(),
+    st.data(),
+    st.sampled_from([None, 2, 4]),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_flat_routing_equals_routing_the_fitting_rows(problem, data, max_depth, min_leaf,
+                                                      n_trees, seed):
+    X, y = problem
+    d = X.shape[1]
+    assume(d >= 2)
+    queries = np.array(
+        data.draw(st.lists(
+            st.lists(st.sampled_from(CORNER_VALUES + (-200.0, 200.0)), min_size=d, max_size=d),
+            min_size=1, max_size=10,
+        )),
+        dtype=np.float64,
+    ).reshape(-1, d)
+    queries = np.vstack([X, queries])
+    mtry = data.draw(st.integers(1, d - 1))
+    forest = RandomForestClassifier(n_trees, max_depth, min_leaf, mtry, True, seed).fit(X, y)
+    dt = DecisionTreeClassifier(max_depth, min_leaf).fit(X, y)
+    deepest = max(tree.depth() for tree in [dt, *forest.trees])
+    depths = [*range(1, deepest + 2), None]
+    for depth, cut in zip(depths, dt.predict_bounded(queries, depths)):
+        expected = tree_reference.predict_truncated(dt.tree, X, y, queries, depth)
+        assert cut.tolist() == expected.tolist(), depth
+    per_depth = route([tree.arrays for tree in forest.trees], queries, depths)
+    for depth, labels, voted in zip(depths, per_depth, forest.predict_bounded(queries, depths)):
+        expected = []
+        for i, tree in enumerate(forest.trees):
+            sample = tree_reference.bootstrap_sample(len(y), derive_seed(seed, f"tree:{i}"), True)
+            expected.append(
+                tree_reference.predict_truncated(tree.tree, X[sample], y[sample], queries, depth)
+            )
+        assert labels.tolist() == [e.tolist() for e in expected], depth
+        assert voted.tolist() == tree_reference.vote(expected), depth
+
+
+def test_loaded_models_predict_alike_but_cannot_be_cut():
+    rng = np.random.default_rng(23)
+    X = rng.integers(0, 6, size=(160, 8)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1] * X[:, 2]).astype(np.int64) % N_CLASSES
+    queries = rng.integers(-1, 7, size=(70, 8)).astype(np.float64)
+    for model in (
+        DecisionTreeClassifier(None, 2).fit(X, y),
+        RandomForestClassifier(5, 6, 1, "third", True, 3).fit(X, y),
+    ):
+        again = type(model).from_payload(json.loads(json.dumps(model.to_payload())))
+        assert json.dumps(again.to_payload()) == json.dumps(model.to_payload())
+        assert again.predict(queries).tolist() == model.predict(queries).tolist()
+        plain = model.predict(queries).tolist()
+        assert model.predict_bounded(queries, [2, None])[1].tolist() == plain
+        with pytest.raises(ValueError, match="cannot be cut"):
+            again.predict_bounded(queries, [2, None])
+
+
+def test_tree_view_is_pinned():
+    # the nested-dict view and model files must keep their bytes: key
+    # order and float formatting, not only dict equality
+    rng = np.random.default_rng(29)
+    X = rng.integers(0, 9, size=(200, 12)) + rng.normal(0, 1e-3, size=(200, 12)).round(6)
+    y = (X[:, 0] + 2 * X[:, 3] + X[:, 7] * X[:, 8]).astype(np.int64) % N_CLASSES
+    forest = RandomForestClassifier(5, None, 1, "third", True, 2024).fit(X, y)
+    text = json.dumps(forest.to_payload())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fea4d02569d19b821a5ed97149cc7e8683aaaa30683fd287bb32c2c1d532f25e"
+    )
+    assert forest.trees[0].tree == forest.to_payload()["trees"][0]["tree"]
 
 
 # -- random forest --------------------------------------------------------
@@ -305,7 +380,7 @@ def test_bounded_forest_is_the_deep_forest_cut(subset, min_leaf, bootstrap):
     deep = RandomForestClassifier(6, None, min_leaf, subset, bootstrap, 11).fit(X, y)
     deep_preds = deep.predict(queries)
     depths = [1, 2, 4, 6, None]
-    for depth, cut in zip(depths, deep.predict_bounded(X, y, queries, depths)):
+    for depth, cut in zip(depths, deep.predict_bounded(queries, depths)):
         bounded = RandomForestClassifier(6, depth, min_leaf, subset, bootstrap, 11).fit(X, y)
         assert (cut == bounded.predict(queries)).all(), depth
     # the depths differ on these data

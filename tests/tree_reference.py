@@ -8,6 +8,11 @@ is computed with Python integers mod 2^64, independently of the
 library's ``uint64`` arrays.  Trees grown here must serialize to exactly
 the same JSON as trees grown by the library, for
 ``DecisionTreeClassifier`` and ``RandomForestClassifier`` alike.
+
+``predict_truncated`` is the oracle for predicting with a tree cut at a
+depth: it walks the nested-dict tree and routes the fitting rows along
+with the queries, so a cut node predicts the majority of the fitting rows
+that reach it, counted afresh.
 """
 
 from __future__ import annotations
@@ -131,6 +136,46 @@ def grow(
     return root
 
 
+def predict_truncated(root: dict, X_fit, y_fit, X, max_depth) -> np.ndarray:
+    """Predict with the tree ``root``, fitted on ``(X_fit, y_fit)``, cut
+    at ``max_depth`` (``None``: not cut)."""
+    bound = max_depth if max_depth is not None else _NO_LIMIT
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(root, np.arange(X_fit.shape[0]), np.arange(X.shape[0]), 0)]
+    while stack:
+        node, fit_idx, idx, depth = stack.pop()
+        if idx.size == 0:
+            continue
+        if "label" in node:
+            out[idx] = node["label"]
+            continue
+        if depth >= bound:
+            out[idx] = np.bincount(y_fit[fit_idx], minlength=N_CLASSES).argmax()
+            continue
+        feature, threshold = node["feature"], node["threshold"]
+        fit_mask = X_fit[fit_idx, feature] <= threshold
+        mask = X[idx, feature] <= threshold
+        stack.append((node["right"], fit_idx[~fit_mask], idx[~mask], depth + 1))
+        stack.append((node["left"], fit_idx[fit_mask], idx[mask], depth + 1))
+    return out
+
+
+def vote(per_tree) -> list[int]:
+    """Per query, the label most trees predict; ties go to the lowest label."""
+    counts = [[0] * N_CLASSES for _ in range(len(per_tree[0]))]
+    for predicted in per_tree:
+        for row, label in enumerate(predicted):
+            counts[row][label] += 1
+    return [max(range(N_CLASSES), key=lambda c: (row[c], -c)) for row in counts]
+
+
+def bootstrap_sample(n: int, tree_seed: int, bootstrap: bool) -> np.ndarray:
+    """The rows a forest tree with seed ``tree_seed`` is fitted on."""
+    if not bootstrap:
+        return np.arange(n)
+    return np.random.default_rng(tree_seed).integers(0, n, size=n)
+
+
 def tree_payload(X, y, max_depth=None, min_leaf=1, seed=None, mtry=None) -> dict:
     """What ``DecisionTreeClassifier(max_depth, min_leaf).fit(...).to_payload()`` returns."""
     X = np.asarray(X, dtype=np.float64)
@@ -155,8 +200,7 @@ def forest_payload(
     trees = []
     for i in range(n_trees):
         tree_seed = derive_seed(seed, f"tree:{i}")
-        rng = np.random.default_rng(tree_seed)
-        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        sample = bootstrap_sample(n, tree_seed, bootstrap)
         trees.append(tree_payload(X[sample], y[sample], max_depth, min_leaf, tree_seed, mtry))
     return {
         "n_trees": n_trees,
