@@ -19,6 +19,11 @@ _KINDS = {
 }
 
 
+def is_number(value: Any) -> bool:
+    """Whether ``value`` is a decoded JSON number (an int or a float, not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def json_field(data: Any, key: str, kind: type, artifact: str) -> Any:
     """``data[key]``, which must be a JSON value of ``kind`` (dict, list,
     str, int or float; a float field also takes an integer)."""

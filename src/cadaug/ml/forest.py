@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from ..jsonfields import json_field
 from ..seeding import derive_seed
 from .tree import (
     N_CLASSES,
@@ -54,6 +55,8 @@ class RandomForestClassifier:
     """
 
     kind = "rf"
+    parameters = ("n_trees", "max_depth", "min_leaf", "max_features", "bootstrap")
+    bounded = "max_depth"
 
     def __init__(
         self,
@@ -137,16 +140,16 @@ class RandomForestClassifier:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RandomForestClassifier":
-        model = cls(
-            n_trees=payload["n_trees"],
-            max_depth=payload["max_depth"],
-            min_leaf=payload["min_leaf"],
-            max_features=payload["max_features"],
-            bootstrap=payload["bootstrap"],
-            seed=payload["seed"],
-        )
-        model.trees = [DecisionTreeClassifier.from_payload(p) for p in payload["trees"]]
-        model._n_features = payload["n_features"]
+        """Read ``to_payload`` back; ``n_features`` must be an integer, and
+        every tree's must equal it."""
+        model = cls(**{name: payload[name] for name in cls.parameters}, seed=payload["seed"])
+        model._n_features = json_field(payload, "n_features", int, "model file")
+        trees = json_field(payload, "trees", list, "model file")
+        model.trees = [DecisionTreeClassifier.from_payload(p) for p in trees]
+        if any(tree.n_features != model._n_features for tree in model.trees):
+            raise ValueError(
+                f"model file: a tree's 'n_features' is not the forest's {model._n_features}"
+            )
         return model
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..jsonfields import is_number, json_field
 from .scaling import Standardizer, standardize_fit
 from .tree import N_CLASSES, check_count
 
@@ -19,6 +20,8 @@ class KNNClassifier:
     """
 
     kind = "knn"
+    parameters = ("k",)
+    bounded = "k"
 
     def __init__(self, k: int = 5) -> None:
         self.k = check_count("k", k)
@@ -87,8 +90,22 @@ class KNNClassifier:
 
     @classmethod
     def from_payload(cls, payload: dict, stats: Standardizer) -> "KNNClassifier":
-        model = cls(k=payload["k"])
+        """Read ``to_payload`` back; ``X`` must hold at least one row of
+        ``stats.n_features`` numbers and ``y`` one class index per row."""
+        model = cls(**{name: payload[name] for name in cls.parameters})
+        rows = json_field(payload, "X", list, "model file")
+        labels = json_field(payload, "y", list, "model file")
+        width = stats.n_features
+        if not rows or not all(
+            isinstance(row, list) and len(row) == width and all(map(is_number, row))
+            for row in rows
+        ):
+            raise ValueError(f"model file: 'X' is not a non-empty array of {width}-number rows")
+        if len(labels) != len(rows) or not all(
+            isinstance(v, int) and not isinstance(v, bool) and 0 <= v < N_CLASSES for v in labels
+        ):
+            raise ValueError(f"model file: 'y' is not an array of {len(rows)} class indices")
         model.stats = stats
-        model._X = np.asarray(payload["X"], dtype=np.float64)
-        model._y = np.asarray(payload["y"], dtype=np.int64)
+        model._X = np.asarray(rows, dtype=np.float64)
+        model._y = np.asarray(labels, dtype=np.int64)
         return model

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..jsonfields import json_field
+from ..jsonfields import is_number, json_field
 
 __all__ = ["Standardizer", "standardize_fit"]
 
@@ -54,7 +54,7 @@ class Standardizer:
 def _numbers(data: dict, key: str) -> tuple[float, ...]:
     """``data[key]``, which must be an array of numbers."""
     values = json_field(data, key, list, "model file stats")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+    if not all(map(is_number, values)):
         raise ValueError(f"model file stats: {key!r} is not an array of numbers")
     return tuple(float(v) for v in values)
 

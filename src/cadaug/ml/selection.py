@@ -27,18 +27,15 @@ __all__ = [
     "accuracy",
 ]
 
-MODEL_KINDS = ("knn", "dt", "rf")
-
-# the hyperparameters `_make_classifier` reads for each model kind
-_PARAMETERS = {
-    "knn": ("k",),
-    "dt": ("max_depth", "min_leaf"),
-    "rf": ("n_trees", "max_depth", "min_leaf", "max_features", "bootstrap"),
+# each model kind's classifier, which declares its hyperparameter names
+# (``parameters``, its constructor keywords other than ``seed``) and the one
+# of them it can also predict for at any smaller value (``bounded``, see
+# ``predict_bounded``); an unset hyperparameter takes the constructor default
+CLASSIFIERS = {
+    cls.kind: cls for cls in (KNNClassifier, DecisionTreeClassifier, RandomForestClassifier)
 }
 
-# per kind, the hyperparameter a fitted model can also predict for at any
-# smaller value (``predict_bounded``)
-_BOUNDED = {"knn": "k", "dt": "max_depth", "rf": "max_depth"}
+MODEL_KINDS = tuple(CLASSIFIERS)
 
 DEFAULT_GRIDS: dict[str, list[dict[str, Any]]] = {
     "knn": [{"k": k} for k in (1, 3, 5, 11, 21)],
@@ -84,11 +81,12 @@ class CVPlan:
                     raise ValueError(f"{kind} grid point {params!r} is not an object")
                 if kind == "knn" and "k" not in params:
                     raise ValueError("every knn grid point needs 'k'")
-                unknown = sorted(set(params) - set(_PARAMETERS[kind]))
+                expected = CLASSIFIERS[kind].parameters
+                unknown = sorted(set(params) - set(expected))
                 if unknown:
                     raise ValueError(
                         f"unknown {kind} hyperparameters {unknown}; "
-                        f"expected some of {list(_PARAMETERS[kind])}"
+                        f"expected some of {list(expected)}"
                     )
                 try:
                     _make_classifier(kind, params, 0)
@@ -97,22 +95,8 @@ class CVPlan:
 
 
 def _make_classifier(kind: str, params: Mapping[str, Any], seed: int):
-    if kind == "knn":
-        return KNNClassifier(k=params["k"])
-    if kind == "dt":
-        return DecisionTreeClassifier(
-            max_depth=params.get("max_depth"), min_leaf=params.get("min_leaf", 1)
-        )
-    if kind == "rf":
-        return RandomForestClassifier(
-            n_trees=params.get("n_trees", 100),
-            max_depth=params.get("max_depth"),
-            min_leaf=params.get("min_leaf", 1),
-            max_features=params.get("max_features", "sqrt"),
-            bootstrap=params.get("bootstrap", True),
-            seed=seed,
-        )
-    raise ValueError(f"unknown model kind: {kind!r}")
+    seeded = {"seed": seed} if kind == "rf" else {}
+    return CLASSIFIERS[kind](**params, **seeded)
 
 
 @dataclass
@@ -161,18 +145,18 @@ class TrainedModel:
         payload = json_field(data, "payload", dict, "model file")
         hyperparameters = json_field(data, "hyperparameters", dict, "model file")
         cv = json_field(data, "cv", list, "model file")
+        if kind not in CLASSIFIERS:
+            raise ValueError(f"unknown model kind: {kind!r}")
         try:
             if kind == "knn":
                 stats = Standardizer.from_json(json_field(data, "stats", dict, "model file"))
                 classifier: Any = KNNClassifier.from_payload(payload, stats)
-            elif kind == "dt":
-                classifier = DecisionTreeClassifier.from_payload(payload)
-            elif kind == "rf":
-                classifier = RandomForestClassifier.from_payload(payload)
             else:
-                raise ValueError(f"unknown model kind: {kind!r}")
+                classifier = CLASSIFIERS[kind].from_payload(payload)
         except KeyError as err:
             raise ValueError(f"model file: {kind} payload lacks key {err}") from None
+        except TypeError as err:
+            raise ValueError(f"model file: {kind} payload: {err}") from None
         return cls(kind, dict(hyperparameters), classifier, list(cv))
 
     @classmethod
@@ -192,17 +176,18 @@ def _fold_predictions(
     """Test predictions of every grid point on one fold, one fit per group.
 
     Grid points that differ only in the kind's bounded hyperparameter
-    (``_BOUNDED``) form a group, keyed by ``rest``, the repr of their
-    other parameters, sorted.  Each group fits one model at its largest
-    bound (an unbounded depth, ``None``, is the largest) on
-    ``(X_fit, y_fit)`` with seed ``derive_seed(seed, f"{kind}:{rest}:{fold}")``,
+    (the ``bounded`` attribute of its classifier) form a group, keyed by
+    ``rest``, the repr of their other parameters, sorted.  Each group
+    fits one model at its largest bound (an unbounded depth, ``None``, is
+    the largest) on ``(X_fit, y_fit)`` with seed
+    ``derive_seed(seed, f"{kind}:{rest}:{fold}")``,
     which only rf uses, and ``predict_bounded`` scores every bound of the
     group on ``X_test`` from that model alone: knn votes over a prefix of
     one neighbour order, and trees are cut at each depth, a cut node
     predicting the majority recorded when it was grown.  That equals
     fitting each point alone with the same seed.
     """
-    bounded = _BOUNDED[kind]
+    bounded = CLASSIFIERS[kind].bounded
     points = []
     groups: dict[str, tuple[dict[str, Any], list[Any]]] = {}
     for params in grid:

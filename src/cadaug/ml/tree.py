@@ -408,6 +408,8 @@ class DecisionTreeClassifier:
     """
 
     kind = "dt"
+    parameters = ("max_depth", "min_leaf")
+    bounded = "max_depth"
 
     def __init__(self, max_depth: int | None = None, min_leaf: int = 1) -> None:
         self.max_depth = check_depth(max_depth)
@@ -478,7 +480,7 @@ class DecisionTreeClassifier:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "DecisionTreeClassifier":
-        model = cls(max_depth=payload["max_depth"], min_leaf=payload["min_leaf"])
+        model = cls(**{name: payload[name] for name in cls.parameters})
         model._n_features = json_field(payload, "n_features", int, "model file")
         model.arrays = TreeArrays.from_dict(
             json_field(payload, "tree", dict, "model file"), model._n_features

@@ -280,8 +280,29 @@ def _first_leaf(node):
      "model file tree node: 'label' is not an integer"),
     ("rf", lambda m: _first_leaf(m["payload"]["trees"][0]["tree"]).update(label=6),
      "model file tree node: label 6 is not a class index"),
+    # hyperparameters and arrays of the wrong type let a TypeError or an
+    # IndexError out, an internal error (exit 3)
+    ("rf", lambda m: m["payload"].update(max_depth="3"),
+     "model file: rf payload: max_depth must be an integer, got '3'"),
+    ("rf", lambda m: m["payload"].update(trees=5), "model file: 'trees' is not an array"),
+    ("knn", lambda m: m["payload"].update(k="3"),
+     "model file: knn payload: k must be an integer, got '3'"),
+    ("dt", lambda m: m["payload"].update(min_leaf=None),
+     "model file: dt payload: min_leaf must be an integer, got None"),
+    ("knn", lambda m: m["payload"].update(X=5), "model file: 'X' is not an array"),
+    ("knn", lambda m: m["payload"]["y"].__setitem__(0, 9),
+     "model file: 'y' is not an array of"),
+    # rows or labels that do not line up were read without a check
+    ("knn", lambda m: [row.pop() for row in m["payload"]["X"]],
+     "model file: 'X' is not a non-empty array of"),
+    ("knn", lambda m: m["payload"]["y"].pop(), "model file: 'y' is not an array of"),
+    ("rf", lambda m: m["payload"].update(n_features=str(m["payload"]["n_features"])),
+     "model file: 'n_features' is not an integer"),
+    ("rf", lambda m: m["payload"].update(n_features=m["payload"]["n_features"] + 1),
+     "model file: a tree's 'n_features' is not the forest's"),
 ], ids=["knn-mean", "knn-scale", "dt-threshold", "dt-feature", "dt-left", "rf-label",
-        "rf-class"])
+        "rf-class", "rf-max_depth", "rf-trees", "knn-k", "dt-min_leaf", "knn-X", "knn-y-class",
+        "knn-X-width", "knn-y-rows", "rf-n_features", "rf-n_features-tree"])
 def test_evaluate_rejects_mistyped_model_contents(workspace, tmp_path, capsys,
                                                   kind, damage, message):
     root = workspace

@@ -1,6 +1,7 @@
 """Tests for the from-scratch classifiers and CV selection."""
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -27,6 +28,7 @@ from cadaug.ml import (
     standardize_fit,
     train,
 )
+from cadaug.ml import selection
 from cadaug.ml.tree import column_draw, draw_steps, rank_columns, route, splitmix64
 from cadaug.seeding import derive_seed
 
@@ -552,6 +554,15 @@ def test_default_grids_shape():
 
 
 CLASSIFIERS = {"knn": KNNClassifier, "dt": DecisionTreeClassifier, "rf": RandomForestClassifier}
+
+
+def test_kind_table_names_each_constructors_keywords():
+    assert selection.MODEL_KINDS == tuple(selection.CLASSIFIERS) == ("knn", "dt", "rf")
+    for kind, cls in selection.CLASSIFIERS.items():
+        keywords = [name for name in inspect.signature(cls).parameters if name != "seed"]
+        assert cls.kind == kind
+        assert list(cls.parameters) == keywords
+        assert cls.bounded in cls.parameters
 
 
 def _cv_fitting_each_point(kind, grid, dataset, plan):
