@@ -75,11 +75,7 @@ class Descriptor:
 
     @property
     def name(self) -> str:
-        sm = "sign" if self.sign_after_monomial else "id"
-        sp = "sign" if self.sign_after_polynomial else "id"
-        return ".".join(
-            [self.variable.name, self.base, self.monomial_agg, sm, self.polynomial_agg, sp]
-        )
+        return f"{self.variable.name}.{_shape_name(self.shape)}"
 
 
 def _shape_name(shape: Shape) -> str:
@@ -195,23 +191,6 @@ def _aggregate(values: Sequence, op: str):
     return _exact_mean(nonzero)
 
 
-def _monomial_stats(instance: ProblemInstance):
-    """Per polynomial, per variable: the degree list and gated-degree list
-    over the polynomial's monomials (constants included as degree 0)."""
-    stats = []
-    for p in instance.sorted_polynomials:
-        degs: list[list[int]] = [[], [], []]
-        gated: list[list[int]] = [[], [], []]
-        for key in p.raw:
-            exps = kernels.unpack(key)
-            td = exps[0] + exps[1] + exps[2]
-            for i in range(3):
-                degs[i].append(exps[i])
-                gated[i].append(td if exps[i] > 0 else 0)
-        stats.append((degs, gated))
-    return stats
-
-
 def evaluate_descriptor(instance: ProblemInstance, d: Descriptor):
     """The exact rational value of one descriptor on one instance."""
     i = d.variable.index - 1
@@ -231,34 +210,32 @@ def evaluate_descriptor(instance: ProblemInstance, d: Descriptor):
 
 
 def featurize_exact(instance: ProblemInstance, schema: FeatureSchema | None = None) -> list:
-    """All schema features as exact rationals, in schema order."""
+    """All schema features as exact rationals, in schema order.
+
+    For each variable, every (base, monomial aggregation, sign) stage is
+    tabulated once, one value per polynomial; each descriptor is then one
+    polynomial aggregation over a table entry."""
     if schema is None:
         schema = FeatureSchema.raw()
-    stats = _monomial_stats(instance)
-    # inner aggregation results per (variable, base, inner_agg, sign), one
-    # value per polynomial, computed once and shared across outer stages
-    inner_cache: dict[tuple[int, str, str, bool], list] = {}
-
-    def inner_values(var_i: int, base: str, agg: str, signed: bool) -> list:
-        key = (var_i, base, agg, signed)
-        got = inner_cache.get(key)
-        if got is not None:
-            return got
-        if signed:
-            raw = inner_values(var_i, base, agg, False)
-            result = [_sign(v) for v in raw]
-        else:
-            select = 0 if base == "degree" else 1
-            result = [_aggregate(stat[select][var_i], agg) for stat in stats]
-        inner_cache[key] = result
-        return result
-
+    monomials = [
+        [(exps, sum(exps)) for exps in map(kernels.unpack, p.raw)]
+        for p in instance.sorted_polynomials
+    ]
     out = []
-    for v in VARIABLES:
-        var_i = v.index - 1
+    for i in range(3):
+        bases = {
+            "degree": [[exps[i] for exps, _ in poly] for poly in monomials],
+            "gated_degree": [
+                [total if exps[i] > 0 else 0 for exps, total in poly] for poly in monomials
+            ],
+        }
+        table = {}
+        for (base, per_poly), agg in product(bases.items(), AGGREGATIONS):
+            values = [_aggregate(v, agg) for v in per_poly]
+            table[base, agg, False] = values
+            table[base, agg, True] = [_sign(v) for v in values]
         for base, inner, sign_m, outer, sign_p in schema.shapes:
-            per_poly = inner_values(var_i, base, inner, sign_m)
-            value = _aggregate(per_poly, outer)
+            value = _aggregate(table[base, inner, sign_m], outer)
             out.append(_sign(value) if sign_p else value)
     return out
 

@@ -140,11 +140,13 @@ class RandomForestClassifier:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RandomForestClassifier":
-        """Read ``to_payload`` back; ``n_features`` must be an integer, and
-        every tree's must equal it."""
+        """Read ``to_payload`` back; ``trees`` must hold ``n_trees`` trees,
+        and ``n_features`` must be an integer that every tree's equals."""
         model = cls(**{name: payload[name] for name in cls.parameters}, seed=payload["seed"])
         model._n_features = json_field(payload, "n_features", int, "model file")
         trees = json_field(payload, "trees", list, "model file")
+        if len(trees) != model.n_trees:
+            raise ValueError(f"model file: 'trees' holds {len(trees)} trees, not {model.n_trees}")
         model.trees = [DecisionTreeClassifier.from_payload(p) for p in trees]
         if any(tree.n_features != model._n_features for tree in model.trees):
             raise ValueError(

@@ -91,7 +91,8 @@ class KNNClassifier:
     @classmethod
     def from_payload(cls, payload: dict, stats: Standardizer) -> "KNNClassifier":
         """Read ``to_payload`` back; ``X`` must hold at least one row of
-        ``stats.n_features`` numbers and ``y`` one class index per row."""
+        ``stats.n_features`` finite numbers and ``y`` one class index per
+        row."""
         model = cls(**{name: payload[name] for name in cls.parameters})
         rows = json_field(payload, "X", list, "model file")
         labels = json_field(payload, "y", list, "model file")

@@ -52,7 +52,7 @@ class Standardizer:
 
 
 def _numbers(data: dict, key: str) -> tuple[float, ...]:
-    """``data[key]``, which must be an array of numbers."""
+    """``data[key]``, which must be an array of finite numbers."""
     values = json_field(data, key, list, "model file stats")
     if not all(map(is_number, values)):
         raise ValueError(f"model file stats: {key!r} is not an array of numbers")

@@ -1,6 +1,7 @@
 """CLI verb and exit-code tests (driven through cadaug.cli.main)."""
 
 import json
+import math
 
 import pytest
 
@@ -300,9 +301,20 @@ def _first_leaf(node):
      "model file: 'n_features' is not an integer"),
     ("rf", lambda m: m["payload"].update(n_features=m["payload"]["n_features"] + 1),
      "model file: a tree's 'n_features' is not the forest's"),
+    # json.loads decodes NaN and Infinity, which then loaded and predicted
+    ("knn", lambda m: m["stats"]["mean"].__setitem__(0, math.nan),
+     "model file stats: 'mean' is not an array of numbers"),
+    ("knn", lambda m: m["payload"]["X"][0].__setitem__(0, math.inf),
+     "model file: 'X' is not a non-empty array of"),
+    ("dt", lambda m: m["payload"]["tree"].update(threshold=math.nan),
+     "model file tree node: 'threshold' is not a finite number"),
+    # a forest with fewer trees than n_trees loaded, then failed or voted short
+    ("rf", lambda m: m["payload"].update(trees=[]), "model file: 'trees' holds 0 trees, not 8"),
+    ("rf", lambda m: m["payload"]["trees"].pop(), "model file: 'trees' holds 7 trees, not 8"),
 ], ids=["knn-mean", "knn-scale", "dt-threshold", "dt-feature", "dt-left", "rf-label",
         "rf-class", "rf-max_depth", "rf-trees", "knn-k", "dt-min_leaf", "knn-X", "knn-y-class",
-        "knn-X-width", "knn-y-rows", "rf-n_features", "rf-n_features-tree"])
+        "knn-X-width", "knn-y-rows", "rf-n_features", "rf-n_features-tree", "knn-mean-nan",
+        "knn-X-inf", "dt-threshold-nan", "rf-no-trees", "rf-trees-short"])
 def test_evaluate_rejects_mistyped_model_contents(workspace, tmp_path, capsys,
                                                   kind, damage, message):
     root = workspace

@@ -123,12 +123,14 @@ def test_gated_degree_base():
 
 def test_featurize_matches_descriptor_loop():
     rng = random.Random(3)
-    schema = FeatureSchema.raw()
-    for _ in range(3):
-        inst = random_instance(rng)
-        batched = featurize_exact(inst, schema)
-        direct = [evaluate_descriptor(inst, d) for d in schema.descriptors()]
-        assert batched == direct
+    # a schema file may list any subset of the shapes, in any order
+    subset = FeatureSchema(tuple(reversed(all_shapes()[::5])))
+    for schema in (FeatureSchema.raw(), subset):
+        for _ in range(3):
+            inst = random_instance(rng)
+            batched = featurize_exact(inst, schema)
+            direct = [evaluate_descriptor(inst, d) for d in schema.descriptors()]
+            assert batched == direct
 
 
 def test_featurize_float_vector():
