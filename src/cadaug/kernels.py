@@ -17,10 +17,15 @@ order: an exact quotient is unique, so any monomial order yields it, and
 lex order lets a plain heap of keys pick the next term.  ``klead`` stays
 graded-lex, because canonical output and sign normalization depend on it.
 
-These functions are the hot inner loop of resultant and projection-chain
-computation.  Callers reach them as attributes of this module
-(``kernels.kmul(...)``), and no kernel calls ``kmul`` or ``kdiv_exact``
-itself, so replacing those attributes sees every call.  The
+These functions are the ring operations of ``cadaug.poly.Polynomial``;
+resultants do not use them, since ``cadaug.resultants`` runs its
+remainder sequence on Kronecker-packed integers.  ``kdiv_exact`` has no
+caller in the library: the Bareiss determinant that the tests use as the
+resultant oracle (``tests/resultant_reference.py``) and the benchmark's
+fixed-input timings (``perfbench/micro.py``) call it.  Callers reach
+these functions as attributes of this module (``kernels.kmul(...)``),
+and no kernel calls ``kmul`` or ``kdiv_exact`` itself, so replacing those
+attributes sees every call.  The
 21-bit-per-exponent limit is far beyond anything the projection degree
 budget allows to survive; ``Polynomial.from_terms`` and SMT-LIB ingestion
 reject inputs whose degrees would exceed it.

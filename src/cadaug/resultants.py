@@ -1,14 +1,41 @@
 """Resultants and discriminants of trivariate polynomials.
 
-The resultant of two polynomials with respect to a variable v is the
-determinant of their Sylvester matrix, whose entries are polynomials in
-the remaining variables.  ``resultant`` computes it without building that
-matrix, by the subresultant polynomial remainder sequence (Brown & Traub
-1971; Cohen, *A Course in Computational Algebraic Number Theory*,
-Algorithm 3.3.7, without the content step) on the coefficient lists in v.
-Every division in the sequence is exact in the polynomial ring, so no
-rational-function arithmetic is needed and the result is the exact
-determinant, sign included.
+The resultant of two polynomials p and q with respect to a variable v is
+the determinant of their Sylvester matrix, whose entries are polynomials
+in the other two variables, u and w (u the lower-numbered).  ``resultant``
+computes it without building that matrix: it packs each v-coefficient
+into one integer (Kronecker substitution) and runs the subresultant
+polynomial remainder sequence (Brown & Traub 1971; Cohen, *A Course in
+Computational Algebraic Number Theory*, Algorithm 3.3.7, without the
+content step) on the integer coefficient lists, so the arithmetic is
+CPython's big-integer multiply and divide.
+
+Packing.  With m = deg_v p and n = deg_v q, every term of the Sylvester
+determinant is a product of n coefficients of p and m of q, so the
+resultant has degree below the box
+
+    D_u = n * deg_u p + m * deg_u q + 1     (likewise D_w)
+
+in u and w, and 1-norm (sum of absolute coefficients) at most
+||p||_1^n * ||q||_1^m.  Each coefficient therefore fits a signed slot of
+``wb = ceil((bitlen(||p||_1^n * ||q||_1^m) + 2) / 8)`` bytes, B = 8 * wb
+bits, and the monomial u^i w^j gets the slot i + D_u * j.  A
+v-coefficient c(u, w) is packed as c(2^B, 2^(B * D_u)).
+
+Why this is exact.  Evaluation at (2^B, 2^(B * D_u)) is a ring
+homomorphism from Z[u, w] to Z, and the resultant is a polynomial in the
+coefficients, so the resultant of the packed operands is the packed
+resultant.  The leading v-coefficients fit their slots, so their images
+are non-zero and the degrees in v are kept.  The subresultant PRS is
+valid over any integral domain: over Z every division it makes is exact,
+and a remainder there raises ``kernels.InexactDivision``.  The bound
+makes unpacking injective: the packed resultant is read back slot by
+slot, each slot biased by 2^(B - 1) so that a signed value comes out of
+``int.to_bytes`` and ``int.from_bytes`` unchanged.
+
+Rational coefficients are cleared first: for integers c and d making cp
+and dq integral, res(cp, dq) = c^n * d^m * res(p, q), and the integer
+resultant is divided by c^n * d^m at the end.
 
 The direct method, the Bareiss determinant of the Sylvester matrix, is
 the tests' oracle (``tests/resultant_reference.py``).
@@ -16,34 +43,34 @@ the tests' oracle (``tests/resultant_reference.py``).
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from cadaug import kernels
 from cadaug.poly import Polynomial, Variable
-
-KDict = dict
 
 
 class DegreeError(ValueError):
     """Raised when an operand's degree is too small for the operation."""
 
 
-def _operand_degrees(p: Polynomial, q: Polynomial, v: Variable) -> tuple[int, int]:
-    m = p.degree_in(v)
-    n = q.degree_in(v)
-    if m < 1:
-        raise DegreeError(f"degree of first operand in {v} is {m}, need >= 1")
-    if n < 1:
-        raise DegreeError(f"degree of second operand in {v} is {n}, need >= 1")
-    return m, n
+def _integral(p: Polynomial) -> tuple[list[tuple[tuple[int, int, int], int]], int, list[int]]:
+    """(exponents, integer coefficient) pairs of c * p; c, the lcm of the
+    coefficients' denominators; and the degree of p in x1, x2, x3."""
+    scale = math.lcm(*{c.denominator for c in p.raw.values()})
+    exps = [kernels.unpack(k) for k in p.raw]
+    coeffs = p.raw.values() if scale == 1 else [int(c * scale) for c in p.raw.values()]
+    return list(zip(exps, coeffs)), scale, list(map(max, zip(*exps))) or [0, 0, 0]
 
 
-def _kpow(a: KDict, e: int) -> KDict:
-    out = dict(kernels.KEY_ONE)
-    for _ in range(e):
-        out = kernels.kmul(out, a)
-    return out
+def _exact_div(a: int, b: int) -> int:
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise kernels.InexactDivision("non-zero remainder in the subresultant PRS")
+    return quotient
 
 
-def _pseudo_remainder(a: list[KDict], b: list[KDict]) -> list[KDict]:
+def _prem(a: list[int], b: list[int]) -> list[int]:
     """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, on coefficient
     lists (index = power of v, top entry non-zero); [] is zero."""
     n = len(b) - 1
@@ -53,57 +80,104 @@ def _pseudo_remainder(a: list[KDict], b: list[KDict]) -> list[KDict]:
     while len(rem) > n:
         top = rem[-1]
         shift = len(rem) - 1 - n
-        rem = [kernels.kmul(c, lead) for c in rem[:-1]]
+        rem = [c * lead for c in rem[:-1]]
         for i in range(n):
-            rem[shift + i] = kernels.ksub(rem[shift + i], kernels.kmul(top, b[i]))
+            rem[shift + i] -= top * b[i]
         while rem and not rem[-1]:
             rem.pop()
         steps -= 1
     if steps and rem:
-        scale = _kpow(lead, steps)
-        rem = [kernels.kmul(c, scale) for c in rem]
+        scale = lead**steps
+        rem = [c * scale for c in rem]
     return rem
 
 
-def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
-    """res_v(p, q): the determinant of the Sylvester matrix of p and q,
-    computed by the subresultant PRS.  Requires deg_v(p), deg_v(q) >= 1."""
-    m, n = _operand_degrees(p, q, v)
-    a = [c.raw for c in p.coefficients_wrt(v)]
-    b = [c.raw for c in q.coefficients_wrt(v)]
+def _prs_resultant(a: list[int], b: list[int]) -> int:
+    """Resultant of two integer polynomials of degree >= 1, given as
+    coefficient lists (index = power of v), by the subresultant PRS."""
     sign = 1
-    if m < n:
+    if len(a) < len(b):
         # res(q, p) = (-1)^(mn) res(p, q)
         a, b = b, a
-        if m % 2 and n % 2:
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -1
-    g = h = kernels.KEY_ONE
+    g = h = 1
     while True:
         deg_a, deg_b = len(a) - 1, len(b) - 1
         delta = deg_a - deg_b
         if deg_a % 2 and deg_b % 2:
             sign = -sign
-        r = _pseudo_remainder(a, b)
+        r = _prem(a, b)
         if not r:
-            return Polynomial.zero()
-        divisor = kernels.kmul(g, _kpow(h, delta))
+            return 0
+        divisor = g * h**delta
         a = b
-        b = r if divisor == kernels.KEY_ONE else [kernels.kdiv_exact(c, divisor) for c in r]
+        b = r if divisor == 1 else [_exact_div(c, divisor) for c in r]
         g = a[-1]
         # h <- h^(1 - delta) * g^delta, an exact division when delta > 1
         if delta == 1:
             h = g
         elif delta > 1:
-            h = kernels.kdiv_exact(_kpow(g, delta), _kpow(h, delta - 1))
+            h = _exact_div(g**delta, h ** (delta - 1))
         if len(b) == 1:
             break
     deg_a = len(a) - 1
-    final = _kpow(b[0], deg_a)
+    final = b[0] ** deg_a
     if deg_a > 1:
-        final = kernels.kdiv_exact(final, _kpow(h, deg_a - 1))
-    if sign < 0:
-        final = kernels.kneg(final)
-    return Polynomial(final)
+        final = _exact_div(final, h ** (deg_a - 1))
+    return sign * final
+
+
+def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
+    """res_v(p, q): the determinant of the Sylvester matrix of p and q,
+    computed by the subresultant PRS on Kronecker-packed coefficients.
+    Requires deg_v(p), deg_v(q) >= 1."""
+    iv = v.index - 1
+    iu, iw = (i for i in range(3) if i != iv)
+    p_terms, p_scale, p_deg = _integral(p)
+    q_terms, q_scale, q_deg = _integral(q)
+    m, n = p_deg[iv], q_deg[iv]
+    if m < 1:
+        raise DegreeError(f"degree of first operand in {v} is {m}, need >= 1")
+    if n < 1:
+        raise DegreeError(f"degree of second operand in {v} is {n}, need >= 1")
+    d_u = n * p_deg[iu] + m * q_deg[iu] + 1
+    d_w = n * p_deg[iw] + m * q_deg[iw] + 1
+    norm_p = sum(abs(c) for _, c in p_terms)
+    norm_q = sum(abs(c) for _, c in q_terms)
+    width = ((norm_p**n * norm_q**m).bit_length() + 2 + 7) // 8
+
+    def packed(terms, degree):
+        # u^i w^j v^k moves to bit offset 8 * width * (i + d_u * j) of entry k
+        coeffs = [0] * (degree + 1)
+        for e, c in terms:
+            coeffs[e[iv]] += c << (8 * width * (e[iu] + d_u * e[iw]))
+        return coeffs
+
+    res = _prs_resultant(packed(p_terms, m), packed(q_terms, n))
+    out = {}
+    denominator = p_scale**n * q_scale**m
+    for slot, c in _slots(res, width, d_u * d_w):
+        exps = [0, 0, 0]
+        exps[iw], exps[iu] = divmod(slot, d_u)
+        out[kernels.pack(*exps)] = c if denominator == 1 else _rational(c, denominator)
+    return Polynomial(out)
+
+
+def _slots(packed: int, width: int, count: int) -> list[tuple[int, int]]:
+    """(index, value) of the non-zero signed slots of ``width`` bytes among
+    the lowest ``count`` of ``packed``.  Adding 2^(8 * width - 1) to every
+    slot makes each one non-negative, so no slot borrows from the next."""
+    zero = bytes(width - 1) + b"\x80"
+    half = 1 << (8 * width - 1)
+    data = (packed + int.from_bytes(zero * count, "little")).to_bytes(width * count, "little")
+    chunks = (data[i * width : (i + 1) * width] for i in range(count))
+    return [(i, int.from_bytes(b, "little") - half) for i, b in enumerate(chunks) if b != zero]
+
+
+def _rational(numerator: int, denominator: int):
+    c = Fraction(numerator, denominator)
+    return c.numerator if c.denominator == 1 else c
 
 
 def discriminant(p: Polynomial, v: Variable) -> Polynomial:

@@ -1,10 +1,10 @@
 """Tests for Sylvester matrices, Bareiss determinants, resultants, discriminants.
 
 The determinant oracle here is plain cofactor expansion, implemented
-independently of the Bareiss code under test.  The subresultant-PRS
+independently of the Bareiss code under test.  The packed subresultant-PRS
 ``resultant`` is checked against both: cofactor expansion for small
 Sylvester matrices, and the Bareiss determinant of the Sylvester matrix
-for sizes where cofactor expansion is too slow.
+for sizes where cofactor expansion is too slow or coefficients are large.
 """
 
 import random
@@ -207,14 +207,48 @@ def random_in_v(rng, degree, v, max_terms=2, max_exp=2, fractions=False):
     return p
 
 
+def big_in_v(rng, degree, v, bits=200, max_terms=2, max_exp=2):
+    """Like random_in_v, with coefficients of either sign up to 2^bits."""
+    small = random_in_v(rng, degree, v, max_terms, max_exp)
+    return Polynomial.from_terms(
+        (e, c * rng.randint(1, 2**bits) * rng.choice((-1, 1))) for e, c in small.terms()
+    )
+
+
 def test_resultant_high_degree_matches_bareiss():
     # Degrees 4-5 in v: Sylvester matrices of size 8 to 10.
     rng = random.Random(404)
     for m, n in [(4, 4), (5, 4), (4, 5), (5, 5), (5, 3)]:
-        for v in (X1, X3):
+        for v in VARIABLES:
             p = random_in_v(rng, m, v)
             q = random_in_v(rng, n, v)
             assert resultant(p, q, v) == sylvester_det(p, q, v)
+
+
+def test_resultant_big_coefficients_every_variable():
+    # Coefficients up to 2^200 of both signs, eliminating each variable.
+    rng = random.Random(2024)
+    for v in VARIABLES:
+        for m, n in [(1, 1), (2, 1), (1, 3), (3, 2), (3, 3)]:
+            p = big_in_v(rng, m, v)
+            q = big_in_v(rng, n, v)
+            assert resultant(p, q, v) == sylvester_det(p, q, v)
+
+
+def test_resultant_coefficient_needs_top_byte_of_its_slot():
+    # res_v(K*u*v + K*w, +-(K*u*v - K*w)) = -+2 K^2 u w, while the slot
+    # bound is ||p||_1 * ||q||_1 = 4 K^2: the coefficient is one bit short
+    # of the bound, so it reaches into the top byte of its slot.
+    for v in VARIABLES:
+        x, u, w = (Polynomial.variable(y) for y in (v, *(y for y in VARIABLES if y != v)))
+        for k in (2**100, 2**100 + 12345, -(2**100 - 1)):
+            for sign in (1, -1):
+                p = k * u * x + k * w
+                q = sign * (k * u * x - k * w)
+                res = resultant(p, q, v)
+                assert res == sylvester_det(p, q, v) == -2 * sign * k**2 * u * w
+                width = ((4 * k**2).bit_length() + 2 + 7) // 8
+                assert (2 * k**2).bit_length() + 1 > 8 * (width - 1)
 
 
 def test_resultant_remainder_degree_drop():
@@ -236,6 +270,15 @@ def test_resultant_remainder_degree_drop():
         q = d * x**2 + e
         for p in (a * x**5 + b * x + c, a * x**4 + c):
             assert resultant(p, q, X1) == sylvester_det(p, q, X1)
+    # And with coefficients up to 2^120, eliminating each variable.
+    rng = random.Random(78)
+    for v in VARIABLES:
+        x = Polynomial.variable(v)
+        for _ in range(2):
+            a, b, c, d, e = (big_in_v(rng, 0, v, bits=120) for _ in range(5))
+            q = d * x**2 + e
+            for p in (a * x**5 + b * x + c, a * x**4 + c):
+                assert resultant(p, q, v) == sylvester_det(p, q, v)
 
 
 def test_resultant_lower_first_degree_both_odd():
@@ -255,6 +298,13 @@ def test_resultant_planted_common_factor_is_zero():
         q = common * random_in_v(rng, 1, X3)
         assert sylvester_det(p, q, X3).is_zero()
         assert resultant(p, q, X3).is_zero()
+    rng = random.Random(12)
+    for v in VARIABLES:
+        common = big_in_v(rng, 1, v, bits=80)
+        p = common * big_in_v(rng, 2, v, bits=80)
+        q = common * big_in_v(rng, 1, v, bits=80)
+        assert sylvester_det(p, q, v).is_zero()
+        assert resultant(p, q, v).is_zero()
 
 
 def test_resultant_fraction_coefficients():
@@ -265,6 +315,13 @@ def test_resultant_fraction_coefficients():
         assert resultant(p, q, X1) == sylvester_det(p, q, X1)
     half = Fraction(1, 2)
     assert resultant((x1 - x2) * half, x1 - x3, X1) == (x2 - x3) * half
+    # Denominators beyond one slot's width, eliminating each variable.
+    rng = random.Random(9)
+    for v in VARIABLES:
+        for m, n in [(1, 2), (3, 2)]:
+            p = random_in_v(rng, m, v, fractions=True) * Fraction(1, 2**70 + 1)
+            q = random_in_v(rng, n, v, fractions=True) * Fraction(-3**40, 7)
+            assert resultant(p, q, v) == sylvester_det(p, q, v)
 
 
 def test_resultant_degree_errors():
