@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from cadaug import kernels
 from cadaug.poly import Polynomial, Variable, VARIABLES
-from cadaug.resultants import discriminant, resultant
+from cadaug.resultants import discriminant, resultant, total_degree_bound
 from cadaug.smtlib import ProblemInstance
 
 DEFAULT_TIMEOUT = 60.0
@@ -214,10 +214,18 @@ def read_labels_csv(path) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class ProjectionBudget:
-    """Resource cap per ordering, playing the role of the CAD timeout."""
+    """Resource cap per ordering, playing the role of the CAD timeout.
+
+    ``max_polys`` and ``max_total_degree`` cap each level of the chain.
+    ``max_degree_bound`` caps, before it is computed, the total-degree
+    bound of every resultant and discriminant (``total_degree_bound``):
+    the packed resultant's work and memory grow with the square of that
+    bound even when the result is sparse or zero.  A discriminant with
+    bound 506 takes about a second on one core."""
 
     max_polys: int = 512
     max_total_degree: int = 200
+    max_degree_bound: int = 512
 
 
 DEFAULT_BUDGET = ProjectionBudget()
@@ -231,12 +239,17 @@ def _as_polys(value: PolySet) -> list[Polynomial]:
     return sorted(value, key=lambda p: p.sort_key())
 
 
-def mccallum_projection(polys: Iterable[Polynomial], v: Variable) -> set[Polynomial]:
+def mccallum_projection(
+    polys: Iterable[Polynomial], v: Variable, budget: ProjectionBudget = DEFAULT_BUDGET
+) -> set[Polynomial]:
     """One projection step eliminating v: coefficients, discriminants and
     pairwise resultants of the polynomials containing v, plus pass-through
-    of the rest; everything made primitive, constants dropped."""
+    of the rest; everything made primitive, constants dropped.  Raises
+    BudgetExceededError instead of computing a resultant or discriminant
+    whose total-degree bound exceeds ``budget.max_degree_bound``."""
     ordered = _as_polys(polys)
-    containing = [p for p in ordered if p.contains(v)]
+    # (p, degree in v, total degree) of each polynomial containing v
+    containing = [(p, p.degree_in(v), p.total_degree) for p in ordered if p.contains(v)]
     out: set[Polynomial] = set()
 
     def add(q: Polynomial):
@@ -244,15 +257,25 @@ def mccallum_projection(polys: Iterable[Polynomial], v: Variable) -> set[Polynom
         if not q.is_constant():
             out.add(q)
 
+    def check(m: int, n: int, deg_p: int, deg_q: int):
+        bound = total_degree_bound(m, n, deg_p, deg_q)
+        if bound > budget.max_degree_bound:
+            raise BudgetExceededError(
+                f"res_{v} has total-degree bound {bound} (cap {budget.max_degree_bound})"
+            )
+
     for p in ordered:
         if not p.contains(v):
             add(p)
-    for p in containing:
+    for p, m, deg_p in containing:
         for coeff in p.coefficients_wrt(v):
             add(coeff)
-        if p.degree_in(v) >= 2:
+        if m >= 2:
+            # dp/dv has degree m - 1 in v and total degree at most deg_p - 1
+            check(m, m - 1, deg_p, deg_p - 1)
             add(discriminant(p, v))
-    for p, q in combinations(containing, 2):
+    for (p, m, deg_p), (q, n, deg_q) in combinations(containing, 2):
+        check(m, n, deg_p, deg_q)
         add(resultant(p, q, v))
     return out
 
@@ -277,9 +300,9 @@ def projection_chain(
     level3 = set(_as_polys(polys))
     _check_budget(level3, budget, ordering)
     greatest, middle, _ = ordering.triple
-    level2 = mccallum_projection(level3, greatest)
+    level2 = mccallum_projection(level3, greatest, budget)
     _check_budget(level2, budget, ordering)
-    level1 = mccallum_projection(level2, middle)
+    level1 = mccallum_projection(level2, middle, budget)
     _check_budget(level1, budget, ordering)
     return [level3, level2, level1]
 

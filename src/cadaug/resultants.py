@@ -10,11 +10,19 @@ Computational Algebraic Number Theory*, Algorithm 3.3.7, without the
 content step) on the integer coefficient lists, so the arithmetic is
 CPython's big-integer multiply and divide.
 
-Packing.  With m = deg_v p and n = deg_v q, every term of the Sylvester
-determinant is a product of n coefficients of p and m of q, so the
-resultant has degree below the box
+Degree bound.  With m = deg_v p and n = deg_v q, every term of the
+Sylvester determinant is a product of n coefficients of p and m of q.
+The coefficient of v^k in p has total degree at most deg p - k, and
+summed over any term of the determinant these give
 
-    D_u = n * deg_u p + m * deg_u q + 1     (likewise D_w)
+    deg res_v(p, q) <= T = n * deg p + m * deg q - m * n
+
+for the total degree (``total_degree_bound``).  This is at most
+deg p * deg q, the Bezout bound.
+
+Packing.  The resultant has degree below the box
+
+    D_u = min(n * deg_u p + m * deg_u q, T) + 1     (likewise D_w)
 
 in u and w, and 1-norm (sum of absolute coefficients) at most
 ||p||_1^n * ||q||_1^m.  Each coefficient therefore fits a signed slot of
@@ -37,6 +45,13 @@ Rational coefficients are cleared first: for integers c and d making cp
 and dq integral, res(cp, dq) = c^n * d^m * res(p, q), and the integer
 resultant is divided by c^n * d^m at the end.
 
+Cost.  The packed integers hold D_u * D_w slots whatever the number of
+terms, so the work grows with the square of T even when the resultant is
+sparse: the discriminant in x1 of x1^100 + x2^100 + x3^100 has 100 terms
+but T = 9900, a box of 10^8 slots.  A caller that caps the output degree
+checks ``total_degree_bound`` first, as the sotd labeller does with its
+projection budget.
+
 The direct method, the Bareiss determinant of the Sylvester matrix, is
 the tests' oracle (``tests/resultant_reference.py``).
 """
@@ -47,20 +62,29 @@ import math
 from fractions import Fraction
 
 from cadaug import kernels
-from cadaug.poly import Polynomial, Variable
+from cadaug.poly import Polynomial, Variable, _normalize_coeff
 
 
 class DegreeError(ValueError):
     """Raised when an operand's degree is too small for the operation."""
 
 
+def total_degree_bound(m: int, n: int, deg_p: int, deg_q: int) -> int:
+    """T = n * deg_p + m * deg_q - m * n: an upper bound on the total degree
+    of res_v(p, q), and the size of the box ``resultant`` packs into, for p
+    of degree m in v and total degree deg_p, and q of n and deg_q."""
+    return n * deg_p + m * deg_q - m * n
+
+
 def _integral(p: Polynomial) -> tuple[list[tuple[tuple[int, int, int], int]], int, list[int]]:
     """(exponents, integer coefficient) pairs of c * p; c, the lcm of the
-    coefficients' denominators; and the degree of p in x1, x2, x3."""
+    coefficients' denominators; and the degree of p in x1, x2, x3 followed
+    by its total degree."""
     scale = math.lcm(*{c.denominator for c in p.raw.values()})
     exps = [kernels.unpack(k) for k in p.raw]
     coeffs = p.raw.values() if scale == 1 else [int(c * scale) for c in p.raw.values()]
-    return list(zip(exps, coeffs)), scale, list(map(max, zip(*exps))) or [0, 0, 0]
+    degrees = [*map(max, zip(*exps)), max(map(sum, exps))] if exps else [0, 0, 0, 0]
+    return list(zip(exps, coeffs)), scale, degrees
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -131,7 +155,8 @@ def _prs_resultant(a: list[int], b: list[int]) -> int:
 def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     """res_v(p, q): the determinant of the Sylvester matrix of p and q,
     computed by the subresultant PRS on Kronecker-packed coefficients.
-    Requires deg_v(p), deg_v(q) >= 1."""
+    The work grows with the square of ``total_degree_bound``, not with the
+    number of terms.  Requires deg_v(p), deg_v(q) >= 1."""
     iv = v.index - 1
     iu, iw = (i for i in range(3) if i != iv)
     p_terms, p_scale, p_deg = _integral(p)
@@ -141,8 +166,9 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
         raise DegreeError(f"degree of first operand in {v} is {m}, need >= 1")
     if n < 1:
         raise DegreeError(f"degree of second operand in {v} is {n}, need >= 1")
-    d_u = n * p_deg[iu] + m * q_deg[iu] + 1
-    d_w = n * p_deg[iw] + m * q_deg[iw] + 1
+    bound = total_degree_bound(m, n, p_deg[3], q_deg[3])
+    d_u = min(n * p_deg[iu] + m * q_deg[iu], bound) + 1
+    d_w = min(n * p_deg[iw] + m * q_deg[iw], bound) + 1
     norm_p = sum(abs(c) for _, c in p_terms)
     norm_q = sum(abs(c) for _, c in q_terms)
     width = ((norm_p**n * norm_q**m).bit_length() + 2 + 7) // 8
@@ -160,7 +186,9 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     for slot, c in _slots(res, width, d_u * d_w):
         exps = [0, 0, 0]
         exps[iw], exps[iu] = divmod(slot, d_u)
-        out[kernels.pack(*exps)] = c if denominator == 1 else _rational(c, denominator)
+        if denominator != 1:
+            c = _normalize_coeff(Fraction(c, denominator))
+        out[kernels.pack(*exps)] = c
     return Polynomial(out)
 
 
@@ -173,11 +201,6 @@ def _slots(packed: int, width: int, count: int) -> list[tuple[int, int]]:
     data = (packed + int.from_bytes(zero * count, "little")).to_bytes(width * count, "little")
     chunks = (data[i * width : (i + 1) * width] for i in range(count))
     return [(i, int.from_bytes(b, "little") - half) for i, b in enumerate(chunks) if b != zero]
-
-
-def _rational(numerator: int, denominator: int):
-    c = Fraction(numerator, denominator)
-    return c.numerator if c.denominator == 1 else c
 
 
 def discriminant(p: Polynomial, v: Variable) -> Polynomial:

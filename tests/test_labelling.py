@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cadaug import labelling
 from cadaug.labelling import (
     BudgetExceededError,
     MissingOrderingError,
@@ -24,6 +25,7 @@ from cadaug.labelling import (
     write_timings_csv,
 )
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
+from cadaug.resultants import discriminant, resultant, total_degree_bound
 from cadaug.symmetry import ALL_PERMUTATIONS
 
 x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
@@ -252,6 +254,40 @@ def test_degree_budget():
     tiny = ProjectionBudget(max_polys=512, max_total_degree=2)
     with pytest.raises(BudgetExceededError):
         projection_chain({x1**3 - x2}, Ordering(0), tiny)
+
+
+def test_projection_degree_bound_cap():
+    # disc_x1(x1^3 - x2) = -27 x2^2 has total-degree bound 2*3 + 3*2 - 3*2 = 6
+    p = x1**3 - x2
+    assert mccallum_projection({p}, X1, ProjectionBudget(max_degree_bound=6)) == {x2, x2**2}
+    with pytest.raises(BudgetExceededError):
+        mccallum_projection({p}, X1, ProjectionBudget(max_degree_bound=5))
+
+
+def test_sparse_high_degree_instance_is_discarded_before_packing(monkeypatch):
+    # disc_v(x1^100 + x2^100 + x3^100) has total-degree bound 9900: packed,
+    # it would take about 10^8 slots of 104 bytes.  Every ordering must be
+    # abandoned before any resultant or discriminant over the cap starts.
+    cap = ProjectionBudget().max_degree_bound
+    bounds = []
+
+    def bound(p, q, v):
+        return total_degree_bound(p.degree_in(v), q.degree_in(v), p.total_degree, q.total_degree)
+
+    def recording_resultant(p, q, v):
+        bounds.append(bound(p, q, v))
+        return resultant(p, q, v)
+
+    def recording_discriminant(p, v):
+        bounds.append(bound(p, p.derivative(v), v))
+        return discriminant(p, v)
+
+    monkeypatch.setattr(labelling, "resultant", recording_resultant)
+    monkeypatch.setattr(labelling, "discriminant", recording_discriminant)
+    polys = {x1**100 + x2**100 + x3**100, x1 + x2 + x3}
+    assert sotd_scores(polys) == [None] * 6
+    assert label_by_sotd(polys) is None
+    assert all(b <= cap for b in bounds)
 
 
 def random_polyset(rng):

@@ -15,7 +15,7 @@ import pytest
 from resultant_reference import determinant, sylvester_matrix
 
 from cadaug.poly import VARIABLES, Polynomial, X1, X2, X3
-from cadaug.resultants import DegreeError, discriminant, resultant
+from cadaug.resultants import DegreeError, discriminant, resultant, total_degree_bound
 
 x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
@@ -251,6 +251,30 @@ def test_resultant_coefficient_needs_top_byte_of_its_slot():
                 assert (2 * k**2).bit_length() + 1 > 8 * (width - 1)
 
 
+def test_total_degree_bound_holds_and_is_attained():
+    # deg res_v(p, q) <= n deg p + m deg q - m n; the packing box is cut
+    # to this bound, so a resultant that reached past it would come back
+    # wrong against the Bareiss determinant.
+    def bound(p, q, v):
+        return total_degree_bound(p.degree_in(v), q.degree_in(v), p.total_degree, q.total_degree)
+
+    rng = random.Random(77)
+    for v in VARIABLES:
+        for m, n in [(1, 1), (2, 1), (3, 2), (2, 4), (4, 4)]:
+            p = random_in_v(rng, m, v, max_exp=3)
+            q = random_in_v(rng, n, v, max_exp=3)
+            res = resultant(p, q, v)
+            assert res == sylvester_det(p, q, v)
+            assert res.total_degree <= bound(p, q, v)
+    for k in (2, 5, 9):
+        p = x1**k + x2**k + x3**k
+        assert bound(p, p.derivative(X1), X1) == k * (k - 1) == discriminant(p, X1).total_degree
+    # dense and generic: the bound is the Bezout bound deg p * deg q
+    p = (x1 + x2 + x3 + 1) ** 3 - 2 * x1 * x2
+    q = (x1 - 2 * x2 + 3 * x3 - 1) ** 2 + x3
+    assert bound(p, q, X2) == 6 == resultant(p, q, X2).total_degree
+
+
 def test_resultant_remainder_degree_drop():
     # x1^4 + x2 mod x1^3 + x3 leaves -x3*x1 + x2: the remainder degree
     # drops by 2, so the next PRS step has delta = 2.
@@ -263,6 +287,9 @@ def test_resultant_remainder_degree_drop():
     # The same shapes with non-unit leading coefficients, against d*x^2 + e:
     # a*x^5 + b*x + c gives delta = 3, then a remainder of degree <= 1;
     # a*x^4 + c gives delta = 2, then a constant remainder.
+    def bound(p, q, v):
+        return total_degree_bound(p.degree_in(v), q.degree_in(v), p.total_degree, q.total_degree)
+
     rng = random.Random(77)
     x = Polynomial.variable(X1)
     for _ in range(6):
