@@ -4,8 +4,10 @@ The authoritative labelling path reads per-ordering CAD timing records and
 takes the fastest ordering.  When no timings exist, a desk-scale proxy
 stands in: for each of the six orderings, run a McCallum-style projection
 chain and score it by the sum of total degrees of all monomials across all
-levels (sotd); the lowest score wins.  Both paths discard an instance only
-when every ordering fails (timeout, or projection budget overrun).
+levels (sotd); the lowest score wins.  The two orderings that eliminate the
+same variable first share one first projection level, so an instance costs
+three first levels, not six.  Both paths discard an instance only when every
+ordering fails (timeout, or projection budget overrun).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
 from cadaug import kernels
 from cadaug.poly import Polynomial, Variable, VARIABLES
@@ -233,12 +235,6 @@ DEFAULT_BUDGET = ProjectionBudget()
 PolySet = Union[ProblemInstance, Iterable[Polynomial]]
 
 
-def _as_polys(value: PolySet) -> list[Polynomial]:
-    if isinstance(value, ProblemInstance):
-        return value.sorted_polynomials
-    return sorted(value, key=lambda p: p.sort_key())
-
-
 def mccallum_projection(
     polys: Iterable[Polynomial], v: Variable, budget: ProjectionBudget = DEFAULT_BUDGET
 ) -> set[Polynomial]:
@@ -246,10 +242,10 @@ def mccallum_projection(
     pairwise resultants of the polynomials containing v, plus pass-through
     of the rest; everything made primitive, constants dropped.  Raises
     BudgetExceededError instead of computing a resultant or discriminant
-    whose total-degree bound exceeds ``budget.max_degree_bound``."""
-    ordered = _as_polys(polys)
-    # (p, degree in v, total degree) of each polynomial containing v
-    containing = [(p, p.degree_in(v), p.total_degree) for p in ordered if p.contains(v)]
+    whose total-degree bound exceeds ``budget.max_degree_bound``.
+
+    The input order does not matter: a primitive polynomial has a positive
+    leading coefficient, and res(p, q) = ±res(q, p)."""
     out: set[Polynomial] = set()
 
     def add(q: Polynomial):
@@ -264,8 +260,13 @@ def mccallum_projection(
                 f"res_{v} has total-degree bound {bound} (cap {budget.max_degree_bound})"
             )
 
-    for p in ordered:
-        if not p.contains(v):
+    # (p, degree in v, total degree) of each polynomial containing v
+    containing = []
+    for p in polys:
+        m = p.degree_in(v)
+        if m:
+            containing.append((p, m, p.total_degree))
+        else:
             add(p)
     for p, m, deg_p in containing:
         for coeff in p.coefficients_wrt(v):
@@ -280,31 +281,44 @@ def mccallum_projection(
     return out
 
 
-def _check_budget(level: set[Polynomial], budget: ProjectionBudget, ordering: Ordering):
+def _check_budget(level: AbstractSet[Polynomial], budget: ProjectionBudget):
     if len(level) > budget.max_polys:
-        raise BudgetExceededError(
-            f"{ordering!r}: level has {len(level)} polynomials (cap {budget.max_polys})"
-        )
+        raise BudgetExceededError(f"level has {len(level)} polynomials (cap {budget.max_polys})")
     for p in level:
         if p.total_degree > budget.max_total_degree:
             raise BudgetExceededError(
-                f"{ordering!r}: polynomial of total degree {p.total_degree} (cap {budget.max_total_degree})"
+                f"polynomial of total degree {p.total_degree} (cap {budget.max_total_degree})"
             )
+
+
+def _input_level(polys: PolySet, budget: ProjectionBudget) -> AbstractSet[Polynomial]:
+    """The first level of a chain: the input polynomials, checked against
+    the budget."""
+    level = polys.polynomials if isinstance(polys, ProblemInstance) else set(polys)
+    _check_budget(level, budget)
+    return level
+
+
+def _projected(
+    level: AbstractSet[Polynomial], v: Variable, budget: ProjectionBudget
+) -> set[Polynomial]:
+    """The next level of a chain: ``level`` with v eliminated, checked
+    against the budget."""
+    out = mccallum_projection(level, v, budget)
+    _check_budget(out, budget)
+    return out
 
 
 def projection_chain(
     polys: PolySet, ordering: Ordering, budget: ProjectionBudget = DEFAULT_BUDGET
-) -> list[set[Polynomial]]:
+) -> list[AbstractSet[Polynomial]]:
     """Levels [input, after eliminating the greatest variable, after also
-    eliminating the middle variable]."""
-    level3 = set(_as_polys(polys))
-    _check_budget(level3, budget, ordering)
+    eliminating the middle variable].  Raises BudgetExceededError when a
+    level overruns the budget."""
     greatest, middle, _ = ordering.triple
-    level2 = mccallum_projection(level3, greatest, budget)
-    _check_budget(level2, budget, ordering)
-    level1 = mccallum_projection(level2, middle, budget)
-    _check_budget(level1, budget, ordering)
-    return [level3, level2, level1]
+    level3 = _input_level(polys, budget)
+    level2 = _projected(level3, greatest, budget)
+    return [level3, level2, _projected(level2, middle, budget)]
 
 
 def sotd(chain: Iterable[Iterable[Polynomial]]) -> int:
@@ -318,14 +332,27 @@ def sotd(chain: Iterable[Iterable[Polynomial]]) -> int:
 
 
 def sotd_scores(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> list[Optional[int]]:
-    """Per-ordering sotd, or None where the projection blew the budget."""
-    base = _as_polys(polys)
-    scores: list[Optional[int]] = []
-    for ordering in ORDERINGS:
+    """Per-ordering sotd of ``projection_chain``, or None where the chain
+    overran the budget.  The two orderings that eliminate the same variable
+    first share one first projection level, computed once."""
+    scores: list[Optional[int]] = [None] * len(ORDERINGS)
+    try:
+        level3 = _input_level(polys, budget)
+    except BudgetExceededError:
+        return scores
+    for greatest in VARIABLES:
         try:
-            scores.append(sotd(projection_chain(base, ordering, budget)))
+            level2 = _projected(level3, greatest, budget)
         except BudgetExceededError:
-            scores.append(None)
+            continue  # both orderings that eliminate it first score None
+        shared = sotd([level3, level2])
+        for ordering in ORDERINGS:
+            first, middle, _ = ordering.triple
+            if first == greatest:
+                try:
+                    scores[ordering.index] = shared + sotd([_projected(level2, middle, budget)])
+                except BudgetExceededError:
+                    pass
     return scores
 
 

@@ -68,11 +68,15 @@ def _grlex_sort_key(key: int) -> tuple[int, int]:
 class Polynomial:
     """Immutable sparse polynomial; the zero polynomial has no terms."""
 
-    __slots__ = ("_terms",)
+    # _integral holds ``resultants._integral(self)``, filled on first use
+    # and never changed after: a function of the terms, so the polynomial
+    # stays immutable in every way that equality and hashing can see
+    __slots__ = ("_terms", "_integral")
 
     def __init__(self, terms: dict[int, Coeff] | None = None):
         # Terms are adopted as-is; callers must not mutate them afterwards.
         self._terms = terms if terms is not None else {}
+        self._integral = None
 
     # -- constructors ------------------------------------------------------
 
@@ -291,13 +295,13 @@ class Polynomial:
         """Divide out the rational content and normalize the leading sign."""
         if not self._terms:
             return self
-        cleared = self.cleared_denominators()
-        g = 0
-        for c in cleared._terms.values():
-            g = math.gcd(g, abs(c))
+        poly = self
+        if not all(type(c) is int for c in self._terms.values()):
+            poly = self.cleared_denominators()
+        g = math.gcd(*poly._terms.values())
         if g > 1:
-            cleared = Polynomial({k: c // g for k, c in cleared._terms.items()})
-        return cleared.sign_normalized()
+            poly = Polynomial({k: c // g for k, c in poly._terms.items()})
+        return poly.sign_normalized()
 
     # -- text form ---------------------------------------------------------
 

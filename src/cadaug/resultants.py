@@ -79,12 +79,18 @@ def total_degree_bound(m: int, n: int, deg_p: int, deg_q: int) -> int:
 def _integral(p: Polynomial) -> tuple[list[tuple[tuple[int, int, int], int]], int, list[int]]:
     """(exponents, integer coefficient) pairs of c * p; c, the lcm of the
     coefficients' denominators; and the degree of p in x1, x2, x3 followed
-    by its total degree."""
-    scale = math.lcm(*{c.denominator for c in p.raw.values()})
-    exps = [kernels.unpack(k) for k in p.raw]
-    coeffs = p.raw.values() if scale == 1 else [int(c * scale) for c in p.raw.values()]
-    degrees = [*map(max, zip(*exps)), max(map(sum, exps))] if exps else [0, 0, 0, 0]
-    return list(zip(exps, coeffs)), scale, degrees
+    by its total degree.  Computed once per polynomial and kept on it: a
+    polynomial of one projection level meets every other one in a
+    resultant."""
+    if p._integral is None:
+        scale = math.lcm(*{c.denominator for c in p.raw.values()})
+        exps = [kernels.unpack(k) for k in p.raw]
+        # int() also for scale 1: sums and products of Fractions can leave
+        # an integral Fraction such as Fraction(1, 1) in the term map
+        coeffs = [int(c * scale) for c in p.raw.values()]
+        degrees = [*map(max, zip(*exps)), max(map(sum, exps))] if exps else [0, 0, 0, 0]
+        p._integral = list(zip(exps, coeffs)), scale, degrees
+    return p._integral
 
 
 def _exact_div(a: int, b: int) -> int:

@@ -1,6 +1,7 @@
 """Tests for ordering labels, timing records, and the sotd proxy oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from cadaug.labelling import (
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
 from cadaug.resultants import discriminant, resultant, total_degree_bound
 from cadaug.symmetry import ALL_PERMUTATIONS
+from cadaug.synth import synthesize_corpus
 
 x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
@@ -288,6 +290,68 @@ def test_sparse_high_degree_instance_is_discarded_before_packing(monkeypatch):
     assert sotd_scores(polys) == [None] * 6
     assert label_by_sotd(polys) is None
     assert all(b <= cap for b in bounds)
+
+
+def test_sotd_scores_share_first_levels_and_match_each_chain(tmp_path, monkeypatch):
+    # the first 20 instances of the acceptance corpus: each score is the
+    # sotd of that ordering's own chain, or None where the chain overruns,
+    # from three first projection levels and six second ones
+    calls = []
+
+    def counting_projection(polys, v, budget=labelling.DEFAULT_BUDGET):
+        calls.append(v)
+        return mccallum_projection(polys, v, budget)
+
+    for inst in synthesize_corpus(tmp_path, 20, seed=20240817):
+        monkeypatch.setattr(labelling, "mccallum_projection", counting_projection)
+        calls.clear()
+        scores = sotd_scores(inst)
+        assert len(calls) <= 9
+        monkeypatch.undo()
+        for ordering in ORDERINGS:
+            try:
+                expect = sotd(projection_chain(inst, ordering))
+            except BudgetExceededError:
+                expect = None
+            assert scores[ordering.index] == expect
+
+
+def test_first_level_overrun_scores_none_for_its_two_orderings_only():
+    # eliminating x1 first gives {x2, x3, x3^2 - x2}, one polynomial over
+    # the cap of 2; every level of the other four chains holds at most two
+    polys = {x1**2 - x2, x1 - x3}
+    budget = ProjectionBudget(max_polys=2)
+    scores = sotd_scores(polys, budget)
+    assert scores[:2] == [None, None]
+    for ordering in ORDERINGS[:2]:
+        with pytest.raises(BudgetExceededError):
+            projection_chain(polys, ordering, budget)
+    for ordering in ORDERINGS[2:]:
+        assert scores[ordering.index] == sotd(projection_chain(polys, ordering, budget))
+        assert scores[ordering.index] is not None
+
+
+def test_projection_does_not_depend_on_input_order():
+    # a set, its sort_key order and the reverse of that give the same level
+    rng = random.Random(41)
+    for _ in range(12):
+        polys = set()
+        while len(polys) < 4:
+            terms = [
+                (
+                    (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)),
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            p = Polynomial.from_terms(terms)
+            if not p.is_constant():
+                polys.add(p)
+        ordered = sorted(polys, key=lambda p: p.sort_key())
+        for v in VARIABLES:
+            expect = mccallum_projection(polys, v)
+            assert mccallum_projection(ordered, v) == expect
+            assert mccallum_projection(ordered[::-1], v) == expect
 
 
 def random_polyset(rng):

@@ -229,6 +229,26 @@ def test_primitive():
     assert Polynomial.zero().primitive().is_zero()
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        6*x1**2 - 4*x2 + 10,  # content 2
+        -3*x3**2 + 9*x1*x2 - 6,  # content 3, negative graded-lex leading coefficient
+        -x2**3 + x1,  # content 1, negative leading coefficient
+        2*x1*x2 + 3*x3,  # already primitive
+        Polynomial.constant(-12),
+    ],
+)
+def test_primitive_integer_input_matches_fraction_path(p):
+    # integer-only input skips clearing denominators; the same polynomial
+    # held with Fraction coefficients, or scaled by a positive rational,
+    # goes through cleared_denominators and must come out the same
+    as_fractions = Polynomial({k: Fraction(c) for k, c in p.raw.items()})
+    assert all(isinstance(c, int) for c in p.primitive().raw.values())
+    assert p.primitive() == as_fractions.primitive()
+    assert p.primitive() == (p * Fraction(5, 1009)).primitive()
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys)
 def test_primitive_is_idempotent_and_proportional(p):

@@ -351,6 +351,47 @@ def test_resultant_fraction_coefficients():
             assert resultant(p, q, v) == sylvester_det(p, q, v)
 
 
+def test_operand_met_in_many_resultants_gives_the_oracle_answer_every_time():
+    # each operand's integer form is computed once and kept on the
+    # polynomial; a polynomial reused in many resultants, in either place
+    # and eliminating each variable, and an equal polynomial built
+    # separately must give the Bareiss determinant every time
+    rng = random.Random(606)
+
+    def operand():
+        while True:
+            p = random_poly(rng, max_terms=5, max_exp=2)
+            if rng.random() < 0.5:
+                p = p * Fraction(rng.randint(1, 5), rng.randint(2, 7))
+            if all(p.degree_in(v) for v in VARIABLES):
+                return p
+
+    for _ in range(3):
+        p = operand()
+        twin = Polynomial.from_terms(p.terms())
+        assert twin == p and twin is not p
+        others = [operand() for _ in range(3)]
+        for v in VARIABLES:
+            for q in others:
+                forward, backward = sylvester_det(p, q, v), sylvester_det(q, p, v)
+                for same in (p, twin, p):
+                    assert resultant(same, q, v) == forward
+                    assert resultant(q, same, v) == backward
+            if p.degree_in(v) >= 2:
+                expect = sylvester_det(p, p.derivative(v), v)
+                for same in (p, twin, p):
+                    assert discriminant(same, v) == expect
+
+
+def test_resultant_of_integral_fraction_coefficients():
+    # x1/2 + x1/2 holds its x1 coefficient as Fraction(1, 1), not 1
+    half = Fraction(1, 2)
+    p = x1 * half + x1 * half - x2
+    assert any(isinstance(c, Fraction) for c in p.raw.values())
+    assert resultant(p, x1 - x3, X1) == sylvester_det(p, x1 - x3, X1) == x2 - x3
+    assert discriminant(p * p + x3, X1) == sylvester_det(p * p + x3, 2 * p, X1)
+
+
 def test_resultant_degree_errors():
     with pytest.raises(DegreeError):
         resultant(x2 + 1, x1, X1)
