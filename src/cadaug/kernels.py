@@ -1,8 +1,12 @@
 """Pure-Python term-dict kernels for sparse polynomials in three variables.
 
 A polynomial is a dict mapping a packed exponent key to a non-zero
-coefficient (int or Fraction).  The key packs the exponents of x1, x2, x3
-into one integer, 21 bits per variable:
+coefficient: an int, or a Fraction whose denominator is not 1.  Every
+kernel returns coefficients in that form.  It looks for whole Fractions
+in its result only when an operand holds a Fraction, so integer
+arithmetic pays one C-level scan of the operands' types and nothing more.
+The key packs the exponents of x1, x2, x3 into one integer, 21 bits per
+variable:
 
     key = e1 | (e2 << 21) | (e3 << 42)
 
@@ -87,7 +91,8 @@ def kadd(a, b):
                 out[k] = s
             else:
                 del out[k]
-    return out
+    # a sum of an int and a non-integral Fraction is never whole
+    return _whole(out) if _has_fraction(b) else out
 
 
 def ksub(a, b):
@@ -102,7 +107,7 @@ def ksub(a, b):
                 out[k] = s
             else:
                 del out[k]
-    return out
+    return _whole(out) if _has_fraction(b) else out
 
 
 def kneg(a):
@@ -112,7 +117,8 @@ def kneg(a):
 def kscale(a, c):
     if not c:
         return {}
-    return {k: v * c for k, v in a.items()}
+    out = {k: v * c for k, v in a.items()}
+    return _whole(out) if type(c) is not int or _has_fraction(a) else out
 
 
 def kmul(a, b):
@@ -134,7 +140,22 @@ def kmul(a, b):
                     out[k] = s
                 else:
                     del out[k]
-    return out
+    return _whole(out) if _has_fraction(a) or _has_fraction(b) else out
+
+
+def _has_fraction(a):
+    """True if a term dict has a Fraction coefficient."""
+    return Fraction in map(type, a.values())
+
+
+def _whole(a):
+    """``a`` with every whole Fraction coefficient replaced by its int, in
+    place: ring operations on Fractions can give ``Fraction(n, 1)``, and
+    the canonical form holds ints there."""
+    for k, c in a.items():
+        if type(c) is Fraction and c.denominator == 1:
+            a[k] = c.numerator
+    return a
 
 
 def _coeff_div(a, b):

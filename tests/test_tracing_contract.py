@@ -19,7 +19,7 @@ import pytest
 from cadaug import pipeline
 from cadaug.dataset import Dataset
 from cadaug.features import FeatureSchema, all_shapes
-from cadaug.ml import CVPlan, train
+from cadaug.ml import CVPlan, RandomForestClassifier, train
 from cadaug.labelling import TimingRecord, write_timings_csv
 from cadaug.poly import VARIABLES, Polynomial, X1, X2, X3
 from cadaug.smtlib import ProblemInstance
@@ -107,6 +107,17 @@ def test_tree_fits_are_traced(tracing):
         else:
             assert not in_forest
         assert tracer.counts["ml.tree.nodes"] > 0, kind
+
+
+def test_forest_trees_are_traced_one_fit_each(tracing):
+    # a forest grows its trees together, inside its trees' fits
+    dataset = _tree_dataset()
+    forest = RandomForestClassifier(n_trees=5, max_depth=None, seed=6)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        forest.fit(dataset.X, dataset.y)
+    assert tracer.count("ml.tree.fit") == 5
+    assert tracer.counts["ml.tree.nodes"] == sum(tree.arrays.left.size for tree in forest.trees)
 
 
 def test_knn_fits_once_per_fold(tracing):
