@@ -272,6 +272,11 @@ def fit_distinct_filter(matrix: np.ndarray, schema: FeatureSchema | None = None)
     of its three variable-columns adds rank over the kept columns plus the
     constant column.  Kept or dropped applies to the whole shape (all three
     variables), so the filtered schema stays block-symmetric.
+
+    A column adds rank when its residual after classical Gram–Schmidt,
+    done twice, against the orthonormal basis found so far is longer than
+    ``DISTINCT_REL_TOL`` times the column (or 1, if longer); each pass is
+    two matrix-vector products over the basis.
     """
     if schema is None:
         schema = FeatureSchema.raw()
@@ -284,20 +289,23 @@ def fit_distinct_filter(matrix: np.ndarray, schema: FeatureSchema | None = None)
         )
 
     n = matrix.shape[0]
-    basis: list[np.ndarray] = [np.full(n, 1.0 / math.sqrt(n))]
+    columns = np.ascontiguousarray(matrix.T)
+    basis = np.empty((len(schema) + 1, n))
+    basis[0] = 1.0 / math.sqrt(n)
+    rank = 1
     kept: list[Shape] = []
     for shape_index, shape in enumerate(schema.shapes):
-        rank = len(basis)
+        before = rank
         for v in VARIABLES:
-            col = matrix[:, schema.position(v, shape_index)]
-            r = col.copy()  # contiguous: a strided dot product may round differently
+            col = columns[schema.position(v, shape_index)]
+            r = col.copy()
             for _ in range(2):  # re-orthogonalize for numerical stability
-                for q in basis:
-                    r = r - (q @ r) * q
+                r -= (basis[:rank] @ r) @ basis[:rank]
             r_norm = np.linalg.norm(r)
             if r_norm > DISTINCT_REL_TOL * max(np.linalg.norm(col), 1.0):
-                basis.append(r / r_norm)
-        if len(basis) > rank:
+                basis[rank] = r / r_norm
+                rank += 1
+        if rank > before:
             kept.append(shape)
     return FeatureSchema(tuple(kept))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from ..seeding import derive_seed
 from .tree import (
     N_CLASSES,
     DecisionTreeClassifier,
+    Growth,
     TreeArrays,
     check_count,
     check_cuttable,
@@ -20,7 +22,7 @@ from .tree import (
     route,
 )
 
-__all__ = ["RandomForestClassifier", "resolve_max_features"]
+__all__ = ["RandomForestClassifier", "SharedGrowth", "resolve_max_features"]
 
 
 def resolve_max_features(spec: str | int | None, n_features: int) -> int | None:
@@ -88,26 +90,50 @@ class RandomForestClassifier:
             raise ValueError("classifier is not fitted")
         return self._n_features
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
+    def fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        grown: Callable[[int], TreeArrays] | None = None,
+    ) -> "RandomForestClassifier":
+        """Grow the trees (see ``growth``), each fitted through
+        ``DecisionTreeClassifier.fit``.
+
+        ``grown(i)``, if given, returns tree i's arrays from a growth
+        shared with other forests (``SharedGrowth``); cross-validation
+        passes it to grow the forests of several folds at once.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise ValueError("X and y must be non-empty with matching row counts")
         n, d = X.shape
-        seeds = [derive_seed(self.seed, f"tree:{i}") for i in range(self.n_trees)]
-        if self.bootstrap:
-            samples = [np.random.default_rng(seed).integers(0, n, size=n) for seed in seeds]
-        else:
-            samples = [np.arange(n)] * self.n_trees
-        mtry = resolve_max_features(self.max_features, d)
-        growth = _SharedGrowth(X, y, samples, seeds, self.max_depth, self.min_leaf, mtry)
+        if grown is None:
+            grown = SharedGrowth(X, y).add(self.growth(np.arange(n), d))
         self.trees = [
-            DecisionTreeClassifier(self.max_depth, self.min_leaf)
-            .fit(X, y, grown=partial(growth.tree, i))
+            DecisionTreeClassifier(self.max_depth, self.min_leaf).fit(X, y, grown=partial(grown, i))
             for i in range(self.n_trees)
         ]
         self._n_features = d
         return self
+
+    def growth(self, rows: np.ndarray, n_features: int) -> Growth:
+        """The trees that ``fit`` grows on ``X[rows]``, a matrix of
+        ``n_features`` columns.
+
+        Tree i has seed ``derive_seed(seed, f"tree:{i}")`` and is grown on
+        ``rows[sample]``, where ``sample`` is its bootstrap draw of
+        ``len(rows)`` positions from a generator on that seed (all
+        positions without ``bootstrap``).
+        """
+        n = len(rows)
+        seeds = [derive_seed(self.seed, f"tree:{i}") for i in range(self.n_trees)]
+        if self.bootstrap:
+            samples = [rows[np.random.default_rng(seed).integers(0, n, size=n)] for seed in seeds]
+        else:
+            samples = [rows] * self.n_trees
+        mtry = resolve_max_features(self.max_features, n_features)
+        return Growth(samples, seeds, (self.max_depth, self.min_leaf, mtry))
 
     def _fitted(self) -> list[DecisionTreeClassifier]:
         if self.trees is None:
@@ -158,24 +184,40 @@ class RandomForestClassifier:
         return model
 
 
-class _SharedGrowth:
-    """A forest's trees, grown together (``tree.grow``) on the first
-    request for any of them.
+class SharedGrowth:
+    """The trees of one or more fits on rows of one ``X``, grown together
+    (``tree.grow``) on the first request for any of them.
 
-    The forest still fits each tree through ``DecisionTreeClassifier.fit``,
-    which asks for its tree here, so the growth runs inside the first
-    tree's fit and each fit returns its own tree.  The benchmark's tracer
-    times and counts trees at that method.
+    Each fit adds its ``Growth``, and each of its trees is still fitted
+    through ``DecisionTreeClassifier.fit``, which asks for its tree here:
+    the growth runs inside the first tree fit, and each fit returns its
+    own tree.  The benchmark's tracer times and counts trees at that
+    method.
     """
 
-    def __init__(self, *grow_args) -> None:
-        self._grow_args = grow_args
+    def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
+        self._X, self._y = X, y
+        self._samples: list[np.ndarray] = []
+        self._seeds: list[int | None] = []
+        self._params: tuple | None = None
         self._trees: list[TreeArrays] | None = None
 
-    def tree(self, i: int) -> TreeArrays:
+    def add(self, growth: Growth) -> Callable[..., TreeArrays]:
+        """Take on ``growth``'s trees; returns ``grown``, where
+        ``grown(i)`` is its tree i and ``grown()`` its first.  Every
+        growth added must have the same ``params``."""
+        if self._params is not None and growth.params != self._params:
+            raise ValueError("a shared growth's trees must share max_depth, min_leaf and mtry")
+        self._params = growth.params
+        first = len(self._samples)
+        self._samples += growth.samples
+        self._seeds += growth.seeds
+        return partial(self._tree, first)
+
+    def _tree(self, first: int, i: int = 0) -> TreeArrays:
         if self._trees is None:
-            self._trees = grow(*self._grow_args)
-        return self._trees[i]
+            self._trees = grow(self._X, self._y, self._samples, self._seeds, *self._params)
+        return self._trees[first + i]
 
 
 def _predict(arrays: list[TreeArrays], X: np.ndarray, bounds: list[int | None]) -> list[np.ndarray]:

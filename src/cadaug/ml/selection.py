@@ -5,14 +5,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..dataset import Dataset
 from ..jsonfields import json_field
 from ..seeding import derive_seed
-from .forest import RandomForestClassifier
+from .forest import RandomForestClassifier, SharedGrowth
 from .knn import KNNClassifier
 from .scaling import Standardizer
 from .tree import DecisionTreeClassifier
@@ -164,28 +164,42 @@ class TrainedModel:
         return cls.from_json(json.loads(Path(path).read_text()))
 
 
+# stacked root rows that one tree growth may take: a grid group grows the
+# trees of consecutive folds together while their roots stay within this,
+# which bounds the memory that a growth and its fold models hold
+_GROWTH_ROWS = 1 << 16
+
+
 def _fold_predictions(
     kind: str,
     grid: Sequence[Mapping[str, Any]],
-    X_fit: np.ndarray,
-    y_fit: np.ndarray,
-    X_test: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    folds: Sequence[np.ndarray],
     seed: int,
-    fold: int,
-) -> list[np.ndarray]:
-    """Test predictions of every grid point on one fold, one fit per group.
+) -> list[list[np.ndarray]]:
+    """Test predictions of every grid point on every fold, one fit per
+    fold and group.
 
     Grid points that differ only in the kind's bounded hyperparameter
     (the ``bounded`` attribute of its classifier) form a group, keyed by
-    ``rest``, the repr of their other parameters, sorted.  Each group
-    fits one model at its largest bound (an unbounded depth, ``None``, is
-    the largest) on ``(X_fit, y_fit)`` with seed
-    ``derive_seed(seed, f"{kind}:{rest}:{fold}")``,
-    which only rf uses, and ``predict_bounded`` scores every bound of the
-    group on ``X_test`` from that model alone: knn votes over a prefix of
-    one neighbour order, and trees are cut at each depth, a cut node
-    predicting the majority recorded when it was grown.  That equals
-    fitting each point alone with the same seed.
+    ``rest``, the repr of their other parameters, sorted.  On fold ``fi``,
+    each group fits one model at its largest bound (an unbounded depth,
+    ``None``, is the largest) on the rows of ``(X, y)`` outside the fold,
+    with seed ``derive_seed(seed, f"{kind}:{rest}:{fi}")``, which only rf
+    uses, and ``predict_bounded`` scores every bound of the group on the
+    fold from that model alone: knn votes over a prefix of one neighbour
+    order, and trees are cut at each depth, a cut node predicting the
+    majority recorded when it was grown.  That equals fitting each point
+    alone with the same seed.
+
+    The work runs group by group.  A dt or rf group grows the trees of
+    consecutive folds' models with one ``tree.grow`` call
+    (``SharedGrowth``), on roots that index ``X`` itself, while their
+    root rows together stay within ``_GROWTH_ROWS``; a split depends only
+    on the rows in its node, so each tree equals the tree its model grows
+    alone.  Each model is still fitted through its own ``fit``, and the
+    growth is released once its folds are predicted.
     """
     bounded = CLASSIFIERS[kind].bounded
     points = []
@@ -198,15 +212,52 @@ def _fold_predictions(
         if bound not in bounds:
             bounds.append(bound)
         points.append((rest, bound))
-    predictions: dict[tuple[str, Any], np.ndarray] = {}
+    fit_rows = []
+    for fold in folds:
+        mask = np.ones(len(y), dtype=bool)
+        mask[fold] = False
+        fit_rows.append(np.flatnonzero(mask))
+    predictions: dict[tuple[str, Any, int], np.ndarray] = {}
     for rest, (others, bounds) in groups.items():
         largest = None if None in bounds else max(bounds)
-        model = _make_classifier(
-            kind, {**others, bounded: largest}, derive_seed(seed, f"{kind}:{rest}:{fold}")
-        ).fit(X_fit, y_fit)
-        for bound, predicted in zip(bounds, model.predict_bounded(X_test, bounds)):
-            predictions[rest, bound] = predicted
-    return [predictions[point] for point in points]
+        params = {**others, bounded: largest}
+        for fi, model, hook in _fold_models(kind, params, rest, seed, X, y, fit_rows):
+            model.fit(X[fit_rows[fi]], y[fit_rows[fi]], **hook)
+            for bound, predicted in zip(bounds, model.predict_bounded(X[folds[fi]], bounds)):
+                predictions[rest, bound, fi] = predicted
+    return [[predictions[rest, bound, fi] for fi in range(len(folds))] for rest, bound in points]
+
+
+def _fold_models(
+    kind: str,
+    params: dict[str, Any],
+    rest: str,
+    seed: int,
+    X: np.ndarray,
+    y: np.ndarray,
+    fit_rows: list[np.ndarray],
+) -> Iterator[tuple[int, Any, dict[str, Any]]]:
+    """Each fold's unfitted model of one grid group, with the keywords its
+    ``fit`` takes, fold by fold.
+
+    The trees of consecutive folds' models share one growth while their
+    root rows together stay within ``_GROWTH_ROWS``: a batch is yielded
+    when the next fold's roots, drawn already, would overflow it.
+    """
+    batch: list[tuple[int, Any, dict[str, Any]]] = []
+    growth, batch_rows = SharedGrowth(X, y), 0
+    for fi, rows in enumerate(fit_rows):
+        model = _make_classifier(kind, params, derive_seed(seed, f"{kind}:{rest}:{fi}"))
+        if not hasattr(model, "growth"):  # knn grows no trees
+            yield fi, model, {}
+            continue
+        trees = model.growth(rows, X.shape[1])
+        if batch and batch_rows + trees.rows > _GROWTH_ROWS:
+            yield from batch
+            batch, growth, batch_rows = [], SharedGrowth(X, y), 0
+        batch.append((fi, model, {"grown": growth.add(trees)}))
+        batch_rows += trees.rows
+    yield from batch
 
 
 def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
@@ -217,8 +268,9 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     kind that differ only in ``k`` (knn) or ``max_depth`` (dt, rf) share
     one fit at their largest value, and every value is scored from it:
     the trees are cut at each depth, and knn votes over a prefix of one
-    neighbour order (see ``_fold_predictions``).  The results equal
-    fitting each point on its own.  The winner is refitted on all rows,
+    neighbour order, and the trees of a group's folds are grown together
+    (see ``_fold_predictions``).  The results equal fitting each point
+    on its own.  The winner is refitted on all rows,
     an rf winner with seed ``derive_seed(plan.seed, "rf:final")``.
     """
     if kind not in MODEL_KINDS:
@@ -232,13 +284,10 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     grid = list(plan.grids[kind])
     order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(n)
     folds = np.array_split(order, plan.folds)
-    fold_accuracies: list[list[float]] = [[] for _ in grid]
-    for fi, fold in enumerate(folds):
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        predictions = _fold_predictions(kind, grid, X[mask], y[mask], X[fold], plan.seed, fi)
-        for accuracies, predicted in zip(fold_accuracies, predictions):
-            accuracies.append(float((predicted == y[fold]).mean()))
+    fold_accuracies = [
+        [float((predicted == y[fold]).mean()) for predicted, fold in zip(point, folds)]
+        for point in _fold_predictions(kind, grid, X, y, folds, plan.seed)
+    ]
     results: list[dict[str, Any]] = []
     best_index = 0
     best_mean = -1.0

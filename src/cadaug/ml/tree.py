@@ -11,6 +11,7 @@ from ..jsonfields import json_field
 
 __all__ = [
     "DecisionTreeClassifier",
+    "Growth",
     "RankedColumns",
     "TreeArrays",
     "check_count",
@@ -116,16 +117,20 @@ def rank_columns(X: np.ndarray) -> RankedColumns:
     """Rank-encode every column of a finite float matrix."""
     if not np.isfinite(X).all():
         raise ValueError("X must be finite")
-    order = np.argsort(X, axis=0, kind="stable")
-    ordered = np.take_along_axis(X, order, axis=0)
-    new = np.ones(X.shape, dtype=bool)
-    new[1:] = ordered[1:] > ordered[:-1]
-    ranks = np.cumsum(new, axis=0) - 1
-    widths = ranks[-1] + 1
+    # one contiguous row per column: sorting along the rows of a C-order
+    # matrix reads strided memory.  Equal values get one rank whatever
+    # their order, so the sort need not be stable
+    columns = np.ascontiguousarray(X.T)
+    order = np.argsort(columns, axis=1)
+    ordered = np.take_along_axis(columns, order, axis=1)
+    new = np.ones(columns.shape, dtype=bool)
+    new[:, 1:] = ordered[:, 1:] > ordered[:, :-1]
+    ranks = np.cumsum(new, axis=1) - 1
+    widths = ranks[:, -1] + 1
     offsets = np.cumsum(widths) - widths
-    codes = np.empty(X.shape, dtype=np.intp)
-    np.put_along_axis(codes, order, (ranks + offsets) * N_CLASSES, axis=0)
-    return RankedColumns(codes, offsets, widths, ordered.T[new.T])
+    codes = np.empty(columns.shape, dtype=np.intp)
+    np.put_along_axis(codes, order, (ranks + offsets[:, None]) * N_CLASSES, axis=1)
+    return RankedColumns(np.ascontiguousarray(codes.T), offsets, widths, ordered[new])
 
 
 class TreeArrays(NamedTuple):
@@ -246,6 +251,21 @@ class _Preorder:
             np.array(self.right, dtype=np.intp),
             np.array(self.value, dtype=np.int64),
         )
+
+
+class Growth(NamedTuple):
+    """The trees one fit grows with ``grow``: tree i on the rows
+    ``samples[i]`` of ``X`` with seed ``seeds[i]``, all with ``params``,
+    the ``(max_depth, min_leaf, mtry)`` arguments of ``grow``."""
+
+    samples: list[np.ndarray]
+    seeds: list[int | None]
+    params: tuple[int | None, int, int | None]
+
+    @property
+    def rows(self) -> int:
+        """The root rows of all the trees together."""
+        return sum(len(sample) for sample in self.samples)
 
 
 # row × candidate-column cells that one split-search pass takes: a level
@@ -563,12 +583,13 @@ class DecisionTreeClassifier:
         """Grow the tree; with ``mtry`` each split considers ``mtry``
         columns drawn from ``seed`` and the node's path (see ``grow``).
 
-        ``grown`` serves ``RandomForestClassifier.fit`` alone, which
-        passes its own ``X`` and ``y``: it returns this tree's arrays from
-        the growth the forest's trees share, which grows them all on its
-        first call, and ``seed`` and ``mtry`` are then unused.  The
-        growth thus runs inside the forest's tree fits, which is where
-        perfbench's tracer times and counts trees.
+        ``grown`` returns this tree's arrays from a growth it shares
+        with other trees (``forest.SharedGrowth``), which grows them all
+        on its first call; ``seed`` and ``mtry`` are then unused.  A
+        forest's fit passes it for each of its trees, and
+        cross-validation for the trees of one batch of folds (see
+        ``growth``).  The growth thus runs inside a tree fit, which is
+        where perfbench's tracer times and counts trees.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
@@ -581,6 +602,11 @@ class DecisionTreeClassifier:
             self.arrays = grown()
         self._n_features = X.shape[1]
         return self
+
+    def growth(self, rows: np.ndarray, n_features: int) -> Growth:
+        """The tree that ``fit`` grows on ``X[rows]``, without ``seed``
+        or ``mtry``; ``n_features`` is unused."""
+        return Growth([rows], [None], (self.max_depth, self.min_leaf, None))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return route([self._fitted()], X, [None])[0][0]

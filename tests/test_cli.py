@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -370,3 +374,16 @@ def test_non_finite_features_are_data_errors(workspace, tmp_path, capsys, value)
     assert run_cli(*train, "--data", root / "train.csv") == EXIT_OK
     assert run_cli("evaluate", "--data", bad, "--schema", root / "schema.json",
                    "--model", tmp_path / "dt.json") == EXIT_DATA
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_defaults_blas_to_one_thread(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, cadaug; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == expected

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import distinct_reference
 from cadaug.features import (
     AGGREGATIONS,
     BASES,
@@ -299,6 +300,30 @@ def test_filter_soundness_dropped_columns_reconstructible():
             coef, *_ = np.linalg.lstsq(design, target, rcond=None)
             residual = target - design @ coef
             assert np.linalg.norm(residual) < 1e-6 * max(1.0, np.linalg.norm(target))
+
+
+@pytest.mark.parametrize("n_rows, seed", [(20, 0), (45, 1), (80, 2), (200, 3), (200, 4)])
+def test_filter_equals_per_vector_gram_schmidt(n_rows, seed):
+    # 12 of the 40 shapes have every column an affine combination of
+    # earlier shapes' columns, some of them constant; with fewer rows than
+    # columns the rank runs out, and every later shape is dropped too
+    rng = np.random.default_rng(seed)
+    schema = FeatureSchema(tuple(all_shapes()[:40]))
+    matrix = rng.integers(-3, 4, size=(n_rows, len(schema))).astype(np.float64)
+    planted = np.sort(rng.choice(np.arange(4, 40), size=12, replace=False))
+    for shape_index in planted:
+        for v in VARIABLES:
+            sources = [
+                schema.position(u, int(i))
+                for u, i in zip(rng.choice(VARIABLES, size=3), rng.integers(0, shape_index, size=3))
+            ]
+            weights = rng.integers(-2, 3, size=3) * rng.integers(0, 2)  # zero: a constant
+            matrix[:, schema.position(v, shape_index)] = (
+                matrix[:, sources] @ weights + rng.integers(-5, 6)
+            )
+    kept = fit_distinct_filter(matrix, schema).shapes
+    assert kept == distinct_reference.kept_shapes(matrix, schema)
+    assert kept and not {schema.shapes[i] for i in planted} & set(kept)
 
 
 def test_filter_requires_rows():

@@ -28,7 +28,7 @@ from cadaug.ml import (
     standardize_fit,
     train,
 )
-from cadaug.ml import selection, tree as tree_module
+from cadaug.ml import forest as forest_module, selection, tree as tree_module
 from cadaug.ml.forest import resolve_max_features
 from cadaug.ml.tree import column_draw, draw_steps, rank_columns, route, splitmix64
 from cadaug.seeding import derive_seed
@@ -698,3 +698,73 @@ def test_rf_cv_shares_growth_exactly(grid):
 ], ids=["default", "repeated-unsorted", "beyond-fit-rows", "one-k"])
 def test_knn_cv_shares_neighbour_order_exactly(grid):
     _check_cv_shares_fits_exactly("knn", grid)
+
+
+# -- folds grown together --------------------------------------------------
+
+
+def _cv_problem():
+    rng = np.random.default_rng(23)
+    X = rng.integers(0, 7, size=(150, 12)).astype(np.float64)
+    y = (X[:, 0] + X[:, 1] * X[:, 2]).astype(np.int64) % N_CLASSES
+    noisy = rng.random(150) < 0.3
+    y[noisy] = rng.integers(0, N_CLASSES, size=int(noisy.sum()))
+    return blob_dataset(X, y)
+
+
+CV_GRIDS = {
+    "dt": [
+        {"max_depth": depth, "min_leaf": leaf} for depth in (2, 5, None) for leaf in (1, 4)
+    ],
+    "rf": [
+        {"n_trees": 3, "max_depth": depth, "max_features": subset, "bootstrap": bootstrap}
+        for depth in (3, None)
+        for subset in ("sqrt", None)
+        for bootstrap in (True, False)
+    ],
+}
+
+
+def _count_growths(monkeypatch):
+    """Count ``tree.grow`` calls, wherever the caller looks the name up."""
+    calls = []
+    grow = tree_module.grow
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))  # the number of trees grown together
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(forest_module, "grow", counted)
+    monkeypatch.setattr(tree_module, "grow", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["dt", "rf"])
+def test_cv_results_do_not_depend_on_the_growth_row_budget(monkeypatch, kind):
+    dataset = _cv_problem()
+    plan = CVPlan(folds=4, grids=CV_GRIDS, seed=5)
+    growths = _count_growths(monkeypatch)
+    runs = []
+    for budget in (0, 2**40):  # one fold per growth; every fold of a group in one
+        monkeypatch.setattr(selection, "_GROWTH_ROWS", budget)
+        growths.clear()
+        model = train(kind, dataset, plan)
+        runs.append((model.cv_results, model.hyperparameters,
+                     json.dumps(model.classifier.to_payload())))
+        groups = 2 if kind == "dt" else 4
+        # the CV growths, then the final refit's own
+        assert len(growths) == (4 * groups if budget == 0 else groups) + 1
+    assert runs[0] == runs[1]
+    assert len({r["mean_accuracy"] for r in runs[0][0]}) > 1
+
+
+def test_cv_grows_each_grid_group_once(monkeypatch):
+    dataset = _cv_problem()
+    plan = CVPlan(folds=5, grids=CV_GRIDS, seed=8)
+    growths = _count_growths(monkeypatch)
+    train("rf", dataset, plan)
+    # each of the four groups' growths holds the 3 trees of each of 5 folds
+    assert growths == [15] * 4 + [3]
+    growths.clear()
+    train("dt", dataset, plan)
+    assert growths == [5, 5, 1]

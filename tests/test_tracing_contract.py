@@ -160,3 +160,26 @@ def test_every_pipeline_stage_is_traced(tracing, tmp_path):
     labelled = len((tmp_path / "out" / "labels.csv").read_text().splitlines()) - 1
     assert labelled > 0
     assert tracer.count("features.featurize") == labelled  # once per labelled instance
+
+
+def test_forests_grown_together_are_traced_one_fit_each(tracing):
+    # cross-validation grows a group's fold forests with one growth, yet
+    # fits each forest, and each of its trees, through its own fit
+    plan = CVPlan(
+        folds=3,
+        grids={"rf": [
+            {"n_trees": 3, "max_depth": 2},
+            {"n_trees": 3, "max_depth": None},
+            {"n_trees": 3, "max_depth": 3, "max_features": None},
+        ]},
+        seed=2,
+    )
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        train("rf", _tree_dataset(), plan)
+    NAME, PARENT = tracing.NAME, tracing.PARENT
+    # two groups on each of 3 folds, plus the final refit
+    assert tracer.count("ml.forest.fit") == 2 * 3 + 1
+    fits = [s for s in tracer.spans if s[NAME] == "ml.tree.fit"]
+    assert len(fits) == 3 * tracer.count("ml.forest.fit")
+    assert all(tracer.spans[s[PARENT]][NAME] == "ml.forest.fit" for s in fits)
