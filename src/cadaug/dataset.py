@@ -83,7 +83,7 @@ class Dataset:
 def save_dataset(ds: Dataset, csv_path, seed: Optional[int] = None, mode: Optional[str] = None):
     """Write the feature CSV and its `.meta.json` provenance sidecar."""
     csv_path = Path(csv_path)
-    write_features_csv(csv_path, ds.ids, ds.y.tolist(), ds.X.tolist(), ds.schema)
+    write_features_csv(csv_path, ds.ids, ds.y.tolist(), ds.X, ds.schema)
     meta = {"provenance": ds.provenance, "role": ds.role, "seed": seed, "mode": mode}
     sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n")
 

@@ -8,8 +8,13 @@ final optional sign.  The grammar enumerates 2*4*2*4*2 = 128 descriptors
 per variable, 384 in total, laid out in variable-major blocks so that
 renaming variables acts on feature vectors by permuting blocks.
 
-Everything is evaluated in exact rational arithmetic; floats appear only
-at the serialization boundary.
+Every feature is computed exactly.  ``featurize`` works on one instance's
+monomials as integer arrays: per-polynomial reductions give each value as
+an integer numerator and denominator, aggregated across polynomials over
+their lcm, and floats appear only at the end, one correctly rounded
+division per value.  An instance whose numerators or denominators could
+reach 2^53 is evaluated by ``evaluate_descriptor``, the per-descriptor
+``Fraction`` loop that is also the oracle for the array path.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -25,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from cadaug import kernels
+from cadaug.floattext import text_table
 from cadaug.jsonfields import json_field
 from cadaug.poly import Variable, VARIABLES
 from cadaug.smtlib import ProblemInstance
@@ -209,40 +216,136 @@ def evaluate_descriptor(instance: ProblemInstance, d: Descriptor):
     return _sign(outer) if d.sign_after_polynomial else outer
 
 
-def featurize_exact(instance: ProblemInstance, schema: FeatureSchema | None = None) -> list:
-    """All schema features as exact rationals, in schema order.
+# every numerator and denominator of a feature stays below this, so each is
+# exact in int64 and in float64, and one division rounds the value correctly
+_EXACT_BOUND = 1 << 53
 
-    For each variable, every (base, monomial aggregation, sign) stage is
-    tabulated once, one value per polynomial; each descriptor is then one
-    polynomial aggregation over a table entry."""
+# the stages of one aggregation level: an aggregation, then a sign or not
+_STAGES = tuple(product(AGGREGATIONS, (False, True)))
+
+
+def _stage_pairs(top, total, count, nonzero, den):
+    """The (numerators, denominators) of every stage in ``_STAGES`` over
+    groups of non-negative rationals, stacked on a new leading axis.
+
+    The rationals of a group share the denominator ``den``: ``top`` and
+    ``total`` are the max and the sum of their numerators, ``count`` their
+    number and ``nonzero`` the number of nonzero ones.
+    """
+    one = np.ones_like(den)
+    nums, dens = [], []
+    for num, d in (
+        (top, den),
+        (total, den),
+        (total, count * den),
+        (total, np.maximum(nonzero, 1) * den),  # 0 / den when none is nonzero
+    ):
+        nums += [num, num > 0]
+        dens += [d, one]
+    return np.stack(nums), np.stack(dens)
+
+
+@lru_cache(maxsize=16)
+def _gather(schema: FeatureSchema) -> np.ndarray:
+    """Each schema column's position in the flat layout of
+    ``_feature_pairs``: (polynomial stage, monomial stage, base, variable).
+    Read-only, as every call for the schema shares it."""
+    stage = {s: i for i, s in enumerate(_STAGES)}
+    layout = (len(_STAGES), len(_STAGES), len(BASES), 3)
+    gather = np.array(
+        [
+            np.ravel_multi_index(
+                (stage[outer, sign_p], stage[inner, sign_m], BASES.index(base), v.index - 1),
+                layout,
+            )
+            for v in VARIABLES
+            for base, inner, sign_m, outer, sign_p in schema.shapes
+        ],
+        dtype=np.intp,
+    )
+    gather.flags.writeable = False
+    return gather
+
+
+def _feature_pairs(instance: ProblemInstance, schema: FeatureSchema):
+    """Every schema feature as an exact fraction, in schema order: a pair
+    of int64 arrays (numerators, positive denominators), not reduced.
+
+    Returns None where a numerator or denominator could reach
+    ``_EXACT_BOUND`` (or a polynomial has no monomials), which leaves
+    the instance to ``evaluate_descriptor``.
+    """
+    polys = instance.sorted_polynomials
+    counts = [len(p.raw) for p in polys]
+    keys = [key for p in polys for key in p.raw]
+    # a key past 63 bits (an x3 exponent past its field) does not fit int64
+    if not polys or min(counts) == 0 or max(keys) >> 63:
+        return None
+    packed = np.array(keys, dtype=np.int64)
+    exps = np.stack(
+        [
+            packed & kernels.EXP_MASK,
+            (packed >> kernels.EXP_BITS) & kernels.EXP_MASK,
+            packed >> (2 * kernels.EXP_BITS),
+        ],
+        axis=1,
+    )
+    degree = exps.sum(axis=1)
+    # every numerator is at most scale times the lcm of the monomial
+    # stages' denominators, and every denominator at most len(polys) times it
+    scale = len(polys) * max(counts) * max(int(degree.max()), 1)
+    if scale >= _EXACT_BOUND:
+        return None
+    # one column per (base, variable), in BASES order
+    base = np.concatenate([exps, np.where(exps > 0, degree[:, None], 0)], axis=1)
+    starts = np.cumsum([0] + counts[:-1])
+    inner_num, inner_den = _stage_pairs(
+        np.maximum.reduceat(base, starts),
+        np.add.reduceat(base, starts),
+        np.array(counts)[:, None],
+        np.add.reduceat(base > 0, starts, dtype=np.int64),
+        np.ones_like(base[: len(polys)]),
+    )
+    if scale * math.lcm(*np.unique(inner_den).tolist()) >= _EXACT_BOUND:
+        return None
+    lcm = np.lcm.reduce(inner_den, axis=1)
+    scaled = inner_num * (lcm[:, None] // inner_den)
+    num, den = _stage_pairs(
+        scaled.max(axis=1),
+        scaled.sum(axis=1),
+        len(polys),
+        np.count_nonzero(scaled, axis=1),
+        lcm,
+    )
+    gather = _gather(schema)
+    return num.reshape(-1)[gather], den.reshape(-1)[gather]
+
+
+def featurize_exact(instance: ProblemInstance, schema: FeatureSchema | None = None) -> list:
+    """All schema features as exact rationals (ints and Fractions), in
+    schema order: the values ``evaluate_descriptor`` gives."""
     if schema is None:
         schema = FeatureSchema.raw()
-    monomials = [
-        [(exps, sum(exps)) for exps in map(kernels.unpack, p.raw)]
-        for p in instance.sorted_polynomials
-    ]
+    pairs = _feature_pairs(instance, schema)
+    if pairs is None:
+        return [evaluate_descriptor(instance, d) for d in schema.descriptors()]
     out = []
-    for i in range(3):
-        bases = {
-            "degree": [[exps[i] for exps, _ in poly] for poly in monomials],
-            "gated_degree": [
-                [total if exps[i] > 0 else 0 for exps, total in poly] for poly in monomials
-            ],
-        }
-        table = {}
-        for (base, per_poly), agg in product(bases.items(), AGGREGATIONS):
-            values = [_aggregate(v, agg) for v in per_poly]
-            table[base, agg, False] = values
-            table[base, agg, True] = [_sign(v) for v in values]
-        for base, inner, sign_m, outer, sign_p in schema.shapes:
-            value = _aggregate(table[base, inner, sign_m], outer)
-            out.append(_sign(value) if sign_p else value)
+    for num, den in zip(*(a.tolist() for a in pairs)):
+        value = Fraction(num, den)
+        out.append(value.numerator if value.denominator == 1 else value)
     return out
 
 
 def featurize(instance: ProblemInstance, schema: FeatureSchema | None = None) -> list[float]:
-    """All schema features as floats, in schema order."""
-    return [float(v) for v in featurize_exact(instance, schema)]
+    """All schema features as floats, in schema order: each the correctly
+    rounded value of its exact rational (see ``featurize_exact``)."""
+    if schema is None:
+        schema = FeatureSchema.raw()
+    pairs = _feature_pairs(instance, schema)
+    if pairs is None:
+        return [float(evaluate_descriptor(instance, d)) for d in schema.descriptors()]
+    num, den = pairs
+    return (num / den).tolist()
 
 
 # -- permutation action ---------------------------------------------------
@@ -320,14 +423,18 @@ def write_features_csv(
     matrix: Sequence[Sequence[float]],
     schema: FeatureSchema,
 ):
+    """Write a header and one row per (id, label, feature row); each value
+    is written as ``f"{v:.17g}"``, which reads back bit for bit."""
     names = schema.column_names()
+    for row_id, row in zip(ids, matrix):
+        if len(row) != len(names):
+            raise ValueError(f"{row_id}: row length {len(row)} != {len(names)}")
+    values = np.asarray(matrix, dtype=np.float64).reshape(-1, len(names))
+    cells = text_table(values, "{:.17g}".format)
     with open(path, "w") as fh:
         fh.write("id,label," + ",".join(names) + "\n")
-        for row_id, label, row in zip(ids, labels, matrix):
-            if len(row) != len(names):
-                raise ValueError(f"{row_id}: row length {len(row)} != {len(names)}")
-            rendered = ",".join(f"{float(v):.17g}" for v in row)
-            fh.write(f"{row_id},{'' if label is None else label},{rendered}\n")
+        for row_id, label, row in zip(ids, labels, cells):
+            fh.write(f"{row_id},{'' if label is None else label},{','.join(row)}\n")
 
 
 def read_features_csv(path):

@@ -1,4 +1,5 @@
-"""Checked key access for the JSON artifacts read back from disk.
+"""Checked key access for the JSON artifacts read back from disk, and
+the text of a JSON object written in pieces.
 
 A schema, model or matrix file that lacks a key, or holds a value of the
 wrong JSON type under it, is a data error naming that key rather than a
@@ -9,6 +10,7 @@ does not have; a number here must be finite.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Any
 
@@ -45,3 +47,11 @@ def json_field(data: Any, key: str, kind: type, artifact: str) -> Any:
     ):
         raise ValueError(f"{artifact}: {key!r} is not {name}")
     return value
+
+
+def object_head(fields: dict, key: str) -> str:
+    """The text of ``json.dumps({**fields, key: value})`` up to where the
+    text of ``value`` starts, for an object whose last value is written
+    in pieces; ``fields`` must not be empty, and the object's closing
+    ``}`` follows those pieces."""
+    return json.dumps(fields)[:-1] + ", " + json.dumps(key) + ": "

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ..jsonfields import json_field
+from ..jsonfields import json_field, object_head
 from ..seeding import derive_seed
 from .tree import (
     N_CLASSES,
@@ -155,7 +156,19 @@ class RandomForestClassifier:
         return _predict(arrays, X, bounds)
 
     def to_payload(self) -> dict:
+        return {**self._settings(), "trees": [tree.to_payload() for tree in self._fitted()]}
+
+    def payload_text(self) -> Iterator[str]:
+        """``json.dumps(self.to_payload())`` in pieces, one per tree, so
+        that one tree at a time is held as nested dicts and text."""
         trees = self._fitted()
+        yield object_head(self._settings(), "trees") + "["
+        for i, tree in enumerate(trees):
+            yield (", " if i else "") + json.dumps(tree.to_payload())
+        yield "]}"
+
+    def _settings(self) -> dict:
+        """The payload's fields other than ``trees``, in file order."""
         return {
             "n_trees": self.n_trees,
             "max_depth": self.max_depth,
@@ -164,7 +177,6 @@ class RandomForestClassifier:
             "bootstrap": self.bootstrap,
             "seed": self.seed,
             "n_features": self._n_features,
-            "trees": [tree.to_payload() for tree in trees],
         }
 
     @classmethod

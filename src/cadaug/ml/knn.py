@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from typing import Iterator
+
 import numpy as np
 
-from ..jsonfields import is_number, json_field
+from ..floattext import text_table
+from ..jsonfields import is_number, json_field, object_head
 from .scaling import Standardizer, standardize_fit
 from .tree import N_CLASSES, check_count
 
@@ -87,6 +91,16 @@ class KNNClassifier:
             "X": self._X.tolist(),
             "y": self._y.tolist(),
         }
+
+    def payload_text(self) -> Iterator[str]:
+        """``json.dumps(self.to_payload())`` in pieces, one per row of
+        ``X``; each distinct value of a column is formatted once."""
+        if self._X is None or self._y is None:
+            raise ValueError("classifier is not fitted")
+        yield object_head({"k": self.k}, "X") + "["
+        for i, row in enumerate(text_table(self._X, json.dumps)):
+            yield (", [" if i else "[") + ", ".join(row) + "]"
+        yield '], "y": ' + json.dumps(self._y.tolist()) + "}"
 
     @classmethod
     def from_payload(cls, payload: dict, stats: Standardizer) -> "KNNClassifier":

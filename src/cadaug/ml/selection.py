@@ -10,7 +10,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..dataset import Dataset
-from ..jsonfields import json_field
+from ..jsonfields import json_field, object_head
 from ..seeding import derive_seed
 from .forest import RandomForestClassifier, SharedGrowth
 from .knn import KNNClassifier
@@ -122,6 +122,10 @@ class TrainedModel:
         return self.classifier.predict(matrix)
 
     def to_json(self) -> dict:
+        return {**self._head(), "payload": self.classifier.to_payload()}
+
+    def _head(self) -> dict:
+        """The model file's fields other than ``payload``, in file order."""
         stats = self.stats
         return {
             "format": "cadaug-model",
@@ -130,11 +134,16 @@ class TrainedModel:
             "hyperparameters": self.hyperparameters,
             "stats": stats.to_json() if stats is not None else None,
             "cv": self.cv_results,
-            "payload": self.classifier.to_payload(),
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json()) + "\n")
+        """Write ``json.dumps(self.to_json()) + "\\n"``, the payload in the
+        pieces of the classifier's ``payload_text``: a forest one tree at
+        a time, knn one row of ``X`` at a time."""
+        with open(path, "w") as fh:
+            fh.write(object_head(self._head(), "payload"))
+            fh.writelines(self.classifier.payload_text())
+            fh.write("}\n")
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainedModel":

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -629,6 +630,10 @@ class DecisionTreeClassifier:
             "n_features": self._n_features,
             "tree": self._fitted().to_dict(),
         }
+
+    def payload_text(self) -> Iterator[str]:
+        """``json.dumps(self.to_payload())``, in one piece."""
+        yield json.dumps(self.to_payload())
 
     @classmethod
     def from_payload(cls, payload: dict) -> "DecisionTreeClassifier":

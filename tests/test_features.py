@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distinct_reference
+import writer_reference
+from cadaug import features, kernels
 from cadaug.features import (
     AGGREGATIONS,
     BASES,
@@ -140,6 +144,96 @@ def test_featurize_float_vector():
     exact = featurize_exact(WORKED)
     assert fv == [float(v) for v in exact]
     assert all(type(v) is float for v in fv)
+
+
+@st.composite
+def polynomial_lists(draw):
+    """Polynomials with exponents up to 2^21 - 1, or small ones; often one
+    monomial; some variables absent from every polynomial; up to 20 of
+    them."""
+    exponent = st.integers(0, kernels.EXP_MASK if draw(st.booleans()) else 3)
+    absent = draw(st.sets(st.integers(0, 2), max_size=2))
+    polys = []
+    for _ in range(draw(st.integers(1, 20))):
+        monomials = draw(st.lists(st.tuples(exponent, exponent, exponent), min_size=1, max_size=5))
+        polys.append(Polynomial.from_terms(
+            (tuple(0 if i in absent else e for i, e in enumerate(m)), 1) for m in monomials
+        ))
+    return polys
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_lists())
+def test_featurize_is_the_correctly_rounded_descriptor_value(polys):
+    inst = FakeInstance(polys)
+    schema = FeatureSchema.raw()
+    assert features._feature_pairs(inst, schema) is not None  # the integer path
+    exact = [evaluate_descriptor(inst, d) for d in schema.descriptors()]
+    assert [v.hex() for v in featurize(inst, schema)] == [float(v).hex() for v in exact]
+    assert featurize_exact(inst, schema) == exact
+
+
+def test_featurize_falls_back_to_the_descriptor_loop(monkeypatch):
+    rng = random.Random(5)
+    instances = [WORKED] + [random_instance(rng, f"g{k}") for k in range(4)]
+    subset = FeatureSchema(tuple(reversed(all_shapes()[::3])))
+    expected = [
+        (featurize(inst, schema), featurize_exact(inst, schema))
+        for inst in instances
+        for schema in (FeatureSchema.raw(), subset)
+    ]
+    monkeypatch.setattr(features, "_EXACT_BOUND", 1)
+    assert all(features._feature_pairs(inst, subset) is None for inst in instances)
+    assert [
+        (featurize(inst, schema), featurize_exact(inst, schema))
+        for inst in instances
+        for schema in (FeatureSchema.raw(), subset)
+    ] == expected
+
+
+def test_featurize_beyond_the_packed_exponent_field():
+    # x3^(2^21) carries out of the 63 bits of packed keys; the descriptor
+    # loop still unpacks it exactly
+    inst = FakeInstance([x3 ** (1 << 21) * x1 + x2, x1 - 1])
+    schema = FeatureSchema.raw()
+    assert features._feature_pairs(inst, schema) is None
+    exact = [evaluate_descriptor(inst, d) for d in schema.descriptors()]
+    assert featurize(inst, schema) == [float(v) for v in exact]
+    assert featurize_exact(inst, schema) == exact
+
+
+# both zeros, subnormal, small, large and inexact values, negatives, nan, inf
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -2.5, -7.0, float("nan"),
+                  float("inf"), float("-inf")]
+
+
+def special_matrix(rows, columns, seed=7):
+    matrix = np.random.default_rng(seed).choice(SPECIAL_VALUES, size=(rows, columns))
+    matrix[:2, 0] = [-0.0, 0.0]
+    return matrix
+
+
+def test_feature_csv_matches_the_per_value_writer(tmp_path):
+    schema = FeatureSchema(all_shapes()[:2])
+    matrix = special_matrix(30, len(schema))
+    ids = [f"i{k}" for k in range(len(matrix))]
+    labels = [k % 6 if k % 5 else None for k in range(len(matrix))]
+    writer_reference.write_features_csv(tmp_path / "want.csv", ids, labels, matrix.tolist(), schema)
+    want = (tmp_path / "want.csv").read_bytes()
+    assert b"-0," in want and b",0," in want
+    for given_matrix in (matrix, matrix.tolist()):
+        write_features_csv(tmp_path / "got.csv", ids, labels, given_matrix, schema)
+        assert (tmp_path / "got.csv").read_bytes() == want
+    write_features_csv(tmp_path / "empty.csv", [], [], [], schema)
+    writer_reference.write_features_csv(tmp_path / "want.csv", [], [], [], schema)
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_feature_csv_ragged_row_names_the_row(tmp_path):
+    schema = FeatureSchema(all_shapes()[:1])
+    rows = [[1.0, 2.0, 3.0], [1.0, 2.0], [1.0, 2.0, 3.0]]
+    with pytest.raises(ValueError, match=r"^b: row length 2 != 3$"):
+        write_features_csv(tmp_path / "f.csv", ["a", "b", "c"], [0, 1, 2], rows, schema)
 
 
 def test_feature_vector_requires_finite(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tree_reference
+import writer_reference
 
 from cadaug.dataset import Dataset
 from cadaug.features import FeatureSchema, all_shapes
@@ -577,6 +578,32 @@ def test_trained_model_json_roundtrip(tmp_path):
         assert again.kind == model.kind
         assert again.hyperparameters == model.hyperparameters
         assert (again.predict(queries) == model.predict(queries)).all()
+
+
+def test_model_files_equal_the_per_value_writer(tmp_path):
+    X, y = blobs(n_per_class=8, seed=9)
+    ds = blob_dataset(X, y)
+    path = tmp_path / "model.json"
+    for kind, grid in (
+        ("knn", [{"k": 3}]),
+        ("dt", [{"max_depth": 4, "min_leaf": 1}]),
+        ("rf", [{"n_trees": 3, "max_depth": 3}, {"n_trees": 1, "max_depth": None}]),
+    ):
+        model = train(kind, ds, CVPlan(folds=3, grids={kind: grid}, seed=4))
+        model.save(path)
+        assert path.read_text() == writer_reference.model_text(model)
+    # knn rows as stored: both zeros in one column, subnormal, small,
+    # large and inexact values, negatives, nan and inf
+    values = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -2.5, float("nan"), float("inf"),
+              float("-inf")]
+    model = train("knn", ds, CVPlan(folds=3, grids={"knn": [{"k": 1}]}, seed=4))
+    stored = np.random.default_rng(3).choice(values, size=X.shape)
+    stored[:2, 0] = [-0.0, 0.0]
+    model.classifier._X = stored
+    model.save(path)
+    text = path.read_text()
+    assert text == writer_reference.model_text(model)
+    assert "[-0.0, " in text and "[0.0, " in text and "NaN" in text and "-Infinity" in text
 
 
 def test_model_rejects_wrong_width_and_empty_dataset():

@@ -108,9 +108,11 @@ def test_pipeline_determinism(corpus, tmp_path):
 
 
 # sha256 of the artifacts of an exact-balanced run of the 50-instance
-# corpus, pinned so that a change to any byte of them fails here; knn
-# models and matrix.* are left out because knn distances go through BLAS,
-# whose rounding may vary between builds
+# corpus, pinned so that a change to any byte of them fails here; matrix.*
+# is left out because knn distances go through BLAS, whose rounding may
+# vary between builds.  The knn model files are pinned although their cv
+# accuracies rest on those distances: they also hold every standardized
+# training value as text, which a change to the model writer must keep
 PINNED_DIGESTS = {
     "labels.csv": "2e5867e6fc9a2212ea8e457e616acc37f713e680fec93b8a602af5e0964574c7",
     "schema.json": "12a76c357c3ba7085144cda304fb5be55d4c549dd3cb7201aad63bfb2050bd27",
@@ -132,6 +134,9 @@ PINNED_DIGESTS = {
     "models/rf_unbalanced.json": "32f55e6e52c15f3f81a8245a3aa34e82b19621782791af97816aa21349358ccc",
     "models/rf_balanced.json": "ea80192c6474d345e3604992bf33fb7e2e3132647c479f3470629a2f413710c0",
     "models/rf_augmented.json": "490900206e09c538c5e1e92b3f89795a43cb8443ff73498085354e5c7d9267a2",
+    "models/knn_unbalanced.json": "dd698efe3e87ca4a5e46a33c894af9c5175e119daff98cf67871052e97485d37",
+    "models/knn_balanced.json": "07a32fbf6980f25e3c21814c01397c36c0f82049c9863cc79406a43955c437c2",
+    "models/knn_augmented.json": "fd9cc3c50d296b61488be08774086baa88dc66c1074ef548b491bd16f39dc34a",
 }
 
 
@@ -141,7 +146,7 @@ def test_artifacts_match_pinned_digests(corpus, tmp_path):
     run_pipeline(small_config(root, out, balance_mode="exact"))
     names = ["labels.csv", "schema.json"]
     names += sorted(p.relative_to(out).as_posix() for p in (out / "datasets").iterdir())
-    names += [f"models/{kind}_{prov}.json" for kind in ("dt", "rf") for prov in PROVENANCES]
+    names += [f"models/{kind}_{prov}.json" for kind in ("dt", "rf", "knn") for prov in PROVENANCES]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
     assert digests == PINNED_DIGESTS
 
