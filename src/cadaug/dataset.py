@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from cadaug.features import FeatureSchema, read_features_csv, write_features_csv
+from cadaug.jsonfields import json_field
 
 PROVENANCES = ("unbalanced", "balanced", "augmented")
 ROLES = ("all", "train", "test")
@@ -102,6 +103,12 @@ def load_dataset(csv_path, schema: FeatureSchema) -> tuple[Dataset, dict]:
             raise ValueError(f"{i}: dataset row has no label")
     side = sidecar_path(csv_path)
     meta = json.loads(side.read_text()) if side.exists() else {}
+    if not isinstance(meta, dict):
+        raise ValueError(f"dataset sidecar {side}: not a JSON object")
+    # a missing key keeps its default; save_dataset writes a null seed or mode
+    for key, kind in (("provenance", str), ("role", str), ("seed", int), ("mode", str)):
+        if key in meta and (meta[key] is not None or key in ("provenance", "role")):
+            json_field(meta, key, kind, f"dataset sidecar {side}")
     ds = Dataset(
         ids,
         matrix,

@@ -12,9 +12,10 @@ Every feature is computed exactly.  ``featurize`` works on one instance's
 monomials as integer arrays: per-polynomial reductions give each value as
 an integer numerator and denominator, aggregated across polynomials over
 their lcm, and floats appear only at the end, one correctly rounded
-division per value.  An instance whose numerators or denominators could
-reach 2^53 is evaluated by ``evaluate_descriptor``, the per-descriptor
-``Fraction`` loop that is also the oracle for the array path.
+division per value.  The arrays are int64 while every numerator and
+denominator stays below 2^53; past that bound the same expressions run
+on Python ints.  The per-descriptor ``Fraction`` loop below is the
+reference the tests compare them with.
 """
 
 from __future__ import annotations
@@ -269,19 +270,17 @@ def _gather(schema: FeatureSchema) -> np.ndarray:
 
 def _feature_pairs(instance: ProblemInstance, schema: FeatureSchema):
     """Every schema feature as an exact fraction, in schema order: a pair
-    of int64 arrays (numerators, positive denominators), not reduced.
+    of integer arrays (numerators, positive denominators), not reduced.
 
-    Returns None where a numerator or denominator could reach
-    ``_EXACT_BOUND`` (or a polynomial has no monomials), which leaves
-    the instance to ``evaluate_descriptor``.
+    The arrays are int64 while every numerator and denominator stays
+    below ``_EXACT_BOUND``; otherwise they hold Python ints (dtype
+    object), computed by the same expressions.
     """
     polys = instance.sorted_polynomials
     counts = [len(p.raw) for p in polys]
     keys = [key for p in polys for key in p.raw]
     # a key past 63 bits (an x3 exponent past its field) does not fit int64
-    if not polys or min(counts) == 0 or max(keys) >> 63:
-        return None
-    packed = np.array(keys, dtype=np.int64)
+    packed = np.array(keys, dtype=object if max(keys) >> 63 else np.int64)
     exps = np.stack(
         [
             packed & kernels.EXP_MASK,
@@ -295,7 +294,7 @@ def _feature_pairs(instance: ProblemInstance, schema: FeatureSchema):
     # stages' denominators, and every denominator at most len(polys) times it
     scale = len(polys) * max(counts) * max(int(degree.max()), 1)
     if scale >= _EXACT_BOUND:
-        return None
+        exps, degree = exps.astype(object), degree.astype(object)
     # one column per (base, variable), in BASES order
     base = np.concatenate([exps, np.where(exps > 0, degree[:, None], 0)], axis=1)
     starts = np.cumsum([0] + counts[:-1])
@@ -306,8 +305,9 @@ def _feature_pairs(instance: ProblemInstance, schema: FeatureSchema):
         np.add.reduceat(base > 0, starts, dtype=np.int64),
         np.ones_like(base[: len(polys)]),
     )
+    # the monomial stages stay below scale, so they are exact in int64
     if scale * math.lcm(*np.unique(inner_den).tolist()) >= _EXACT_BOUND:
-        return None
+        inner_num, inner_den = inner_num.astype(object), inner_den.astype(object)
     lcm = np.lcm.reduce(inner_den, axis=1)
     scaled = inner_num * (lcm[:, None] // inner_den)
     num, den = _stage_pairs(
@@ -323,14 +323,11 @@ def _feature_pairs(instance: ProblemInstance, schema: FeatureSchema):
 
 def featurize_exact(instance: ProblemInstance, schema: FeatureSchema | None = None) -> list:
     """All schema features as exact rationals (ints and Fractions), in
-    schema order: the values ``evaluate_descriptor`` gives."""
+    schema order: the value of each descriptor."""
     if schema is None:
         schema = FeatureSchema.raw()
-    pairs = _feature_pairs(instance, schema)
-    if pairs is None:
-        return [evaluate_descriptor(instance, d) for d in schema.descriptors()]
     out = []
-    for num, den in zip(*(a.tolist() for a in pairs)):
+    for num, den in zip(*(a.tolist() for a in _feature_pairs(instance, schema))):
         value = Fraction(num, den)
         out.append(value.numerator if value.denominator == 1 else value)
     return out
@@ -338,13 +335,11 @@ def featurize_exact(instance: ProblemInstance, schema: FeatureSchema | None = No
 
 def featurize(instance: ProblemInstance, schema: FeatureSchema | None = None) -> list[float]:
     """All schema features as floats, in schema order: each the correctly
-    rounded value of its exact rational (see ``featurize_exact``)."""
+    rounded value of its exact rational (see ``featurize_exact``).  On
+    Python ints, ``/`` rounds correctly too."""
     if schema is None:
         schema = FeatureSchema.raw()
-    pairs = _feature_pairs(instance, schema)
-    if pairs is None:
-        return [float(evaluate_descriptor(instance, d)) for d in schema.descriptors()]
-    num, den = pairs
+    num, den = _feature_pairs(instance, schema)
     return (num / den).tolist()
 
 

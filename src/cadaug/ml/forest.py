@@ -53,8 +53,8 @@ class RandomForestClassifier:
     ``bootstrap=False``) and nothing else; the feature subset at each
     split is keyed by the tree seed and the node's path (see
     ``tree.grow``, which grows all the trees together, level by level).
-    Each tree is therefore the tree ``DecisionTreeClassifier`` grows alone
-    on its sample with its seed, and the forest grown with a depth bound
+    Each tree is therefore the tree ``tree.grow`` grows alone on its
+    sample with its seed, and the forest grown with a depth bound
     is the deeper forest cut at that depth (``predict_bounded``), each
     cut node predicting the majority of its tree's bootstrap rows,
     recorded at growth.  Vote ties go to the lowest label index.

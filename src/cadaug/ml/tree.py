@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,10 +137,10 @@ def rank_columns(X: np.ndarray) -> RankedColumns:
 class TreeArrays(NamedTuple):
     """A tree as node arrays; the root is node 0.
 
-    A fitted tree holds its nodes in level order, parents before
-    children (see ``grow``), and a tree read from a model file in
-    preorder; ``to_dict``, and so the model files, do not depend on node
-    order.
+    Nodes are in level order, parents before children, both in a fitted
+    tree (see ``grow``) and in a tree read from a model file
+    (``from_dict``), so a tree read back has the node arrays of the tree
+    written, bar the split nodes' ``value``.
 
     A split node sends a row to ``left`` when its value in column
     ``feature`` is at most ``threshold``, else to ``right``.  A leaf points
@@ -185,73 +185,39 @@ class TreeArrays(NamedTuple):
 
     @classmethod
     def from_dict(cls, root: dict, n_features: int) -> "TreeArrays":
-        """Read the nested-dict form back; a node with a missing, mistyped
-        or out-of-range key is a ``ValueError``."""
-        nodes = _Preorder()
-        stack: list[tuple[Any, int]] = [(root, -1)]
-        while stack:
-            node, right_of = stack.pop()
+        """Read the nested-dict form back, numbering nodes in level order
+        as ``grow`` does; a node with a missing, mistyped or out-of-range
+        key is a ``ValueError``."""
+        nodes = []  # (feature, threshold, left, right, value) of each node
+        queue = [root]
+        # breadth first: the loop reaches the children it appends
+        for index, node in enumerate(queue):
             if not isinstance(node, dict):
                 raise ValueError(f"{_NODE}: not an object")
             if "label" in node:
                 label = json_field(node, "label", int, _NODE)
                 if not 0 <= label < N_CLASSES:
                     raise ValueError(f"{_NODE}: label {label} is not a class index")
-                nodes.add(label, right_of)
+                nodes.append((0, 0.0, index, index, label))
                 continue
             feature = json_field(node, "feature", int, _NODE)
             if not 0 <= feature < n_features:
                 raise ValueError(f"{_NODE}: feature {feature} is not a column index")
             threshold = float(json_field(node, "threshold", float, _NODE))
-            index = nodes.add(_UNKNOWN, right_of)
-            nodes.split(index, feature, threshold)
-            stack.append((json_field(node, "right", dict, _NODE), index))
-            stack.append((json_field(node, "left", dict, _NODE), -1))
-        return nodes.arrays()
+            nodes.append((feature, threshold, len(queue), len(queue) + 1, _UNKNOWN))
+            queue += [json_field(node, side, dict, _NODE) for side in ("left", "right")]
+        feature, threshold, left, right, value = zip(*nodes)
+        return cls(
+            np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.intp),
+            np.array(right, dtype=np.intp),
+            np.array(value, dtype=np.int64),
+        )
 
 
 _UNKNOWN = -1
 _NODE = "model file tree node"
-
-
-class _Preorder:
-    """Node arrays filled in preorder, left child first: a split node's
-    left child is the node added next, and its right child is linked when
-    it is added."""
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[int] = []
-
-    def add(self, value: int, right_of: int) -> int:
-        """Add a leaf predicting ``value``, the right child of node
-        ``right_of`` (-1: a left child or the root); return its index."""
-        node = len(self.value)
-        if right_of >= 0:
-            self.right[right_of] = node
-        self.feature.append(0)
-        self.threshold.append(0.0)
-        self.left.append(node)
-        self.right.append(node)
-        self.value.append(value)
-        return node
-
-    def split(self, node: int, feature: int, threshold: float) -> None:
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = node + 1
-
-    def arrays(self) -> TreeArrays:
-        return TreeArrays(
-            np.array(self.feature, dtype=np.intp),
-            np.array(self.threshold, dtype=np.float64),
-            np.array(self.left, dtype=np.intp),
-            np.array(self.right, dtype=np.intp),
-            np.array(self.value, dtype=np.int64),
-        )
 
 
 class Growth(NamedTuple):
@@ -577,20 +543,16 @@ class DecisionTreeClassifier:
         self,
         X: np.ndarray,
         y: np.ndarray,
-        seed: int | None = None,
-        mtry: int | None = None,
         grown: Callable[[], TreeArrays] | None = None,
     ) -> "DecisionTreeClassifier":
-        """Grow the tree; with ``mtry`` each split considers ``mtry``
-        columns drawn from ``seed`` and the node's path (see ``grow``).
+        """Grow the tree on every column (see ``grow``).
 
         ``grown`` returns this tree's arrays from a growth it shares
         with other trees (``forest.SharedGrowth``), which grows them all
-        on its first call; ``seed`` and ``mtry`` are then unused.  A
-        forest's fit passes it for each of its trees, and
-        cross-validation for the trees of one batch of folds (see
-        ``growth``).  The growth thus runs inside a tree fit, which is
-        where perfbench's tracer times and counts trees.
+        on its first call.  A forest's fit passes it for each of its
+        trees, and cross-validation for the trees of one batch of folds
+        (see ``growth``).  The growth thus runs inside a tree fit, which
+        is where perfbench's tracer times and counts trees.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
@@ -598,15 +560,15 @@ class DecisionTreeClassifier:
             raise ValueError("X and y must be non-empty with matching row counts")
         if grown is None:
             sample = np.arange(X.shape[0])
-            self.arrays = grow(X, y, [sample], [seed], self.max_depth, self.min_leaf, mtry)[0]
+            self.arrays = grow(X, y, [sample], [None], self.max_depth, self.min_leaf, None)[0]
         else:
             self.arrays = grown()
         self._n_features = X.shape[1]
         return self
 
     def growth(self, rows: np.ndarray, n_features: int) -> Growth:
-        """The tree that ``fit`` grows on ``X[rows]``, without ``seed``
-        or ``mtry``; ``n_features`` is unused."""
+        """The tree that ``fit`` grows on ``X[rows]``; ``n_features`` is
+        unused."""
         return Growth([rows], [None], (self.max_depth, self.min_leaf, None))
 
     def predict(self, X: np.ndarray) -> np.ndarray:

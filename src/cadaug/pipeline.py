@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
@@ -151,13 +152,34 @@ class ResultMatrix:
                 json_field(c, "accuracy", float, cell)
             for c in get("accuracy", list)
         }
+        models = tuple(get("models", list))
+        for key in product(models, PROVENANCES, PROVENANCES):
+            # a cell's model is a string, and a list would not hash
+            if not isinstance(key[0], str) or key not in accuracy:
+                raise ValueError(f"matrix file: no accuracy cell {key}")
+        # every other key the report reads
+        summary, baseline, counts, improvements = (
+            get(key, dict)
+            for key in ("dataset_summary", "baseline", "feature_counts", "improvements")
+        )
+        for name in (f"{role}_{p}" for role in ("train", "test") for p in PROVENANCES):
+            info = json_field(summary, name, dict, "matrix file dataset_summary")
+            json_field(info, "rows", int, f"matrix file dataset_summary {name}")
+            json_field(info, "class_counts", list, f"matrix file dataset_summary {name}")
+        for provenance in PROVENANCES:
+            json_field(baseline, provenance, float, "matrix file baseline")
+        for key in ("raw", "distinct"):
+            json_field(counts, key, int, "matrix file feature_counts")
+        for key, value in improvements.items():
+            if value is not None:
+                json_field(improvements, key, float, "matrix file improvements")
         return cls(
-            models=tuple(get("models", list)),
+            models=models,
             accuracy=accuracy,
-            dataset_summary=dict(get("dataset_summary", dict)),
-            baseline=dict(get("baseline", dict)),
-            feature_counts=dict(get("feature_counts", dict)),
-            improvements=dict(get("improvements", dict)),
+            dataset_summary=dict(summary),
+            baseline=dict(baseline),
+            feature_counts=dict(counts),
+            improvements=dict(improvements),
             seed=get("seed", int),
             labeller=get("labeller", str),
         )

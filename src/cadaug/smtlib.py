@@ -205,6 +205,9 @@ class ProblemInstance:
     variable_map: tuple[tuple[str, Variable], ...]
 
     def __post_init__(self):
+        # ids are written unquoted as the first field of CSV rows
+        if not isinstance(self.id, str) or any(c in self.id for c in ",\n\r"):
+            raise IngestError(f"id {self.id!r} is not a string without commas or line breaks")
         if not self.polynomials:
             raise IngestError(f"{self.id}: empty polynomial set")
         if any(p.is_zero() for p in self.polynomials):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +343,109 @@ def test_report_rejects_a_matrix_file_without_cells(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("report", "--matrix", matrix, "--out", tmp_path / "r") == EXIT_DATA
     assert "matrix file: missing key 'accuracy'" in capsys.readouterr().err
+
+
+def complete_matrix():
+    """A matrix file holding exactly the keys the report reads."""
+    provenances = ("unbalanced", "balanced", "augmented")
+    return {
+        "format": "cadaug-matrix",
+        "version": 1,
+        "models": ["knn"],
+        "accuracy": [
+            {"model": "knn", "trained_on": tr, "tested_on": te, "accuracy": 0.5}
+            for tr in provenances for te in provenances
+        ],
+        "dataset_summary": {
+            f"{role}_{p}": {"rows": 6, "class_counts": [1] * 6}
+            for role in ("train", "test") for p in provenances
+        },
+        "baseline": {p: 0.25 for p in provenances},
+        "feature_counts": {"raw": 384, "distinct": 100},
+        "improvements": {"balanced_vs_unbalanced_pct": None},
+        "seed": 1,
+        "labeller": "sotd",
+    }
+
+
+def test_report_renders_a_complete_matrix_file(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(complete_matrix()))
+    assert run_cli("report", "--matrix", matrix, "--out", tmp_path / "r") == EXIT_OK
+    assert "| knn | **0.500000** |" in (tmp_path / "r" / "report.md").read_text()
+
+
+def _drop_cell(data):
+    data["accuracy"] = [c for c in data["accuracy"]
+                        if (c["trained_on"], c["tested_on"]) != ("unbalanced", "balanced")]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_cell, "matrix file: no accuracy cell ('knn', 'unbalanced', 'balanced')"),
+    (lambda d: d["dataset_summary"].pop("test_augmented"),
+     "matrix file dataset_summary: missing key 'test_augmented'"),
+    (lambda d: d["dataset_summary"]["train_balanced"].pop("rows"),
+     "matrix file dataset_summary train_balanced: missing key 'rows'"),
+    (lambda d: d["feature_counts"].pop("distinct"),
+     "matrix file feature_counts: missing key 'distinct'"),
+    (lambda d: d["baseline"].pop("augmented"), "matrix file baseline: missing key 'augmented'"),
+    (lambda d: d["baseline"].update(balanced="0.3"),
+     "matrix file baseline: 'balanced' is not a finite number"),
+    (lambda d: d["improvements"].update(balanced_vs_unbalanced_pct=[]),
+     "matrix file improvements: 'balanced_vs_unbalanced_pct' is not a finite number"),
+    (lambda d: d["models"].append(["rf"]),
+     "matrix file: no accuracy cell (['rf'], 'unbalanced', 'unbalanced')"),
+], ids=["cell", "summary", "rows", "feature-count", "baseline", "baseline-type",
+        "improvement-type", "model-type"])
+def test_report_names_what_a_matrix_file_lacks(tmp_path, capsys, damage, message):
+    data = complete_matrix()
+    damage(data)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("report", "--matrix", matrix, "--out", tmp_path / "r") == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("meta, message", [
+    ([], "not a JSON object"),
+    ({"provenance": 5}, "'provenance' is not a string"),
+    ({"role": None}, "'role' is not a string"),
+    ({"seed": "4"}, "'seed' is not an integer"),
+    ({"mode": 1}, "'mode' is not a string"),
+], ids=["list", "provenance", "role", "seed", "mode"])
+def test_augment_names_a_mistyped_dataset_sidecar(workspace, tmp_path, capsys,
+                                                  meta, message):
+    data = tmp_path / "train.csv"
+    data.write_bytes((workspace / "train.csv").read_bytes())
+    (tmp_path / "train.meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run_cli("augment", "--data", data, "--schema", workspace / "schema.json",
+                   "--out", tmp_path / "aug.csv") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"dataset sidecar {tmp_path / 'train.meta.json'}: {message}" in err
+    assert not (tmp_path / "aug.csv").exists()
+
+
+def test_run_skips_a_script_whose_id_holds_a_comma(workspace, tmp_path, caplog):
+    # an id is the first, unquoted field of every CSV row
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    decls = "(declare-fun x () Real)(declare-fun y () Real)(declare-fun z () Real)"
+    (corpus / "a,b.smt2").write_text(decls + "(assert (> (+ (* x x x) (* y z)) 1))")
+    out = tmp_path / "run"
+    assert run_cli("run", "--input", corpus, "--models", "knn", "--cv-folds", "3",
+                   "--grid", workspace / "grid.json", "--out", out) == EXIT_OK
+    assert any(rec.getMessage().startswith("skipping a,b: ") for rec in caplog.records)
+    assert "a,b" not in (out / "instances.jsonl").read_text()
+    assert run_cli("featurize", "--instances", out / "instances.jsonl",
+                   "--schema", out / "schema.json", "--labels", out / "labels.csv",
+                   "--out", tmp_path / "direct.csv") == EXIT_OK
+    for role in ("train", "test"):
+        assert run_cli("split", "--data", out / "datasets" / f"{role}_unbalanced.csv",
+                       "--schema", out / "schema.json",
+                       "--out-train", tmp_path / "tr.csv",
+                       "--out-test", tmp_path / "te.csv") == EXIT_OK
 
 
 def test_label_keeps_same_stem_files_apart(tmp_path):

@@ -167,7 +167,7 @@ def polynomial_lists(draw):
 def test_featurize_is_the_correctly_rounded_descriptor_value(polys):
     inst = FakeInstance(polys)
     schema = FeatureSchema.raw()
-    assert features._feature_pairs(inst, schema) is not None  # the integer path
+    assert [a.dtype for a in features._feature_pairs(inst, schema)] == [np.int64] * 2
     exact = [evaluate_descriptor(inst, d) for d in schema.descriptors()]
     assert [v.hex() for v in featurize(inst, schema)] == [float(v).hex() for v in exact]
     assert featurize_exact(inst, schema) == exact
@@ -183,7 +183,8 @@ def test_featurize_falls_back_to_the_descriptor_loop(monkeypatch):
         for schema in (FeatureSchema.raw(), subset)
     ]
     monkeypatch.setattr(features, "_EXACT_BOUND", 1)
-    assert all(features._feature_pairs(inst, subset) is None for inst in instances)
+    for inst in instances:
+        assert [a.dtype for a in features._feature_pairs(inst, subset)] == [object] * 2
     assert [
         (featurize(inst, schema), featurize_exact(inst, schema))
         for inst in instances
@@ -192,13 +193,47 @@ def test_featurize_falls_back_to_the_descriptor_loop(monkeypatch):
 
 
 def test_featurize_beyond_the_packed_exponent_field():
-    # x3^(2^21) carries out of the 63 bits of packed keys; the descriptor
-    # loop still unpacks it exactly
+    # x3^(2^21) carries out of the 63 bits of packed keys, which Python
+    # ints still unpack exactly
     inst = FakeInstance([x3 ** (1 << 21) * x1 + x2, x1 - 1])
     schema = FeatureSchema.raw()
-    assert features._feature_pairs(inst, schema) is None
+    assert [a.dtype for a in features._feature_pairs(inst, schema)] == [object] * 2
     exact = [evaluate_descriptor(inst, d) for d in schema.descriptors()]
-    assert featurize(inst, schema) == [float(v) for v in exact]
+    assert [v.hex() for v in featurize(inst, schema)] == [float(v).hex() for v in exact]
+    assert featurize_exact(inst, schema) == exact
+
+
+# ten distinct monomial counts among these primes have an lcm of at
+# least 2*3*5*...*29 > 2^32
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def past_the_bound(draw):
+    """Ten polynomials with distinct prime monomial counts and one
+    monomial of degree at least 2^13, which take the features past 2^53;
+    sometimes with an x3 exponent past its packed field."""
+    exponent = st.integers(0, kernels.EXP_MASK if draw(st.booleans()) else 7)
+    polys = []
+    for count in draw(st.sets(st.sampled_from(PRIMES), min_size=10, max_size=10)):
+        monomials = draw(st.lists(
+            st.tuples(exponent, exponent, exponent), min_size=count, max_size=count, unique=True
+        ))
+        polys.append(Polynomial.from_terms((m, 1) for m in monomials))
+    top = x1 ** draw(st.integers(1 << 13, kernels.EXP_MASK))
+    if draw(st.booleans()):
+        top = top * x3 ** draw(st.integers(1 << 21, 1 << 22))
+    return polys + [top]
+
+
+@settings(max_examples=10, deadline=None)
+@given(past_the_bound())
+def test_featurize_past_the_bound_is_the_correctly_rounded_descriptor_value(polys):
+    inst = FakeInstance(polys)
+    schema = FeatureSchema.raw()
+    assert [a.dtype for a in features._feature_pairs(inst, schema)] == [object] * 2
+    exact = [evaluate_descriptor(inst, d) for d in schema.descriptors()]
+    assert [v.hex() for v in featurize(inst, schema)] == [float(v).hex() for v in exact]
     assert featurize_exact(inst, schema) == exact
 
 

@@ -343,6 +343,16 @@ def test_loaded_models_predict_alike_but_cannot_be_cut():
         assert model.predict_bounded(queries, [2, None])[1].tolist() == plain
         with pytest.raises(ValueError, match="cannot be cut"):
             again.predict_bounded(queries, [2, None])
+        # read back in the fitted trees' node order, with the split
+        # nodes' majorities unknown
+        trees = [model] if isinstance(model, DecisionTreeClassifier) else model.trees
+        for fitted in (tree.arrays for tree in trees):
+            loaded = tree_module.TreeArrays.from_dict(fitted.to_dict(), X.shape[1])
+            for name in ("feature", "threshold", "left", "right"):
+                assert getattr(loaded, name).tolist() == getattr(fitted, name).tolist(), name
+            split = fitted.left != np.arange(fitted.left.size)
+            unknown = np.where(split, tree_module._UNKNOWN, fitted.value)
+            assert loaded.value.tolist() == unknown.tolist()
 
 
 def test_tree_view_is_pinned():
@@ -393,10 +403,10 @@ def test_forest_trees_equal_trees_grown_alone(max_depth, min_leaf, subset):
     for i, tree in enumerate(forest.trees):
         seed = derive_seed(19, f"tree:{i}")
         sample = tree_reference.bootstrap_sample(len(y), seed, True)
-        alone = DecisionTreeClassifier(max_depth, min_leaf).fit(
-            X[sample], y[sample], seed=seed, mtry=mtry
-        )
-        for grown, expected in zip(tree.arrays, alone.arrays):
+        alone = tree_module.grow(
+            X[sample], y[sample], [np.arange(len(sample))], [seed], max_depth, min_leaf, mtry
+        )[0]
+        for grown, expected in zip(tree.arrays, alone):
             assert grown.tolist() == expected.tolist(), i
     depths = {tree.depth() for tree in forest.trees}
     if max_depth is None:

@@ -433,6 +433,19 @@ def test_read_instances_jsonl_names_the_bad_record(tmp_path):
     with pytest.raises(IngestError, match="line 1 \\(id None\\)"):
         read_instances_jsonl(path)
 
+
+@pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", 7])
+def test_instance_ids_must_be_csv_fields(tmp_path, bad_id):
+    with pytest.raises(IngestError, match="is not a string without commas or line breaks"):
+        parse_script(DECLS + "(assert (> (* x x) (+ y z)))", bad_id)
+    record = instance_to_json(parse_script(DECLS + "(assert (> (* x x) (+ y z)))", "a"))
+    path = tmp_path / "instances.jsonl"
+    path.write_text(json.dumps({**record, "id": bad_id}) + "\n")
+    with pytest.raises(IngestError) as info:
+        read_instances_jsonl(path)
+    assert f"line 1 (id {bad_id!r}): id {bad_id!r} is not a string" in str(info.value)
+
+
 # -- directory ingestion --------------------------------------------------
 
 
