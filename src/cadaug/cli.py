@@ -9,7 +9,6 @@ experiment.  Exit codes: 0 success, 1 configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import traceback
@@ -19,6 +18,7 @@ from . import __version__
 from .augment import augment_full, balance, split
 from .dataset import load_dataset, save_dataset
 from .features import FeatureSchema, featurize, fit_distinct_filter, write_features_csv
+from .jsonfields import read_json
 from .labelling import (
     DEFAULT_TIMEOUT,
     LabellingError,
@@ -64,7 +64,10 @@ def _existing_file(value: str) -> Path:
 def _load_grids(path: Path | None):
     if path is None:
         return DEFAULT_GRIDS
-    loaded = json.loads(path.read_text())
+    try:
+        loaded = read_json(path, "grid file")
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: grid file must be a JSON object")
     return {**DEFAULT_GRIDS, **loaded}

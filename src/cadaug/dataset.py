@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from cadaug.features import FeatureSchema, read_features_csv, write_features_csv
-from cadaug.jsonfields import json_field
+from cadaug.jsonfields import json_field, read_json
 
 PROVENANCES = ("unbalanced", "balanced", "augmented")
 ROLES = ("all", "train", "test")
@@ -102,7 +102,7 @@ def load_dataset(csv_path, schema: FeatureSchema) -> tuple[Dataset, dict]:
         if label is None:
             raise ValueError(f"{i}: dataset row has no label")
     side = sidecar_path(csv_path)
-    meta = json.loads(side.read_text()) if side.exists() else {}
+    meta = read_json(side, "dataset sidecar") if side.exists() else {}
     if not isinstance(meta, dict):
         raise ValueError(f"dataset sidecar {side}: not a JSON object")
     # a missing key keeps its default; save_dataset writes a null seed or mode

@@ -33,7 +33,7 @@ import numpy as np
 
 from cadaug import kernels
 from cadaug.floattext import text_table
-from cadaug.jsonfields import json_field
+from cadaug.jsonfields import json_field, read_json
 from cadaug.poly import Variable, VARIABLES
 from cadaug.smtlib import ProblemInstance
 from cadaug.symmetry import Permutation
@@ -163,7 +163,7 @@ class FeatureSchema:
 
     @classmethod
     def load(cls, path) -> FeatureSchema:
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path, "feature schema"))
 
 
 # -- evaluation -----------------------------------------------------------

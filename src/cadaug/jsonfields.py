@@ -1,17 +1,19 @@
-"""Checked key access for the JSON artifacts read back from disk, and
-the text of a JSON object written in pieces.
+"""Checked reading of the JSON artifacts read back from disk, and the
+text of a JSON object written in pieces.
 
-A schema, model or matrix file that lacks a key, or holds a value of the
-wrong JSON type under it, is a data error naming that key rather than a
-``KeyError`` or a value silently iterated as the wrong type.  Python's
-``json`` module also decodes ``NaN`` and ``Infinity``, which standard JSON
-does not have; a number here must be finite.
+A file that does not parse as JSON is a data error naming the file and
+its role.  A schema, model or matrix file that lacks a key, or holds a
+value of the wrong JSON type under it, is a data error naming that key
+rather than a ``KeyError`` or a value silently iterated as the wrong
+type.  Python's ``json`` module also decodes ``NaN`` and ``Infinity``,
+which standard JSON does not have; a number here must be finite.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from typing import Any
 
 # the Python types a JSON value may decode to, and how to name them
@@ -33,6 +35,15 @@ def is_number(value: Any) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def read_json(path, artifact: str) -> Any:
+    """The decoded JSON of the file at ``path``; text that is not JSON
+    raises ValueError naming the artifact and the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{artifact} {path}: not valid JSON ({err})") from None
 
 
 def json_field(data: Any, key: str, kind: type, artifact: str) -> Any:

@@ -1,12 +1,10 @@
 """Pure-Python term-dict kernels for sparse polynomials in three variables.
 
-A polynomial is a dict mapping a packed exponent key to a non-zero
-coefficient: an int, or a Fraction whose denominator is not 1.  Every
-kernel returns coefficients in that form.  It looks for whole Fractions
-in its result only when an operand holds a Fraction, so integer
-arithmetic pays one C-level scan of the operands' types and nothing more.
-The key packs the exponents of x1, x2, x3 into one integer, 21 bits per
-variable:
+A polynomial is a dict mapping a packed exponent key to a non-zero int
+coefficient.  Rationals live only in the SMT-LIB reader
+(``cadaug.smtlib``), which clears every denominator before it builds a
+polynomial, so every kernel is integer arithmetic.  The key packs the
+exponents of x1, x2, x3 into one integer, 21 bits per variable:
 
     key = e1 | (e2 << 21) | (e3 << 42)
 
@@ -22,8 +20,8 @@ lex order lets a plain heap of keys pick the next term.  ``klead`` stays
 graded-lex, because canonical output and sign normalization depend on it.
 
 These functions are the ring operations of ``cadaug.poly.Polynomial``;
-resultants do not use them, since ``cadaug.resultants`` runs its
-remainder sequence on Kronecker-packed integers.  ``kdiv_exact`` has no
+resultants use only ``exact_quotient``, since ``cadaug.resultants`` runs
+its remainder sequence on Kronecker-packed integers.  ``kdiv_exact`` has no
 caller in the library: the Bareiss determinant that the tests use as the
 resultant oracle (``tests/resultant_reference.py``) and the benchmark's
 fixed-input timings (``perfbench/micro.py``) call it.  Callers reach
@@ -35,7 +33,6 @@ budget allows to survive; ``Polynomial.from_terms`` and SMT-LIB ingestion
 reject inputs whose degrees would exceed it.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 EXP_BITS = 21
@@ -91,8 +88,7 @@ def kadd(a, b):
                 out[k] = s
             else:
                 del out[k]
-    # a sum of an int and a non-integral Fraction is never whole
-    return _whole(out) if _has_fraction(b) else out
+    return out
 
 
 def ksub(a, b):
@@ -107,7 +103,7 @@ def ksub(a, b):
                 out[k] = s
             else:
                 del out[k]
-    return _whole(out) if _has_fraction(b) else out
+    return out
 
 
 def kneg(a):
@@ -117,8 +113,7 @@ def kneg(a):
 def kscale(a, c):
     if not c:
         return {}
-    out = {k: v * c for k, v in a.items()}
-    return _whole(out) if type(c) is not int or _has_fraction(a) else out
+    return {k: v * c for k, v in a.items()}
 
 
 def kmul(a, b):
@@ -140,38 +135,20 @@ def kmul(a, b):
                     out[k] = s
                 else:
                     del out[k]
-    return _whole(out) if _has_fraction(a) or _has_fraction(b) else out
+    return out
 
 
-def _has_fraction(a):
-    """True if a term dict has a Fraction coefficient."""
-    return Fraction in map(type, a.values())
-
-
-def _whole(a):
-    """``a`` with every whole Fraction coefficient replaced by its int, in
-    place: ring operations on Fractions can give ``Fraction(n, 1)``, and
-    the canonical form holds ints there."""
-    for k, c in a.items():
-        if type(c) is Fraction and c.denominator == 1:
-            a[k] = c.numerator
-    return a
-
-
-def _coeff_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r == 0:
-            return q
-        return Fraction(a, b)
-    q = Fraction(a) / Fraction(b)
-    if q.denominator == 1:
-        return q.numerator
+def exact_quotient(a, b):
+    """a // b for integers b dividing a; raise InexactDivision otherwise."""
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivision("non-zero remainder in an exact coefficient division")
     return q
 
 
 def kdiv_exact(a, b):
-    """Divide a by b in the polynomial ring; raise InexactDivision otherwise.
+    """Divide a by b in the polynomial ring; raise InexactDivision otherwise,
+    also when a coefficient leaves a remainder.
 
     Terms are divided out in lex order (plain integer order on keys): a
     heap holds the negated keys of the remainder, and entries whose term
@@ -187,7 +164,7 @@ def kdiv_exact(a, b):
         for k, c in a.items():
             if not divides(bk, k):
                 raise InexactDivision("monomial does not divide term")
-            out[k - bk] = _coeff_div(c, bc)
+            out[k - bk] = exact_quotient(c, bc)
         return out
     bk = max(b)
     bc = b[bk]
@@ -204,7 +181,7 @@ def kdiv_exact(a, b):
         if not divides(bk, rk):
             raise InexactDivision("leading term not divisible")
         qk = rk - bk
-        qc = _coeff_div(rc, bc)
+        qc = exact_quotient(rc, bc)
         out[qk] = qc
         for k, c in tail:
             nk = k + qk

@@ -10,7 +10,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..dataset import Dataset
-from ..jsonfields import json_field, object_head
+from ..jsonfields import json_field, object_head, read_json
 from ..seeding import derive_seed
 from .forest import RandomForestClassifier, SharedGrowth
 from .knn import KNNClassifier
@@ -170,7 +170,7 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path, "model file"))
 
 
 # stacked root rows that one tree growth may take: a grid group grows the

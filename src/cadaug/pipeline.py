@@ -33,7 +33,7 @@ from .augment import augment_full, balance, split
 from .dataset import Dataset, PROVENANCES, save_dataset
 from .features import FeatureSchema, featurize, fit_distinct_filter
 from .features import featurize_exact  # noqa: F401  perfbench/tracing.py patches it here
-from .jsonfields import json_field
+from .jsonfields import json_field, read_json
 from .labelling import (
     DEFAULT_TIMEOUT,
     label_by_sotd,
@@ -189,7 +189,7 @@ class ResultMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "ResultMatrix":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path, "matrix file"))
 
 
 def improvement_summary(matrix: ResultMatrix) -> dict[str, Optional[float]]:

@@ -1,9 +1,11 @@
 """Exact sparse polynomial arithmetic over the variables x1, x2, x3.
 
-Coefficients are exact rationals (Python int, promoted to Fraction only
-when a denominator appears), so every downstream computation that stays in
-this module is exact.  Values are immutable after construction and all
-operations are pure, so polynomials can be shared freely.
+Coefficients are Python ints, so every computation on polynomials is
+exact.  Rationals live only in the SMT-LIB reader (``cadaug.smtlib``),
+which clears every denominator before it builds a polynomial; the
+constructors refuse any other coefficient type.  Values are immutable
+after construction and all operations are pure, so polynomials can be
+shared freely.
 
 Canonical form: a term map with no zero coefficients, iterated in graded
 lexicographic order with x1 < x2 < x3.  Two equal polynomials always have
@@ -15,14 +17,12 @@ the ring operators, never parsed from infix text.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from cadaug import kernels
 from cadaug.symmetry import Permutation
-
-Coeff = Union[int, Fraction]
 
 
 @dataclass(frozen=True, order=True)
@@ -68,15 +68,15 @@ def _grlex_sort_key(key: int) -> tuple[int, int]:
 class Polynomial:
     """Immutable sparse polynomial; the zero polynomial has no terms."""
 
-    # _integral holds ``resultants._integral(self)``, filled on first use
+    # _unpacked holds ``resultants._unpacked(self)``, filled on first use
     # and never changed after: a function of the terms, so the polynomial
     # stays immutable in every way that equality and hashing can see
-    __slots__ = ("_terms", "_integral")
+    __slots__ = ("_terms", "_unpacked")
 
-    def __init__(self, terms: dict[int, Coeff] | None = None):
+    def __init__(self, terms: dict[int, int] | None = None):
         # Terms are adopted as-is; callers must not mutate them afterwards.
         self._terms = terms if terms is not None else {}
-        self._integral = None
+        self._unpacked = None
 
     # -- constructors ------------------------------------------------------
 
@@ -89,8 +89,8 @@ class Polynomial:
         return _ONE
 
     @classmethod
-    def constant(cls, c: Coeff) -> Polynomial:
-        c = _normalize_coeff(c)
+    def constant(cls, c: int) -> Polynomial:
+        c = operator.index(c)
         return cls({0: c}) if c else cls()
 
     @classmethod
@@ -98,11 +98,13 @@ class Polynomial:
         return cls({kernels.pack(*(1 if i == v.index else 0 for i in (1, 2, 3))): 1})
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[tuple[int, int, int], Coeff]]) -> Polynomial:
-        acc: dict[int, Coeff] = {}
+    def from_terms(cls, terms: Iterable[tuple[tuple[int, int, int], int]]) -> Polynomial:
+        """The sum of the given terms; a coefficient that is not an integer
+        raises TypeError."""
+        acc: dict[int, int] = {}
         for exponents, coeff in terms:
             key = _checked_key(exponents)
-            c = _normalize_coeff(acc.get(key, 0) + coeff)
+            c = acc.get(key, 0) + operator.index(coeff)
             if c:
                 acc[key] = c
             else:
@@ -112,11 +114,11 @@ class Polynomial:
     # -- inspection --------------------------------------------------------
 
     @property
-    def raw(self) -> dict[int, Coeff]:
+    def raw(self) -> dict[int, int]:
         """The underlying term map (packed key -> coefficient); do not mutate."""
         return self._terms
 
-    def terms(self) -> list[tuple[tuple[int, int, int], Coeff]]:
+    def terms(self) -> list[tuple[tuple[int, int, int], int]]:
         """(exponents of x1, x2, x3; coefficient) pairs in descending
         graded-lex order (leading term first)."""
         keys = sorted(self._terms, key=_grlex_sort_key, reverse=True)
@@ -128,7 +130,7 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
-    def constant_value(self) -> Coeff:
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self._terms.get(0, 0)
@@ -166,13 +168,13 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return kernels.klead(self._terms)
 
-    def leading_coefficient(self) -> Coeff:
+    def leading_coefficient(self) -> int:
         return self._terms[self.leading_key()]
 
     def sort_key(self):
         """A total-order key: grlex term list, for deterministic set output."""
         keys = sorted(self._terms, key=_grlex_sort_key, reverse=True)
-        return tuple((kernels.total_degree(k), k, Fraction(self._terms[k])) for k in keys)
+        return tuple((kernels.total_degree(k), k, self._terms[k]) for k in keys)
 
     # -- ring operations ---------------------------------------------------
 
@@ -200,8 +202,8 @@ class Polynomial:
         return Polynomial(kernels.kneg(self._terms))
 
     def __mul__(self, other) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(kernels.kscale(self._terms, _normalize_coeff(other)))
+        if isinstance(other, int):
+            return Polynomial(kernels.kscale(self._terms, other))
         if isinstance(other, Polynomial):
             return Polynomial(kernels.kmul(self._terms, other._terms))
         return NotImplemented
@@ -234,18 +236,18 @@ class Polynomial:
     def derivative(self, v: Variable) -> Polynomial:
         i = v.index - 1
         shift = kernels.EXP_BITS * i
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for key, c in self._terms.items():
             e = kernels.unpack(key)[i]
             if e:
-                out[key - (1 << shift)] = c * e if type(c) is int else _normalize_coeff(c * e)
+                out[key - (1 << shift)] = c * e
         return Polynomial(out)
 
     def coefficients_wrt(self, v: Variable) -> list[Polynomial]:
         """Coefficients of v^0 .. v^deg as polynomials in the other variables."""
         i = v.index - 1
         shift = kernels.EXP_BITS * i
-        buckets: list[dict[int, Coeff]] = [{} for _ in range(self.degree_in(v) + 1)]
+        buckets: list[dict[int, int]] = [{} for _ in range(self.degree_in(v) + 1)]
         for key, c in self._terms.items():
             e = kernels.unpack(key)[i]
             buckets[e][key - (e << shift)] = c
@@ -256,7 +258,7 @@ class Polynomial:
         if sigma.is_identity():
             return self
         img = sigma.images
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for key, c in self._terms.items():
             exps = kernels.unpack(key)
             new = [0, 0, 0]
@@ -265,25 +267,17 @@ class Polynomial:
             out[kernels.pack(*new)] = c
         return Polynomial(out)
 
-    def evaluate(self, values: dict[Variable, Coeff]) -> Coeff:
+    def evaluate(self, values: dict):
+        """The value at a point; exact for exact coordinates (ints or
+        rationals), and a variable missing from ``values`` is 0."""
         vals = [values.get(v, 0) for v in VARIABLES]
-        total: Coeff = 0
+        total = 0
         for key, c in self._terms.items():
             e1, e2, e3 = kernels.unpack(key)
             total += c * vals[0] ** e1 * vals[1] ** e2 * vals[2] ** e3
         return total
 
     # -- normal forms ------------------------------------------------------
-
-    def cleared_denominators(self) -> Polynomial:
-        """Scale by the lcm of coefficient denominators to get integer coefficients."""
-        lcm = 1
-        for c in self._terms.values():
-            if isinstance(c, Fraction):
-                lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        if lcm == 1:
-            return Polynomial({k: _normalize_coeff(c) for k, c in self._terms.items()})
-        return Polynomial({k: _normalize_coeff(c * lcm) for k, c in self._terms.items()})
 
     def sign_normalized(self) -> Polynomial:
         """Negate if the graded-lex leading coefficient is negative."""
@@ -292,15 +286,9 @@ class Polynomial:
         return self
 
     def primitive(self) -> Polynomial:
-        """Divide out the rational content and normalize the leading sign."""
-        if not self._terms:
-            return self
-        poly = self
-        if not all(type(c) is int for c in self._terms.values()):
-            poly = self.cleared_denominators()
-        g = math.gcd(*poly._terms.values())
-        if g > 1:
-            poly = Polynomial({k: c // g for k, c in poly._terms.items()})
+        """Divide out the content and normalize the leading sign."""
+        g = math.gcd(*self._terms.values())
+        poly = Polynomial({k: c // g for k, c in self._terms.items()}) if g > 1 else self
         return poly.sign_normalized()
 
     # -- text form ---------------------------------------------------------
@@ -323,18 +311,10 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-def _normalize_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    if isinstance(c, bool):
-        return int(c)
-    return c
-
-
 def _coerce(value) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Polynomial.constant(value)
     return NotImplemented
 
@@ -343,7 +323,7 @@ _ZERO = Polynomial()
 _ONE = Polynomial({0: 1})
 
 
-def _render_term(exponents: tuple[int, int, int], coeff: Coeff) -> str:
+def _render_term(exponents: tuple[int, int, int], coeff: int) -> str:
     e1, e2, e3 = exponents
     var_parts = [f"x{i}^{e}" if e > 1 else f"x{i}"
                  for i, e in ((1, e1), (2, e2), (3, e3)) if e]

@@ -8,7 +8,9 @@ into one integer (Kronecker substitution) and runs the subresultant
 polynomial remainder sequence (Brown & Traub 1971; Cohen, *A Course in
 Computational Algebraic Number Theory*, Algorithm 3.3.7, without the
 content step) on the integer coefficient lists, so the arithmetic is
-CPython's big-integer multiply and divide.
+CPython's big-integer multiply and divide.  Polynomials have integer
+coefficients (rationals stop at the SMT-LIB reader, ``cadaug.smtlib``),
+so the packed operands are integers as they stand.
 
 Degree bound.  With m = deg_v p and n = deg_v q, every term of the
 Sylvester determinant is a product of n coefficients of p and m of q.
@@ -41,10 +43,6 @@ makes unpacking injective: the packed resultant is read back slot by
 slot, each slot biased by 2^(B - 1) so that a signed value comes out of
 ``int.to_bytes`` and ``int.from_bytes`` unchanged.
 
-Rational coefficients are cleared first: for integers c and d making cp
-and dq integral, res(cp, dq) = c^n * d^m * res(p, q), and the integer
-resultant is divided by c^n * d^m at the end.
-
 Cost.  The packed integers hold D_u * D_w slots whatever the number of
 terms, so the work grows with the square of T even when the resultant is
 sparse: the discriminant in x1 of x1^100 + x2^100 + x3^100 has 100 terms
@@ -58,11 +56,8 @@ the tests' oracle (``tests/resultant_reference.py``).
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from cadaug import kernels
-from cadaug.poly import Polynomial, Variable, _normalize_coeff
+from cadaug.poly import Polynomial, Variable
 
 
 class DegreeError(ValueError):
@@ -76,28 +71,16 @@ def total_degree_bound(m: int, n: int, deg_p: int, deg_q: int) -> int:
     return n * deg_p + m * deg_q - m * n
 
 
-def _integral(p: Polynomial) -> tuple[list[tuple[tuple[int, int, int], int]], int, list[int]]:
-    """(exponents, integer coefficient) pairs of c * p; c, the lcm of the
-    coefficients' denominators; and the degree of p in x1, x2, x3 followed
-    by its total degree.  Computed once per polynomial and kept on it: a
-    polynomial of one projection level meets every other one in a
+def _unpacked(p: Polynomial) -> tuple[list[tuple[tuple[int, int, int], int]], list[int]]:
+    """(exponents, coefficient) pairs of p, and the degree of p in x1, x2,
+    x3 followed by its total degree.  Computed once per polynomial and kept
+    on it: a polynomial of one projection level meets every other one in a
     resultant."""
-    if p._integral is None:
-        scale = math.lcm(*{c.denominator for c in p.raw.values()})
+    if p._unpacked is None:
         exps = [kernels.unpack(k) for k in p.raw]
-        # int() also for scale 1: a term map built directly, not by the
-        # ring operations, may hold a whole Fraction such as Fraction(1, 1)
-        coeffs = [int(c * scale) for c in p.raw.values()]
         degrees = [*map(max, zip(*exps)), max(map(sum, exps))] if exps else [0, 0, 0, 0]
-        p._integral = list(zip(exps, coeffs)), scale, degrees
-    return p._integral
-
-
-def _exact_div(a: int, b: int) -> int:
-    quotient, remainder = divmod(a, b)
-    if remainder:
-        raise kernels.InexactDivision("non-zero remainder in the subresultant PRS")
-    return quotient
+        p._unpacked = list(zip(exps, p.raw.values())), degrees
+    return p._unpacked
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -142,19 +125,19 @@ def _prs_resultant(a: list[int], b: list[int]) -> int:
             return 0
         divisor = g * h**delta
         a = b
-        b = r if divisor == 1 else [_exact_div(c, divisor) for c in r]
+        b = r if divisor == 1 else [kernels.exact_quotient(c, divisor) for c in r]
         g = a[-1]
         # h <- h^(1 - delta) * g^delta, an exact division when delta > 1
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _exact_div(g**delta, h ** (delta - 1))
+            h = kernels.exact_quotient(g**delta, h ** (delta - 1))
         if len(b) == 1:
             break
     deg_a = len(a) - 1
     final = b[0] ** deg_a
     if deg_a > 1:
-        final = _exact_div(final, h ** (deg_a - 1))
+        final = kernels.exact_quotient(final, h ** (deg_a - 1))
     return sign * final
 
 
@@ -165,8 +148,8 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     number of terms.  Requires deg_v(p), deg_v(q) >= 1."""
     iv = v.index - 1
     iu, iw = (i for i in range(3) if i != iv)
-    p_terms, p_scale, p_deg = _integral(p)
-    q_terms, q_scale, q_deg = _integral(q)
+    p_terms, p_deg = _unpacked(p)
+    q_terms, q_deg = _unpacked(q)
     m, n = p_deg[iv], q_deg[iv]
     if m < 1:
         raise DegreeError(f"degree of first operand in {v} is {m}, need >= 1")
@@ -188,12 +171,9 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
 
     res = _prs_resultant(packed(p_terms, m), packed(q_terms, n))
     out = {}
-    denominator = p_scale**n * q_scale**m
     for slot, c in _slots(res, width, d_u * d_w):
         exps = [0, 0, 0]
         exps[iw], exps[iu] = divmod(slot, d_u)
-        if denominator != 1:
-            c = _normalize_coeff(Fraction(c, denominator))
         out[kernels.pack(*exps)] = c
     return Polynomial(out)
 

@@ -7,6 +7,10 @@ coefficient under the graded-lex order is positive.  Boolean structure is
 discarded.  The three real variables are renamed x1, x2, x3 in order of
 first declaration; the original names are kept in ``variable_map``.
 
+Rationals occur only here: the term evaluator holds each term as an
+integer polynomial p over a positive integer d, and an atom p / d becomes
+p // gcd(d, content(p)), so every ``Polynomial`` has integer coefficients.
+
 Supported term language: +, -, *, unary -, division with a constant
 divisor, integer and decimal numerals, and term-level ``let``.  Anything
 else (quantifiers, Boolean ``let`` values, transcendental functions,
@@ -20,13 +24,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from cadaug import kernels
+from cadaug.jsonfields import json_field
 from cadaug.poly import Polynomial, Variable, VARIABLES
 
 logger = logging.getLogger("cadaug.ingest")
@@ -156,8 +161,9 @@ def _head(form: list) -> str:
     return form[0].text
 
 
-_INT_RE = re.compile(r"-?\d+$")
-_DEC_RE = re.compile(r"-?\d+\.\d+$")
+# ASCII digits only: \d alone also matches other scripts' digits
+_INT_RE = re.compile(r"-?\d+", re.ASCII)
+_DEC_RE = re.compile(r"-?\d+\.\d+", re.ASCII)
 
 RELATIONS = {"<", "<=", ">", ">=", "=", "distinct"}
 LOGICAL = {"and", "or", "not", "=>", "xor"}
@@ -177,14 +183,14 @@ _IGNORED_COMMANDS = {
 }
 
 
-def _numeral(token: Token) -> Fraction | None:
-    if _INT_RE.match(token.text):
-        return Fraction(int(token.text))
-    if _DEC_RE.match(token.text):
+def _numeral(token: Token) -> tuple[int, int] | None:
+    """(numerator, denominator) of an integer or decimal numeral, None for
+    any other token."""
+    if _INT_RE.fullmatch(token.text):
+        return int(token.text), 1
+    if _DEC_RE.fullmatch(token.text):
         whole, frac = token.text.split(".")
-        sign = -1 if whole.startswith("-") else 1
-        whole = whole.lstrip("-")
-        return sign * Fraction(int(whole + frac), 10 ** len(frac))
+        return int(whole + frac), 10 ** len(frac)
     return None
 
 
@@ -227,9 +233,8 @@ class ProblemInstance:
 
 
 def normalize_atom(p: Polynomial) -> Polynomial:
-    """Canonical form of an atom polynomial: integer coefficients via
-    denominator clearing, positive leading coefficient."""
-    return p.cleared_denominators().sign_normalized()
+    """Canonical form of an atom polynomial: positive leading coefficient."""
+    return p.sign_normalized()
 
 
 def canonicalize_variables(
@@ -406,7 +411,30 @@ def _scan_term(form: Form, env: dict[str, set[str]], declared: set[str]) -> set[
 
 # Pass 2: atom collection.  env maps let-bound names to lazily evaluated
 # bindings so that dead bindings (never referenced, so their variables do
-# not count as used) are never evaluated.
+# not count as used) are never evaluated.  A term's value is a _Ratio
+# (p, d): the integer polynomial p over the positive integer d.
+
+_Ratio = tuple[Polynomial, int]
+
+
+def _sum(a: _Ratio, b: _Ratio) -> _Ratio:
+    (p, d), (q, e) = a, b
+    if d == e:
+        return p + q, d
+    m = math.lcm(d, e)
+    return p * (m // d) + q * (m // e), m
+
+
+def _negated(a: _Ratio) -> _Ratio:
+    return -a[0], a[1]
+
+
+def _cleared(a: _Ratio) -> Polynomial:
+    """The integer multiple of p / d by the lcm of its coefficients'
+    denominators: p // gcd(d, content(p))."""
+    p, d = a
+    g = math.gcd(d, *p.raw.values())
+    return p if g == 1 else Polynomial({k: c // g for k, c in p.raw.items()})
 
 
 class _Binding:
@@ -415,9 +443,9 @@ class _Binding:
     def __init__(self, form: Form, env: dict):
         self.form = form
         self.env = env
-        self.value: Polynomial | None = None
+        self.value: _Ratio | None = None
 
-    def get(self, varmap: dict[str, Variable]) -> Polynomial:
+    def get(self, varmap: dict[str, Variable]) -> _Ratio:
         if self.value is None:
             self.value = _eval_term(self.form, self.env, varmap)
         return self.value
@@ -437,7 +465,7 @@ def _eval_formula(form: Form, env: dict[str, _Binding], varmap: dict[str, Variab
         else:
             pairs = [(i, i + 1) for i in range(len(args) - 1)]
         for i, j in pairs:
-            out.append(args[i] - args[j])
+            out.append(_cleared(_sum(args[i], _negated(args[j]))))
     elif head == "let":
         new_env = dict(env)
         for name_tok, value in _parse_let_bindings(form):
@@ -445,25 +473,25 @@ def _eval_formula(form: Form, env: dict[str, _Binding], varmap: dict[str, Variab
         _eval_formula(form[2], new_env, varmap, out)
 
 
-def _eval_term(form: Form, env: dict[str, _Binding], varmap: dict[str, Variable]) -> Polynomial:
+def _eval_term(form: Form, env: dict[str, _Binding], varmap: dict[str, Variable]) -> _Ratio:
     if isinstance(form, Token):
         value = _numeral(form)
         if value is not None:
-            return Polynomial.constant(value)
+            return Polynomial.constant(value[0]), value[1]
         if form.text in env:
             return env[form.text].get(varmap)
-        return Polynomial.variable(varmap[form.text])
+        return Polynomial.variable(varmap[form.text]), 1
     head = _head(form)
     args = form[1:]
     if head == "+":
         total = _eval_term(args[0], env, varmap)
         for a in args[1:]:
-            total = total + _eval_term(a, env, varmap)
+            total = _sum(total, _eval_term(a, env, varmap))
         return total
     if head == "*":
-        total = _eval_term(args[0], env, varmap)
+        total, d = _eval_term(args[0], env, varmap)
         for a in args[1:]:
-            factor = _eval_term(a, env, varmap)
+            factor, e = _eval_term(a, env, varmap)
             for v in VARIABLES:
                 degree = total.degree_in(v) + factor.degree_in(v)
                 if degree > kernels.EXP_MASK:
@@ -471,28 +499,29 @@ def _eval_term(form: Form, env: dict[str, _Binding], varmap: dict[str, Variable]
                         f"product has degree {degree} in {v}, above the limit {kernels.EXP_MASK}",
                         *_loc(a),
                     )
-            total = total * factor
-        return total
+            total, d = total * factor, d * e
+        return total, d
     if head == "-":
         first = _eval_term(args[0], env, varmap)
         if len(args) == 1:
-            return -first
+            return _negated(first)
         for a in args[1:]:
-            first = first - _eval_term(a, env, varmap)
+            first = _sum(first, _negated(_eval_term(a, env, varmap)))
         return first
     if head == "/":
-        total = _eval_term(args[0], env, varmap)
+        total, d = _eval_term(args[0], env, varmap)
         for a in args[1:]:
-            divisor = _eval_term(a, env, varmap)
+            divisor, e = _eval_term(a, env, varmap)
             if not divisor.is_constant():
                 raise UnsupportedConstructError(
                     "division requires a constant divisor", *_loc(a)
                 )
-            value = divisor.constant_value()
-            if value == 0:
+            c = divisor.constant_value()
+            if c == 0:
                 raise UnsupportedConstructError("division by zero", *_loc(a))
-            total = total * (Fraction(1) / Fraction(value))
-        return total
+            # (p / d) / (c / e) = (p * e * sign(c)) / (d * |c|)
+            total, d = total * (e if c > 0 else -e), d * abs(c)
+        return total, d
     if head == "let":
         new_env = dict(env)
         for name_tok, value in _parse_let_bindings(form):
@@ -519,12 +548,8 @@ def dedup_syntactic(instances: list[ProblemInstance]) -> list[ProblemInstance]:
 # -- script rendering (inverse of parse, used by the generator) -----------
 
 
-def _coeff_to_smt(c) -> str:
-    f = Fraction(c)
-    num = str(f.numerator) if f.numerator >= 0 else f"(- {-f.numerator})"
-    if f.denominator == 1:
-        return num
-    return f"(/ {num} {f.denominator})"
+def _coeff_to_smt(c: int) -> str:
+    return str(c) if c >= 0 else f"(- {-c})"
 
 
 def poly_to_smt(p: Polynomial) -> str:
@@ -561,33 +586,51 @@ def render_script(instance: ProblemInstance) -> str:
 # -- JSONL dataset format -------------------------------------------------
 
 
+# A record is {"id": ..., "polys": [[term, ...], ...], "varmap": {...}}: each
+# term is [numerator, denominator, [e1, e2, e3]] with the coefficient as a
+# decimal string over the denominator "1", and each varmap value names a
+# canonical variable.
+
+
 def instance_to_json(instance: ProblemInstance) -> dict:
-    polys = []
-    for p in instance.sorted_polynomials:
-        terms = []
-        for exponents, coeff in p.terms():
-            f = Fraction(coeff)
-            terms.append([str(f.numerator), str(f.denominator), list(exponents)])
-        polys.append(terms)
     return {
         "id": instance.id,
-        "polys": polys,
+        "polys": [
+            [[str(coeff), "1", list(exponents)] for exponents, coeff in p.terms()]
+            for p in instance.sorted_polynomials
+        ],
         "varmap": {name: var.name for name, var in instance.variable_map},
     }
 
 
-def instance_from_json(obj: dict) -> ProblemInstance:
+def _term_from_json(term) -> tuple[tuple[int, int, int], int]:
+    if not (isinstance(term, list) and len(term) == 3):
+        raise IngestError(f"term {term!r} is not [numerator, denominator, exponents]")
+    num, den, exps = term
+    if not (isinstance(num, str) and _INT_RE.fullmatch(num)):
+        raise IngestError(f"numerator {num!r} is not an integer string")
+    if den != "1":
+        raise IngestError(f'denominator {den!r} is not "1": coefficients are integers')
+    if not (isinstance(exps, list) and len(exps) == 3 and all(type(e) is int for e in exps)):
+        raise IngestError(f"exponents {exps!r} are not three integers")
+    return tuple(exps), int(num)
+
+
+def instance_from_json(obj) -> ProblemInstance:
+    """The instance of one record; a record of another shape raises
+    IngestError or ValueError naming what is wrong."""
     polys = []
-    for terms in obj["polys"]:
-        polys.append(
-            Polynomial.from_terms(
-                (tuple(exps), Fraction(int(num), int(den))) for num, den, exps in terms
-            )
-        )
-    varmap = tuple(
-        (name, Variable(int(canonical[1]))) for name, canonical in obj["varmap"].items()
-    )
-    return ProblemInstance(obj["id"], frozenset(polys), varmap)
+    for terms in json_field(obj, "polys", list, "instance record"):
+        if not isinstance(terms, list):
+            raise IngestError(f"polynomial {terms!r} is not a list of terms")
+        polys.append(Polynomial.from_terms(map(_term_from_json, terms)))
+    varmap = []
+    for name, canonical in json_field(obj, "varmap", dict, "instance record").items():
+        match = [v for v in VARIABLES if v.name == canonical]
+        if not match:
+            raise IngestError(f"varmap value {canonical!r} is not x1, x2 or x3")
+        varmap.append((name, match[0]))
+    return ProblemInstance(obj.get("id"), frozenset(polys), tuple(varmap))
 
 
 def write_instances_jsonl(instances: Iterable[ProblemInstance], path: str | Path):

@@ -427,6 +427,35 @@ def test_augment_names_a_mistyped_dataset_sidecar(workspace, tmp_path, capsys,
     assert not (tmp_path / "aug.csv").exists()
 
 
+@pytest.mark.parametrize("role, code", [
+    ("feature schema", EXIT_DATA),
+    ("matrix file", EXIT_DATA),
+    ("model file", EXIT_DATA),
+    ("dataset sidecar", EXIT_DATA),
+    ("grid file", EXIT_CONFIG),
+], ids=["schema", "matrix", "model", "sidecar", "grid"])
+def test_unparseable_json_inputs_name_the_file(workspace, tmp_path, capsys, role, code):
+    root = workspace
+    data = tmp_path / "train.csv"
+    data.write_bytes((root / "train.csv").read_bytes())
+    bad = tmp_path / ("train.meta.json" if role == "dataset sidecar" else "bad.json")
+    bad.write_text("{not json")
+    schema = root / "schema.json"
+    argv = {
+        "feature schema": ("featurize", "--instances", root / "instances.jsonl",
+                           "--schema", bad, "--out", tmp_path / "x.csv"),
+        "matrix file": ("report", "--matrix", bad, "--out", tmp_path / "report"),
+        "model file": ("evaluate", "--model", bad, "--data", data, "--schema", schema),
+        "dataset sidecar": ("augment", "--data", data, "--schema", schema,
+                            "--out", tmp_path / "aug.csv"),
+        "grid file": ("train", "--data", data, "--schema", schema, "--model", "dt",
+                      "--grid", bad, "--out", tmp_path / "m.json"),
+    }[role]
+    capsys.readouterr()
+    assert run_cli(*argv) == code
+    assert f"error: {role} {bad}: not valid JSON (Expecting property name" in capsys.readouterr().err
+
+
 def test_run_skips_a_script_whose_id_holds_a_comma(workspace, tmp_path, caplog):
     # an id is the first, unquoted field of every CSV row
     corpus = tmp_path / "corpus"

@@ -1,7 +1,6 @@
 """Tests for ordering labels, timing records, and the sotd proxy oracle."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -338,10 +337,7 @@ def test_projection_does_not_depend_on_input_order():
         polys = set()
         while len(polys) < 4:
             terms = [
-                (
-                    (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)),
-                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                )
+                ((rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-5, 5))
                 for _ in range(rng.randint(1, 4))
             ]
             p = Polynomial.from_terms(terms)

@@ -1,13 +1,16 @@
 """Tests for SMT-LIB ingestion: parsing, canonicalization, dedup, JSONL."""
 
+import hashlib
 import json
 import logging
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cadaug.cli import main
 from cadaug.poly import VARIABLES, Polynomial, X1, X2, X3
 from cadaug.smtlib import (
     ConstantAtomError,
@@ -104,6 +107,27 @@ def test_atom_normalization_clears_denominators_only():
     inst = parse_script(script)
     assert 2*x2 - 2*x1 in inst.polynomials
     assert x3 - 2 in inst.polynomials
+
+
+def test_atoms_clear_denominators():
+    # an atom p / d is read as p // gcd(d, content(p)): the atom times the
+    # lcm of its coefficients' denominators
+    script = DECLS + "(assert (> (+ (/ x 2) (/ y 3)) 0))(assert (> z 0))"
+    assert 3*x1 + 2*x2 in parse_script(script).polynomials
+    script = DECLS + "(assert (> (/ (* 4 x) 6) (* 0.5 0.5 y)))(assert (> z 0))"
+    # 2/3 x - 1/4 y clears to 8x - 3y; the leading x2 term's sign flips
+    assert 3*x2 - 8*x1 in parse_script(script).polynomials
+    script = DECLS + "(assert (> (/ (+ x y) (- 2)) (/ z (/ 4 6))))"
+    # -(x + y)/2 - 3z/2 clears to -x - y - 3z, then flips
+    assert parse_script(script).polynomials == frozenset({3*x3 + x2 + x1})
+
+
+@pytest.mark.parametrize("numeral", ["\u0663", "\uff15.\uff15", "1.\u0665", "\u0661\u0662"])
+def test_numerals_are_ascii_digits(numeral):
+    # int() reads any script's digits; a numeral must be ASCII, so these
+    # are unknown symbols rather than 3, 5.5, 1.5 or 12
+    with pytest.raises(ParseError, match="unknown symbol"):
+        parse_script(DECLS + f"(assert (> (+ x y z) {numeral}))")
 
 
 def test_decimal_numerals_are_exact():
@@ -306,14 +330,13 @@ def test_dedup_empty():
 def test_poly_to_smt_roundtrip():
     assert poly_to_smt(Polynomial.constant(7)) == "7"
     assert poly_to_smt(Polynomial.zero()) == "0"
-    for p in [x1**2 - x2, 3*x1*x2*x3 + 1, -2*x1 + 5, Fraction(1, 2)*x1**3 - Fraction(3, 4)*x2]:
+    for p in [x1**2 - x2, 3*x1*x2*x3 + 1, -2*x1 + 5, -4*x1**3 + 6*x2]:
         full = (
             "(declare-fun x1 () Real)(declare-fun x2 () Real)(declare-fun x3 () Real)"
             f"(assert (> {poly_to_smt(p)} 0))(assert (> (* x1 x2 x3) 0))"
         )
         inst = parse_script(full)
-        cleared = p.cleared_denominators().sign_normalized()
-        assert cleared in inst.polynomials
+        assert p.sign_normalized() in inst.polynomials
 
 
 def test_render_script_roundtrip():
@@ -381,6 +404,122 @@ def test_parse_script_accepts_or_rejects_any_script(text):
     assert parse_script(render_script(inst)).polynomials == inst.polynomials
 
 
+# -- a fixed corpus of rational scripts -----------------------------------
+
+
+def _numeral_text(rng):
+    """A random integer or decimal numeral, possibly negative, and its value."""
+    whole = str(rng.randint(0, 30))
+    sign = "-" if rng.random() < 0.2 else ""
+    if rng.random() < 0.5:
+        return sign + whole, Fraction(int(sign + whole))
+    digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 3)))
+    return f"{sign}{whole}.{digits}", Fraction(f"{sign}{whole}.{digits}")
+
+
+def _constant_text(rng, depth):
+    """A random constant expression and its value: numerals combined by +,
+    -, * and division by a non-zero constant, nested up to ``depth``."""
+    if depth == 0 or rng.random() < 0.4:
+        return _numeral_text(rng)
+    op = rng.choice("+-*/")
+    a, va = _constant_text(rng, depth - 1)
+    if op == "-" and rng.random() < 0.3:
+        return f"(- {a})", -va
+    while True:
+        b, vb = _constant_text(rng, depth - 1)
+        if op != "/" or vb:
+            break
+    value = {"+": va + vb, "-": va - vb, "*": va * vb, "/": va / vb if vb else 0}[op]
+    return f"({op} {a} {b})", value
+
+
+def _rational_term(rng, depth, env):
+    """A random term over x, y, z and the let-bound names in ``env`` (name
+    -> degree bound) and a bound on its total degree."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.random()
+        if kind < 0.4:
+            return rng.choice("xyz"), 1
+        if kind < 0.6 and env:
+            name = rng.choice(sorted(env))
+            return name, env[name]
+        return _numeral_text(rng)[0], 0
+    op = rng.choice(["+", "-", "neg", "*", "/", "/", "let"])
+    if op == "+":
+        args = [_rational_term(rng, depth - 1, env) for _ in range(rng.randint(2, 3))]
+        return "(+ " + " ".join(t for t, _ in args) + ")", max(d for _, d in args)
+    if op in ("-", "neg"):
+        a, da = _rational_term(rng, depth - 1, env)
+        if op == "neg":
+            return f"(- {a})", da
+        b, db = _rational_term(rng, depth - 1, env)
+        return f"(- {a} {b})", max(da, db)
+    if op == "*":
+        # a product of a term and a small factor, often a rational constant
+        a, da = _rational_term(rng, depth - 1, env)
+        if rng.random() < 0.5:
+            return f"(* {_constant_text(rng, 2)[0]} {a})", da
+        b, db = _rational_term(rng, 0, env)
+        return f"(* {a} {b})", da + db
+    if op == "/":
+        a, da = _rational_term(rng, depth - 1, env)
+        while True:
+            c, value = _constant_text(rng, 2)
+            if value:
+                return f"(/ {a} {c})", da
+    name = f"r{depth}"
+    value, dv = _rational_term(rng, depth - 1, env)
+    body, db = _rational_term(rng, depth - 1, {**env, name: dv})
+    return f"(let (({name} {value})) {body})", db
+
+
+def _rational_atom(rng, env):
+    """A relation between two random terms plus a term of higher degree in
+    x, y and z: it cannot cancel, so every atom is a non-constant
+    polynomial in all three variables."""
+    lhs, dl = _rational_term(rng, 3, env)
+    rhs, dr = _rational_term(rng, 2, env)
+    while True:
+        coeff, value = _constant_text(rng, 1)
+        if value:
+            break
+    guard = "(* " + " ".join([coeff, "x", "y", "z"] + ["x"] * (max(dl, dr) - 2)) + ")"
+    parts = [lhs, guard] if rng.random() < 0.5 else [guard, lhs]
+    rel = rng.choice(["<", "<=", ">", ">=", "="])
+    return f"({rel} (+ {' '.join(parts)}) {rhs})"
+
+
+def _rational_script(rng):
+    asserts = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            # a formula-level let binding a rational term
+            value, dv = _rational_term(rng, 2, {})
+            formula = f"(let ((q {value})) {_rational_atom(rng, {'q': dv})})"
+        elif rng.random() < 0.3:
+            formula = f"(and {_rational_atom(rng, {})} (not {_rational_atom(rng, {})}))"
+        else:
+            formula = _rational_atom(rng, {})
+        asserts.append(f"(assert {formula})")
+    return DECLS + "".join(asserts)
+
+
+def test_rational_scripts_read_to_pinned_bytes(tmp_path):
+    # decimals, division by constant expressions, nested division, products
+    # of rationals, unary minus and let-bound rational terms: the JSONL text
+    # of their parse is pinned, so a change to how the reader clears
+    # denominators that alters any polynomial fails here
+    rng = random.Random(20240817)
+    scripts = [_rational_script(rng) for _ in range(300)]
+    assert sum("." in s for s in scripts) > 200 and sum("(/ " in s for s in scripts) > 200
+    path = tmp_path / "rational.jsonl"
+    write_instances_jsonl([parse_script(s, f"r{i}") for i, s in enumerate(scripts)], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "227d5bd5b079d51b3b88717ae6a104daeadcefbe034efb67259b352d0038a3a7"
+    )
+
+
 # -- JSONL ----------------------------------------------------------------
 
 
@@ -432,6 +571,44 @@ def test_read_instances_jsonl_names_the_bad_record(tmp_path):
     path.write_text("{not json\n")
     with pytest.raises(IngestError, match="line 1 \\(id None\\)"):
         read_instances_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": "a", "varmap": {}}, "missing key 'polys'"),
+        ({"id": "a", "polys": 5, "varmap": {}}, "'polys' is not an array"),
+        ({"id": "a", "polys": [5], "varmap": {}}, "polynomial 5 is not a list of terms"),
+        ({"id": "a", "polys": [[["1", "1"]]], "varmap": {}}, "is not [numerator, denominator"),
+        ({"id": "a", "polys": [[[1, "1", [1, 0, 0]]]], "varmap": {}},
+         "numerator 1 is not an integer string"),
+        ({"id": "a", "polys": [[["1.5", "1", [1, 0, 0]]]], "varmap": {}},
+         "numerator '1.5' is not an integer string"),
+        ({"id": "a", "polys": [[["1", "2", [1, 0, 0]]]], "varmap": {}},
+         "denominator '2' is not \"1\""),
+        ({"id": "a", "polys": [[["1", "1", [1, 0]]]], "varmap": {}},
+         "exponents [1, 0] are not three integers"),
+        ({"id": "a", "polys": [[["1", "1", [1.0, 0, 0]]]], "varmap": {}},
+         "exponents [1.0, 0, 0] are not three integers"),
+        ({"id": "a", "polys": [[["1", "1", [1, 1, 1]]]]}, "missing key 'varmap'"),
+        ({"id": "a", "polys": [[["1", "1", [1, 1, 1]]]], "varmap": ["x"]},
+         "'varmap' is not an object"),
+        ({"id": "a", "polys": [[["1", "1", [1, 1, 1]]]], "varmap": {"v": "x"}},
+         "varmap value 'x' is not x1, x2 or x3"),
+    ],
+    ids=["no-polys", "polys-not-array", "poly-not-array", "short-term", "int-numerator",
+         "decimal-numerator", "denominator-2", "two-exponents", "float-exponent", "no-varmap",
+         "varmap-not-object", "varmap-value-x"],
+)
+def test_read_instances_jsonl_names_a_malformed_record(tmp_path, record, message):
+    path = tmp_path / "instances.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(IngestError) as info:
+        read_instances_jsonl(path)
+    assert str(info.value).startswith(f"{path} line 1 (id 'a'): ")
+    assert message in str(info.value)
+    # a data error for the command line, not an internal one
+    assert main(["label", "--instances", str(path), "--out", str(tmp_path / "l.csv")]) == 2
 
 
 @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", 7])
