@@ -18,15 +18,15 @@ import random
 import numpy as np
 
 from cadaug.dataset import Dataset
-from cadaug.labelling import Ordering, ordering_from_triple
+from cadaug.labelling import Ordering
 from cadaug.symmetry import ALL_PERMUTATIONS, Permutation
 
 
 def permute_ordering_label(label: int, sigma: Permutation) -> int:
     """Re-encode a best-ordering label 0..5 after renaming variables by
-    sigma: (va > vb > vc) becomes (sigma(va) > sigma(vb) > sigma(vc))."""
-    triple = Ordering(label).triple
-    return ordering_from_triple([sigma.apply_index(v.index) for v in triple]).index
+    sigma: (va > vb > vc) becomes (sigma(va) > sigma(vb) > sigma(vc)),
+    the images of sigma composed after the label's permutation."""
+    return ALL_PERMUTATIONS.index(sigma.compose(ALL_PERMUTATIONS[Ordering(label).index]))
 
 
 # _LABEL_IMAGES[p][label] is the label after renaming by ALL_PERMUTATIONS[p]

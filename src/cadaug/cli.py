@@ -27,8 +27,8 @@ from .labelling import (
     write_timings_csv,
 )
 from .ml import CVPlan, DEFAULT_GRIDS, DegenerateDataError, MODEL_KINDS, TrainedModel, accuracy, train
-from .pipeline import LABELLERS, ExperimentConfig, PipelineError, ResultMatrix, label_instances, run_pipeline
-from .report import write_report
+from .pipeline import LABELLERS, ExperimentConfig, PipelineError, label_instances, run_pipeline
+from .report import IMPROVEMENTS, ResultMatrix, render_improvement, write_report
 from .smtlib import IngestError, ingest_directory, read_instances_jsonl, write_instances_jsonl
 from .synth import synthesize_corpus, timings_from_sotd
 
@@ -206,13 +206,9 @@ def _cmd_run(args) -> int:
         f"features: {matrix.feature_counts['raw']} raw, "
         f"{matrix.feature_counts['distinct']} essentially distinct"
     )
-    for key, title in (
-        ("balanced_vs_unbalanced_pct", "balanced-trained"),
-        ("augmented_vs_unbalanced_pct", "augmented-trained"),
-    ):
-        value = matrix.improvements.get(key)
-        rendered = "n/a" if value is None else f"{value:+.1f}%"
-        print(f"{title} vs unbalanced-trained on balanced test: {rendered}")
+    for key, trained_on in IMPROVEMENTS.items():
+        rendered = render_improvement(matrix.improvements.get(key))
+        print(f"{trained_on}-trained vs unbalanced-trained on balanced test: {rendered}")
     print(f"report written under {config.out_dir}")
     return EXIT_OK
 
@@ -232,10 +228,23 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"cadaug {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic .smt2 corpus")
+    # flag groups that several verbs share
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", type=_existing_file, required=True)
+    data.add_argument("--schema", type=_existing_file, required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    labeller = argparse.ArgumentParser(add_help=False)
+    labeller.add_argument("--labeller", choices=LABELLERS, default="sotd")
+    labeller.add_argument("--timings", type=_existing_file)
+    labeller.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
+    cv = argparse.ArgumentParser(add_help=False)
+    cv.add_argument("--cv-folds", type=int, default=5)
+    cv.add_argument("--grid", type=_existing_file, help="JSON grid overrides")
+
+    p = sub.add_parser("synth", parents=[seed], help="generate a synthetic .smt2 corpus")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", type=Path, help="also write a proxy timings CSV here")
     p.set_defaults(func=_cmd_synth)
 
@@ -258,65 +267,41 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", type=_existing_file, help="attach labels from a labels CSV")
     p.set_defaults(func=_cmd_featurize)
 
-    p = sub.add_parser("label", help="label instances with the best ordering")
+    p = sub.add_parser("label", parents=[labeller], help="label instances with the best ordering")
     p.add_argument("--instances", type=_existing_file, required=True)
-    p.add_argument("--labeller", choices=LABELLERS, default="sotd")
-    p.add_argument("--timings", type=_existing_file)
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_label)
 
-    p = sub.add_parser("split", help="split a labelled dataset by instance id")
-    p.add_argument("--data", type=_existing_file, required=True)
-    p.add_argument("--schema", type=_existing_file, required=True)
+    p = sub.add_parser("split", parents=[data, seed], help="split a labelled dataset by instance id")
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-train", type=Path, required=True)
     p.add_argument("--out-test", type=Path, required=True)
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("balance", help="rebalance labels via random renamings")
-    p.add_argument("--data", type=_existing_file, required=True)
-    p.add_argument("--schema", type=_existing_file, required=True)
+    p = sub.add_parser("balance", parents=[data, seed], help="rebalance labels via random renamings")
     p.add_argument("--mode", choices=("random", "exact"), default="random")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_balance)
 
-    p = sub.add_parser("augment", help="apply all six renamings to every row")
-    p.add_argument("--data", type=_existing_file, required=True)
-    p.add_argument("--schema", type=_existing_file, required=True)
+    p = sub.add_parser("augment", parents=[data], help="apply all six renamings to every row")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("train", help="cross-validate and fit one model")
-    p.add_argument("--data", type=_existing_file, required=True)
-    p.add_argument("--schema", type=_existing_file, required=True)
+    p = sub.add_parser("train", parents=[data, seed, cv], help="cross-validate and fit one model")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cv-folds", type=int, default=5)
-    p.add_argument("--grid", type=_existing_file, help="JSON grid overrides")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a saved model on a dataset")
+    p = sub.add_parser("evaluate", parents=[data], help="score a saved model on a dataset")
     p.add_argument("--model", type=_existing_file, required=True)
-    p.add_argument("--data", type=_existing_file, required=True)
-    p.add_argument("--schema", type=_existing_file, required=True)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("run", help="run the full experiment")
+    p = sub.add_parser("run", parents=[labeller, seed, cv], help="run the full experiment")
     p.add_argument("--input", type=_existing_dir, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--labeller", choices=LABELLERS, default="sotd")
-    p.add_argument("--timings", type=_existing_file)
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--balance-mode", choices=("random", "exact"), default="random")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default="knn,dt,rf")
-    p.add_argument("--cv-folds", type=int, default=5)
-    p.add_argument("--grid", type=_existing_file, help="JSON grid overrides")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="re-render report files from a saved matrix")
@@ -333,16 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (IngestError, LabellingError, DegenerateDataError, PipelineError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as err:
+    except (IngestError, LabellingError, DegenerateDataError, PipelineError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except Exception:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
@@ -22,13 +22,9 @@ from cadaug import kernels
 from cadaug.poly import Polynomial, Variable, VARIABLES
 from cadaug.resultants import discriminant, resultant, total_degree_bound
 from cadaug.smtlib import ProblemInstance
+from cadaug.symmetry import ALL_PERMUTATIONS, Permutation
 
 DEFAULT_TIMEOUT = 60.0
-
-# Ordering index -> variable indices, greatest first.  Index 0 is
-# x1 > x2 > x3, index 5 is x3 > x2 > x1, in lexicographic triple order.
-_TRIPLES: tuple[tuple[int, int, int], ...] = tuple(permutations((1, 2, 3)))
-_TRIPLE_TO_INDEX = {t: i for i, t in enumerate(_TRIPLES)}
 
 
 class LabellingError(Exception):
@@ -45,7 +41,8 @@ class BudgetExceededError(LabellingError):
 
 @dataclass(frozen=True, order=True)
 class Ordering:
-    """One of the six variable orderings, encoded 0..5."""
+    """One of the six variable orderings, encoded 0..5: ordering i lists,
+    greatest first, the images of ``ALL_PERMUTATIONS[i]``."""
 
     index: int
 
@@ -56,7 +53,7 @@ class Ordering:
     @property
     def triple(self) -> tuple[Variable, Variable, Variable]:
         """The ordering's variables, greatest first."""
-        return tuple(VARIABLES[i - 1] for i in _TRIPLES[self.index])
+        return tuple(VARIABLES[i - 1] for i in ALL_PERMUTATIONS[self.index].images)
 
     @property
     def name(self) -> str:
@@ -71,7 +68,7 @@ ORDERINGS: tuple[Ordering, ...] = tuple(Ordering(i) for i in range(6))
 
 def ordering_from_triple(indices: Sequence[int]) -> Ordering:
     """The ordering whose variables, greatest first, have these indices."""
-    return ORDERINGS[_TRIPLE_TO_INDEX[tuple(indices)]]
+    return ORDERINGS[ALL_PERMUTATIONS.index(Permutation(tuple(indices)))]
 
 
 # -- timing records -------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Random forest: bagged CART trees with per-split feature subsets."""
+"""Random forest: bagged CART trees with per-split feature subsets, all
+grown at once through ``tree.SharedGrowth``."""
 
 from __future__ import annotations
 
@@ -15,15 +16,15 @@ from .tree import (
     N_CLASSES,
     DecisionTreeClassifier,
     Growth,
+    SharedGrowth,
     TreeArrays,
     check_count,
     check_cuttable,
     check_depth,
-    grow,
     route,
 )
 
-__all__ = ["RandomForestClassifier", "SharedGrowth", "resolve_max_features"]
+__all__ = ["RandomForestClassifier", "resolve_max_features"]
 
 
 def resolve_max_features(spec: str | int | None, n_features: int) -> int | None:
@@ -101,7 +102,7 @@ class RandomForestClassifier:
         ``DecisionTreeClassifier.fit``.
 
         ``grown(i)``, if given, returns tree i's arrays from a growth
-        shared with other forests (``SharedGrowth``); cross-validation
+        shared with other forests (``tree.SharedGrowth``); cross-validation
         passes it to grow the forests of several folds at once.
         """
         X = np.asarray(X, dtype=np.float64)
@@ -194,42 +195,6 @@ class RandomForestClassifier:
                 f"model file: a tree's 'n_features' is not the forest's {model._n_features}"
             )
         return model
-
-
-class SharedGrowth:
-    """The trees of one or more fits on rows of one ``X``, grown together
-    (``tree.grow``) on the first request for any of them.
-
-    Each fit adds its ``Growth``, and each of its trees is still fitted
-    through ``DecisionTreeClassifier.fit``, which asks for its tree here:
-    the growth runs inside the first tree fit, and each fit returns its
-    own tree.  The benchmark's tracer times and counts trees at that
-    method.
-    """
-
-    def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._X, self._y = X, y
-        self._samples: list[np.ndarray] = []
-        self._seeds: list[int | None] = []
-        self._params: tuple | None = None
-        self._trees: list[TreeArrays] | None = None
-
-    def add(self, growth: Growth) -> Callable[..., TreeArrays]:
-        """Take on ``growth``'s trees; returns ``grown``, where
-        ``grown(i)`` is its tree i and ``grown()`` its first.  Every
-        growth added must have the same ``params``."""
-        if self._params is not None and growth.params != self._params:
-            raise ValueError("a shared growth's trees must share max_depth, min_leaf and mtry")
-        self._params = growth.params
-        first = len(self._samples)
-        self._samples += growth.samples
-        self._seeds += growth.seeds
-        return partial(self._tree, first)
-
-    def _tree(self, first: int, i: int = 0) -> TreeArrays:
-        if self._trees is None:
-            self._trees = grow(self._X, self._y, self._samples, self._seeds, *self._params)
-        return self._trees[first + i]
 
 
 def _predict(arrays: list[TreeArrays], X: np.ndarray, bounds: list[int | None]) -> list[np.ndarray]:

@@ -12,10 +12,10 @@ import numpy as np
 from ..dataset import Dataset
 from ..jsonfields import json_field, object_head, read_json
 from ..seeding import derive_seed
-from .forest import RandomForestClassifier, SharedGrowth
+from .forest import RandomForestClassifier
 from .knn import KNNClassifier
 from .scaling import Standardizer
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, SharedGrowth
 
 __all__ = [
     "MODEL_KINDS",

@@ -1,9 +1,14 @@
-"""CART decision tree with Gini impurity and midpoint thresholds."""
+"""CART decision trees with Gini impurity and midpoint thresholds.
+
+Every tree grows through ``SharedGrowth``, which pools the ``Growth`` of
+one or more fits and runs the level-wise ``grow`` once for them all.
+"""
 
 from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -14,6 +19,7 @@ __all__ = [
     "DecisionTreeClassifier",
     "Growth",
     "RankedColumns",
+    "SharedGrowth",
     "TreeArrays",
     "check_count",
     "check_cuttable",
@@ -23,7 +29,6 @@ __all__ = [
     "grow",
     "rank_columns",
     "route",
-    "splitmix64",
     "N_CLASSES",
 ]
 
@@ -32,7 +37,6 @@ N_CLASSES = 6
 _NO_LIMIT = sys.maxsize
 
 _GOLDEN = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
@@ -55,14 +59,6 @@ def check_depth(max_depth) -> int | None:
         return check_count("max_depth", max_depth)
     except ValueError:
         raise ValueError("max_depth must be >= 1 or None") from None
-
-
-def splitmix64(x: int) -> int:
-    """The SplitMix64 step: add the golden gamma, then the finalizer, mod 2^64."""
-    z = (x + _GOLDEN) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
 
 
 def draw_steps(n_features: int) -> np.ndarray:
@@ -101,15 +97,15 @@ _ONES = np.ones(N_CLASSES, dtype=np.intp)
 class RankedColumns(NamedTuple):
     """A feature matrix as histogram bins: each value is replaced by its rank.
 
-    Column f owns the bins ``offsets[f] .. offsets[f] + widths[f] - 1``, one
-    per distinct value of the column in ascending order, and ``values``
-    holds those distinct values bin by bin.  ``codes[i, f]`` is
-    ``N_CLASSES`` times the bin of row i in column f, so adding a row's
+    Column f owns ``widths[f]`` consecutive bins, one per distinct value of
+    the column in ascending order; ``column`` maps each bin to its column,
+    and ``values`` holds the distinct values bin by bin.  ``codes[i, f]``
+    is ``N_CLASSES`` times the bin of row i in column f, so adding a row's
     label gives its (bin, class) cell of a flat class histogram.
     """
 
     codes: np.ndarray
-    offsets: np.ndarray
+    column: np.ndarray
     widths: np.ndarray
     values: np.ndarray
 
@@ -131,7 +127,8 @@ def rank_columns(X: np.ndarray) -> RankedColumns:
     offsets = np.cumsum(widths) - widths
     codes = np.empty(columns.shape, dtype=np.intp)
     np.put_along_axis(codes, order, (ranks + offsets[:, None]) * N_CLASSES, axis=1)
-    return RankedColumns(np.ascontiguousarray(codes.T), offsets, widths, ordered[new])
+    column = np.repeat(np.arange(widths.size), widths)
+    return RankedColumns(np.ascontiguousarray(codes.T), column, widths, ordered[new])
 
 
 class TreeArrays(NamedTuple):
@@ -256,9 +253,10 @@ def grow(
     rows share a label, or when no split leaves ``min_leaf`` rows on each
     side; otherwise it takes the best split over its candidate columns
     (``_search``).  With ``mtry`` below the column count, each node draws
-    its candidates from its own key (``column_draw``): a root's key is
-    ``splitmix64(seed)`` for its tree's seed, and a node's left and right
-    children have keys ``splitmix64(key ^ 1)`` and ``splitmix64(key ^ 2)``.
+    its candidates from its own key (``column_draw``): a root's key is the
+    SplitMix64 step (the golden gamma added, then ``_finalize``) of its
+    tree's seed, and a node's children have the steps of ``key ^ 1``
+    (left) and ``key ^ 2`` (right).
     A node's split thus depends only on its rows and its path, never on
     which other nodes, of its own tree or another, were split: each tree
     equals the tree grown alone, and the tree grown with a depth bound is
@@ -273,7 +271,6 @@ def grow(
     """
     n_trees, n_features = len(samples), X.shape[1]
     ranked = rank_columns(X)
-    bin_column = np.repeat(np.arange(n_features), ranked.widths)
     drawing = mtry is not None and mtry < n_features
     if drawing and any(seed is None for seed in seeds):
         raise ValueError("drawing candidate columns needs a seed")
@@ -281,7 +278,7 @@ def grow(
     # the open nodes: their tree, index in it, key, and rows
     tree = np.arange(n_trees)
     index = np.zeros(n_trees, dtype=np.intp)
-    keys = np.array([splitmix64(seed) if drawing else 0 for seed in seeds], dtype=np.uint64)
+    keys = _finalize(np.array(seeds, dtype=np.uint64) + np.uint64(_GOLDEN)) if drawing else None
     sizes = np.array([len(sample) for sample in samples], dtype=np.intp)
     rows = np.concatenate(samples).astype(np.intp, copy=False)
     n_nodes = np.ones(n_trees, dtype=np.intp)
@@ -306,7 +303,7 @@ def grow(
         rows, sizes = rows[searched[owner]], sizes[open_]
         columns = column_draw(keys[open_], steps, mtry) if drawing else None
         is_split, split_feature, split_threshold = _search_level(
-            ranked, bin_column, y, rows, sizes, counts[open_], columns, min_leaf
+            ranked, y, rows, sizes, counts[open_], columns, min_leaf
         )
         # partition the rows of the split nodes, left child first
         owner = np.repeat(np.arange(open_.size), sizes)
@@ -345,9 +342,44 @@ def grow(
     return [TreeArrays(*arrays) for arrays in zip(*per_tree)]
 
 
+class SharedGrowth:
+    """The trees of one or more fits on rows of one ``X``, grown together
+    (``grow``) on the first request for any of them.
+
+    Each fit adds its ``Growth``, and each of its trees is still fitted
+    through ``DecisionTreeClassifier.fit``, which asks for its tree here:
+    the growth runs inside the first tree fit, and each fit returns its
+    own tree.  The benchmark's tracer times and counts trees at that
+    method.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
+        self._X, self._y = X, y
+        self._samples: list[np.ndarray] = []
+        self._seeds: list[int | None] = []
+        self._params: tuple | None = None
+        self._trees: list[TreeArrays] | None = None
+
+    def add(self, growth: Growth) -> Callable[..., TreeArrays]:
+        """Take on ``growth``'s trees; returns ``grown``, where
+        ``grown(i)`` is its tree i and ``grown()`` its first.  Every
+        growth added must have the same ``params``."""
+        if self._params is not None and growth.params != self._params:
+            raise ValueError("a shared growth's trees must share max_depth, min_leaf and mtry")
+        self._params = growth.params
+        first = len(self._samples)
+        self._samples += growth.samples
+        self._seeds += growth.seeds
+        return partial(self._tree, first)
+
+    def _tree(self, first: int, i: int = 0) -> TreeArrays:
+        if self._trees is None:
+            self._trees = grow(self._X, self._y, self._samples, self._seeds, *self._params)
+        return self._trees[first + i]
+
+
 def _search_level(
     ranked: RankedColumns,
-    bin_column: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
     sizes: np.ndarray,
@@ -373,7 +405,6 @@ def _search_level(
         b = max(a + 1, int(np.searchsorted(cell_ends, done + _CHUNK_CELLS, side="right")))
         nodes, features, thresholds = _search(
             ranked,
-            bin_column,
             y,
             rows[row_ends[a] - sizes[a] : row_ends[b - 1]],
             sizes[a:b],
@@ -393,7 +424,6 @@ _NOTHING = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
 
 def _search(
     ranked: RankedColumns,
-    bin_column: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
     sizes: np.ndarray,
@@ -405,13 +435,12 @@ def _search(
 
     Node i of the chunk holds the next ``sizes[i]`` entries of ``rows``
     and has class counts ``counts[i]`` and candidate columns
-    ``columns[i]`` (None: every column); ``bin_column`` maps each bin of
-    ``ranked`` to its column.  One sort of every (node, bin, class) cell
-    that a row fills in a candidate column gives the chunk's occupied
-    bins in (node, column, bin) order and their class histograms; the
-    running sums of those within each (node, column) are the class counts
-    left of each boundary after an occupied bin, which are exactly the
-    boundaries between adjacent distinct values in the node.  The split
+    ``columns[i]`` (None: every column).  One sort of every (node, bin,
+    class) cell that a row fills in a candidate column gives the chunk's
+    occupied bins in (node, column, bin) order and their class histograms;
+    the running sums of those within each (node, column) are the class
+    counts left of each boundary after an occupied bin, which are exactly
+    the boundaries between adjacent distinct values in the node.  The split
     quality sum(left_counts^2)/n_left + sum(right_counts^2)/n_right (an
     affine rescaling of negative weighted Gini) is maximized over them.
     The squares are exact integers, so the scores equal those of a
@@ -437,7 +466,7 @@ def _search(
     hist = np.zeros((np.count_nonzero(new_bin), N_CLASSES), dtype=np.int64)
     hist.ravel()[(np.cumsum(new_bin) - 1) * N_CLASSES + label] = edges[1:] - starts
     node, bin_ = np.divmod(node_bin[new_bin], n_bins)
-    column = bin_column[bin_]
+    column = ranked.column[bin_]
     # a bin's running sums start at its (node, column) group's first bin
     new_group = _changes(node * ranked.widths.size + column)
     first = np.flatnonzero(new_group)
@@ -548,21 +577,20 @@ class DecisionTreeClassifier:
         """Grow the tree on every column (see ``grow``).
 
         ``grown`` returns this tree's arrays from a growth it shares
-        with other trees (``forest.SharedGrowth``), which grows them all
-        on its first call.  A forest's fit passes it for each of its
-        trees, and cross-validation for the trees of one batch of folds
-        (see ``growth``).  The growth thus runs inside a tree fit, which
-        is where perfbench's tracer times and counts trees.
+        with other trees (``SharedGrowth``), which grows them all on its
+        first call.  A forest's fit passes it for each of its trees, and
+        cross-validation for the trees of one batch of folds (see
+        ``growth``); without it, the tree is the one growth of its own
+        ``growth``.  The growth thus runs inside a tree fit, which is
+        where perfbench's tracer times and counts trees.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise ValueError("X and y must be non-empty with matching row counts")
         if grown is None:
-            sample = np.arange(X.shape[0])
-            self.arrays = grow(X, y, [sample], [None], self.max_depth, self.min_leaf, None)[0]
-        else:
-            self.arrays = grown()
+            grown = SharedGrowth(X, y).add(self.growth(np.arange(X.shape[0]), X.shape[1]))
+        self.arrays = grown()
         self._n_features = X.shape[1]
         return self
 

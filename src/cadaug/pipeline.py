@@ -11,8 +11,8 @@ output directory:
    derive their balanced and augmented variants (``datasets/``);
 4. train and evaluate: every model kind on each training set, scored on
    every testing set, plus the uniform-random baseline (``models/``);
-5. report: the accuracy matrix (``matrix.json``, ``matrix.csv``,
-   ``report.md``).
+5. report: the accuracy matrix, a ``report.ResultMatrix`` (``matrix.json``,
+   ``matrix.csv``, ``report.md``).
 
 A stage's ``ValueError`` or ``OSError`` surfaces as a ``PipelineError``
 naming the stage.  All randomness flows from one master seed through
@@ -22,18 +22,16 @@ table cell bit for bit.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
+from . import report
 from .augment import augment_full, balance, split
 from .dataset import Dataset, PROVENANCES, save_dataset
 from .features import FeatureSchema, featurize, fit_distinct_filter
 from .features import featurize_exact  # noqa: F401  perfbench/tracing.py patches it here
-from .jsonfields import json_field, read_json
 from .labelling import (
     DEFAULT_TIMEOUT,
     label_by_sotd,
@@ -44,6 +42,7 @@ from .labelling import (
 from .ml import CVPlan, DEFAULT_GRIDS, MODEL_KINDS, RandomBaseline
 from .ml import accuracy as model_accuracy
 from .ml import train as train_model
+from .report import ResultMatrix, improvement_summary
 from .seeding import derive_seed
 from .smtlib import ProblemInstance, ingest_directory, write_instances_jsonl
 
@@ -51,7 +50,6 @@ __all__ = [
     "ExperimentConfig",
     "PipelineError",
     "ResultMatrix",
-    "improvement_summary",
     "label_instances",
     "run_pipeline",
 ]
@@ -102,117 +100,6 @@ class ExperimentConfig:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         CVPlan(folds=self.cv_folds, grids=self.grids)  # fail on a bad grid before labelling
-
-
-@dataclass
-class ResultMatrix:
-    """Every accuracy cell plus the bookkeeping the report needs."""
-
-    models: tuple[str, ...]
-    accuracy: dict[tuple[str, str, str], float]  # (model, trained_on, tested_on)
-    dataset_summary: dict[str, dict[str, Any]]  # dataset name -> rows/class counts
-    baseline: dict[str, float]  # tested_on -> uniform-random accuracy
-    feature_counts: dict[str, int]  # raw and essentially-distinct widths
-    improvements: dict[str, Optional[float]]
-    seed: int
-    labeller: str
-
-    def cell(self, model: str, trained_on: str, tested_on: str) -> float:
-        return self.accuracy[(model, trained_on, tested_on)]
-
-    def to_json(self) -> dict:
-        return {
-            "format": "cadaug-matrix",
-            "version": 1,
-            "models": list(self.models),
-            "accuracy": [
-                {"model": m, "trained_on": tr, "tested_on": te, "accuracy": acc}
-                for (m, tr, te), acc in self.accuracy.items()
-            ],
-            "dataset_summary": self.dataset_summary,
-            "baseline": self.baseline,
-            "feature_counts": self.feature_counts,
-            "improvements": self.improvements,
-            "seed": self.seed,
-            "labeller": self.labeller,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ResultMatrix":
-        header = (data.get("format"), data.get("version")) if isinstance(data, dict) else None
-        if header != ("cadaug-matrix", 1):
-            raise ValueError("not a version-1 cadaug matrix file")
-
-        def get(key: str, kind: type) -> Any:
-            return json_field(data, key, kind, "matrix file")
-
-        cell = "matrix accuracy cell"
-        accuracy = {
-            tuple(json_field(c, key, str, cell) for key in ("model", "trained_on", "tested_on")):
-                json_field(c, "accuracy", float, cell)
-            for c in get("accuracy", list)
-        }
-        models = tuple(get("models", list))
-        for key in product(models, PROVENANCES, PROVENANCES):
-            # a cell's model is a string, and a list would not hash
-            if not isinstance(key[0], str) or key not in accuracy:
-                raise ValueError(f"matrix file: no accuracy cell {key}")
-        # every other key the report reads
-        summary, baseline, counts, improvements = (
-            get(key, dict)
-            for key in ("dataset_summary", "baseline", "feature_counts", "improvements")
-        )
-        for name in (f"{role}_{p}" for role in ("train", "test") for p in PROVENANCES):
-            info = json_field(summary, name, dict, "matrix file dataset_summary")
-            json_field(info, "rows", int, f"matrix file dataset_summary {name}")
-            json_field(info, "class_counts", list, f"matrix file dataset_summary {name}")
-        for provenance in PROVENANCES:
-            json_field(baseline, provenance, float, "matrix file baseline")
-        for key in ("raw", "distinct"):
-            json_field(counts, key, int, "matrix file feature_counts")
-        for key, value in improvements.items():
-            if value is not None:
-                json_field(improvements, key, float, "matrix file improvements")
-        return cls(
-            models=models,
-            accuracy=accuracy,
-            dataset_summary=dict(summary),
-            baseline=dict(baseline),
-            feature_counts=dict(counts),
-            improvements=dict(improvements),
-            seed=get("seed", int),
-            labeller=get("labeller", str),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ResultMatrix":
-        return cls.from_json(read_json(path, "matrix file"))
-
-
-def improvement_summary(matrix: ResultMatrix) -> dict[str, Optional[float]]:
-    """Average relative accuracy change, in percent, on the balanced test set.
-
-    Compares balanced-trained and augmented-trained models against the
-    unbalanced-trained ones.  Models whose unbalanced-trained accuracy is
-    zero cannot be compared relatively and are skipped; when every model
-    is skipped the aggregate is None.
-    """
-    out: dict[str, Optional[float]] = {}
-    for name, trained_on in (
-        ("balanced_vs_unbalanced_pct", "balanced"),
-        ("augmented_vs_unbalanced_pct", "augmented"),
-    ):
-        changes = []
-        for model in matrix.models:
-            base = matrix.cell(model, "unbalanced", "balanced")
-            if base == 0.0:
-                continue
-            changes.append(100.0 * (matrix.cell(model, trained_on, "balanced") - base) / base)
-        out[name] = sum(changes) / len(changes) if changes else None
-    return out
 
 
 def label_instances(
@@ -374,9 +261,7 @@ def _report(
     )
     matrix.improvements = improvement_summary(matrix)
     matrix.save(out / "matrix.json")
-    from .report import write_report  # report imports this module
-
-    write_report(matrix, out)
+    report.write_report(matrix, out)
     return matrix
 
 

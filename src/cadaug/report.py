@@ -1,16 +1,143 @@
-"""Report rendering: markdown tables, the flat accuracy CSV, dataset counts."""
+"""The result matrix (``matrix.json``) and its reports: markdown tables,
+the flat accuracy CSV, dataset counts."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
+from typing import Any, Optional
 
 from .dataset import PROVENANCES
-from .pipeline import ResultMatrix
+from .jsonfields import json_field, read_json
 
-__all__ = ["write_report", "render_matrix_csv", "render_report_md"]
+__all__ = [
+    "IMPROVEMENTS", "ResultMatrix", "improvement_summary", "render_improvement",
+    "render_matrix_csv", "render_report_md", "write_report",
+]
 
 _ACC = "{:.6f}"
+
+# each improvement figure's key in ``ResultMatrix.improvements``, and the
+# training set it compares with the unbalanced one
+IMPROVEMENTS = {
+    "balanced_vs_unbalanced_pct": "balanced",
+    "augmented_vs_unbalanced_pct": "augmented",
+}
+
+
+@dataclass
+class ResultMatrix:
+    """Every accuracy cell plus the bookkeeping the report needs."""
+
+    models: tuple[str, ...]
+    accuracy: dict[tuple[str, str, str], float]  # (model, trained_on, tested_on)
+    dataset_summary: dict[str, dict[str, Any]]  # dataset name -> rows/class counts
+    baseline: dict[str, float]  # tested_on -> uniform-random accuracy
+    feature_counts: dict[str, int]  # raw and essentially-distinct widths
+    improvements: dict[str, Optional[float]]
+    seed: int
+    labeller: str
+
+    def cell(self, model: str, trained_on: str, tested_on: str) -> float:
+        return self.accuracy[(model, trained_on, tested_on)]
+
+    def to_json(self) -> dict:
+        return {
+            "format": "cadaug-matrix",
+            "version": 1,
+            "models": list(self.models),
+            "accuracy": [
+                {"model": m, "trained_on": tr, "tested_on": te, "accuracy": acc}
+                for (m, tr, te), acc in self.accuracy.items()
+            ],
+            "dataset_summary": self.dataset_summary,
+            "baseline": self.baseline,
+            "feature_counts": self.feature_counts,
+            "improvements": self.improvements,
+            "seed": self.seed,
+            "labeller": self.labeller,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ResultMatrix":
+        header = (data.get("format"), data.get("version")) if isinstance(data, dict) else None
+        if header != ("cadaug-matrix", 1):
+            raise ValueError("not a version-1 cadaug matrix file")
+
+        def get(key: str, kind: type) -> Any:
+            return json_field(data, key, kind, "matrix file")
+
+        cell = "matrix accuracy cell"
+        accuracy = {
+            tuple(json_field(c, key, str, cell) for key in ("model", "trained_on", "tested_on")):
+                json_field(c, "accuracy", float, cell)
+            for c in get("accuracy", list)
+        }
+        models = tuple(get("models", list))
+        for key in product(models, PROVENANCES, PROVENANCES):
+            # a cell's model is a string, and a list would not hash
+            if not isinstance(key[0], str) or key not in accuracy:
+                raise ValueError(f"matrix file: no accuracy cell {key}")
+        # every other key the report reads
+        summary, baseline, counts, improvements = (
+            get(key, dict)
+            for key in ("dataset_summary", "baseline", "feature_counts", "improvements")
+        )
+        for name in (f"{role}_{p}" for role in ("train", "test") for p in PROVENANCES):
+            info = json_field(summary, name, dict, "matrix file dataset_summary")
+            json_field(info, "rows", int, f"matrix file dataset_summary {name}")
+            json_field(info, "class_counts", list, f"matrix file dataset_summary {name}")
+        for provenance in PROVENANCES:
+            json_field(baseline, provenance, float, "matrix file baseline")
+        for key in ("raw", "distinct"):
+            json_field(counts, key, int, "matrix file feature_counts")
+        for key, value in improvements.items():
+            if value is not None:
+                json_field(improvements, key, float, "matrix file improvements")
+        return cls(
+            models=models,
+            accuracy=accuracy,
+            dataset_summary=dict(summary),
+            baseline=dict(baseline),
+            feature_counts=dict(counts),
+            improvements=dict(improvements),
+            seed=get("seed", int),
+            labeller=get("labeller", str),
+        )
+
+    def save(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
+
+    @classmethod
+    def load(cls, path: str | Path) -> "ResultMatrix":
+        return cls.from_json(read_json(path, "matrix file"))
+
+
+def improvement_summary(matrix: ResultMatrix) -> dict[str, Optional[float]]:
+    """Average relative accuracy change, in percent, on the balanced test set.
+
+    Compares balanced-trained and augmented-trained models against the
+    unbalanced-trained ones.  Models whose unbalanced-trained accuracy is
+    zero cannot be compared relatively and are skipped; when every model
+    is skipped the aggregate is None.
+    """
+    out: dict[str, Optional[float]] = {}
+    for name, trained_on in IMPROVEMENTS.items():
+        changes = []
+        for model in matrix.models:
+            base = matrix.cell(model, "unbalanced", "balanced")
+            if base == 0.0:
+                continue
+            changes.append(100.0 * (matrix.cell(model, trained_on, "balanced") - base) / base)
+        out[name] = sum(changes) / len(changes) if changes else None
+    return out
+
+
+def render_improvement(value: Optional[float]) -> str:
+    """An improvement figure as the reports print it: ``n/a`` or ``+x.x%``."""
+    return "n/a" if value is None else f"{value:+.1f}%"
 
 
 def render_matrix_csv(matrix: ResultMatrix) -> str:
@@ -85,13 +212,9 @@ def render_report_md(matrix: ResultMatrix) -> str:
         "## Improvement on the balanced test set (average over models)",
         "",
     ]
-    for key, title in (
-        ("balanced_vs_unbalanced_pct", "balanced-trained vs unbalanced-trained"),
-        ("augmented_vs_unbalanced_pct", "augmented-trained vs unbalanced-trained"),
-    ):
-        value = matrix.improvements.get(key)
-        rendered = "n/a" if value is None else f"{value:+.1f}%"
-        lines.append(f"- {title}: {rendered}")
+    for key, trained_on in IMPROVEMENTS.items():
+        rendered = render_improvement(matrix.improvements.get(key))
+        lines.append(f"- {trained_on}-trained vs unbalanced-trained: {rendered}")
     return "\n".join(lines) + "\n"
 
 

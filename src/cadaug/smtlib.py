@@ -625,11 +625,14 @@ def instance_from_json(obj) -> ProblemInstance:
             raise IngestError(f"polynomial {terms!r} is not a list of terms")
         polys.append(Polynomial.from_terms(map(_term_from_json, terms)))
     varmap = []
-    for name, canonical in json_field(obj, "varmap", dict, "instance record").items():
+    names = json_field(obj, "varmap", dict, "instance record")
+    for name, canonical in names.items():
         match = [v for v in VARIABLES if v.name == canonical]
         if not match:
             raise IngestError(f"varmap value {canonical!r} is not x1, x2 or x3")
         varmap.append((name, match[0]))
+    if sorted(names.values()) != [v.name for v in VARIABLES]:
+        raise IngestError(f"varmap {names!r} does not name each of x1, x2 and x3 once")
     return ProblemInstance(obj.get("id"), frozenset(polys), tuple(varmap))
 
 
@@ -641,8 +644,10 @@ def write_instances_jsonl(instances: Iterable[ProblemInstance], path: str | Path
 
 def read_instances_jsonl(path: str | Path) -> list[ProblemInstance]:
     """Read one instance per line; a bad record raises IngestError naming
-    the path, the line number and the record's id."""
+    the path, the line number and the record's id, and so does an id
+    that an earlier line already holds, naming both lines."""
     out = []
+    lines: dict[str, int] = {}  # id -> the line that holds it
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -655,6 +660,9 @@ def read_instances_jsonl(path: str | Path) -> list[ProblemInstance]:
                 out.append(instance_from_json(obj))
             except (IngestError, ValueError) as err:
                 raise IngestError(f"{path} line {line_no} (id {record_id!r}): {err}") from err
+            first = lines.setdefault(out[-1].id, line_no)
+            if first != line_no:
+                raise IngestError(f"{path} line {line_no}: id {out[-1].id!r} repeats line {first}")
     return out
 
 

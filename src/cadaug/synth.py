@@ -16,17 +16,18 @@ to end.
 
 from __future__ import annotations
 
-import itertools
 import random
 from pathlib import Path
 
 from .labelling import TimingRecord, sotd_scores
 from .poly import Polynomial, VARIABLES
 from .smtlib import ProblemInstance, normalize_atom, render_script
+from .symmetry import ALL_PERMUTATIONS
 
 __all__ = ["synthesize_instance", "synthesize_corpus", "timings_from_sotd"]
 
-_TIERS = tuple(itertools.permutations((1, 2, 3)))
+# (heavy, medium, light) variable indices of each tier assignment
+_TIERS = tuple(sigma.images for sigma in ALL_PERMUTATIONS)
 
 # weight of each (heavy, medium, light) tier assignment; the skew induces
 # the class imbalance the experiment needs

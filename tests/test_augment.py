@@ -1,14 +1,14 @@
 """Tests for the S3 action on datasets: balancing, augmentation, splits."""
 
+import itertools
 import random
-from collections import Counter
 
 import pytest
 
 from cadaug.augment import augment_full, balance, permute_ordering_label, split
 from cadaug.dataset import Dataset, load_dataset, save_dataset
-from cadaug.features import FeatureSchema, featurize, featurize_exact, permute_values
-from cadaug.labelling import ORDERINGS, label_by_sotd, sotd_scores
+from cadaug.features import FeatureSchema, featurize, permute_values
+from cadaug.labelling import Ordering, label_by_sotd, sotd_scores
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
 from cadaug.smtlib import ProblemInstance
 from cadaug.symmetry import ALL_PERMUTATIONS, IDENTITY, Permutation
@@ -33,6 +33,21 @@ def tiny_dataset(labels, provenance="unbalanced", role="all"):
 def test_label_permutation_worked_example():
     swap12 = Permutation.swap(1, 2)
     assert permute_ordering_label(2, swap12) == 0
+
+
+def test_label_permutation_and_triples_match_the_itertools_numbering():
+    # the oracle: orderings numbered by itertools.permutations triples, and
+    # a label renamed through its Variable objects
+    triples = list(itertools.permutations((1, 2, 3)))
+    for label, triple in enumerate(triples):
+        variables = tuple(VARIABLES[i - 1] for i in triple)
+        assert Ordering(label).triple == variables
+        for sigma in ALL_PERMUTATIONS:
+            renamed = tuple(sigma.apply_index(v.index) for v in variables)
+            assert permute_ordering_label(label, sigma) == triples.index(renamed)
+    for label in (-1, 6):
+        with pytest.raises(ValueError):
+            permute_ordering_label(label, IDENTITY)
 
 
 def test_label_permutation_identity():

@@ -29,9 +29,9 @@ from cadaug.ml import (
     standardize_fit,
     train,
 )
-from cadaug.ml import forest as forest_module, selection, tree as tree_module
+from cadaug.ml import selection, tree as tree_module
 from cadaug.ml.forest import resolve_max_features
-from cadaug.ml.tree import column_draw, draw_steps, rank_columns, route, splitmix64
+from cadaug.ml.tree import column_draw, draw_steps, rank_columns, route
 from cadaug.seeding import derive_seed
 
 SCHEMA_12 = FeatureSchema(tuple(all_shapes()[:4]))  # 12 columns
@@ -179,7 +179,7 @@ def test_rank_columns_bins_and_values():
     X = np.array([[2.0, -0.0], [0.5, 7.0], [2.0, 0.0], [-1.0, 7.0]])
     ranked = rank_columns(X)
     assert ranked.widths.tolist() == [3, 2]
-    assert ranked.offsets.tolist() == [0, 3]
+    assert ranked.column.tolist() == [0, 0, 0, 1, 1]
     assert ranked.values.tolist() == [-1.0, 0.5, 2.0, 0.0, 7.0]
     bins = ranked.codes // N_CLASSES
     assert bins.tolist() == [[2, 3], [1, 4], [2, 3], [0, 4]]
@@ -261,14 +261,15 @@ def test_column_draw_known_answers(key, n_features, mtry, expected):
 
 
 def test_splitmix64_matches_the_standard_generator():
-    # the first outputs of SplitMix64 seeded with 0
-    state, outputs = 0, []
-    for _ in range(3):
-        outputs.append(splitmix64(state))
-        state = (state + 0x9E3779B97F4A7C15) % 2**64
+    # the first outputs of SplitMix64 seeded with 0: the finalizer of the
+    # state after each golden-gamma step, as grow keys its nodes
+    golden = 0x9E3779B97F4A7C15
+    states = np.array([(k * golden) % 2**64 for k in range(1, 4)], dtype=np.uint64)
+    outputs = tree_module._finalize(states).tolist()
     assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-    assert [tree_reference.splitmix64(k) for k in (0, 2**64 - 1)] == [
-        splitmix64(0), splitmix64(2**64 - 1)
+    keys = np.array([0, 2**64 - 1], dtype=np.uint64)
+    assert tree_module._finalize(keys + np.uint64(golden)).tolist() == [
+        tree_reference.splitmix64(0), tree_reference.splitmix64(2**64 - 1)
     ]
 
 
@@ -763,7 +764,7 @@ CV_GRIDS = {
 
 
 def _count_growths(monkeypatch):
-    """Count ``tree.grow`` calls, wherever the caller looks the name up."""
+    """Count ``tree.grow`` calls; ``SharedGrowth`` is its one caller."""
     calls = []
     grow = tree_module.grow
 
@@ -771,7 +772,6 @@ def _count_growths(monkeypatch):
         calls.append(len(args[2]))  # the number of trees grown together
         return grow(*args, **kwargs)
 
-    monkeypatch.setattr(forest_module, "grow", counted)
     monkeypatch.setattr(tree_module, "grow", counted)
     return calls
 

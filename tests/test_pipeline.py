@@ -2,20 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cadaug.dataset import PROVENANCES
 from cadaug.features import FeatureSchema
 from cadaug.labelling import write_timings_csv
-from cadaug.pipeline import (
-    ExperimentConfig,
-    PipelineError,
-    ResultMatrix,
-    improvement_summary,
-    run_pipeline,
-)
-from cadaug.report import render_matrix_csv
+from cadaug.pipeline import ExperimentConfig, PipelineError, run_pipeline
+from cadaug.report import ResultMatrix, improvement_summary, render_matrix_csv
 from cadaug.synth import synthesize_corpus, timings_from_sotd
 
 SMALL_GRIDS = {
@@ -233,6 +231,18 @@ def test_improvement_summary_identity_and_zero_base():
     assert improvement_summary(same)["balanced_vs_unbalanced_pct"] == pytest.approx(0.0)
     degenerate = _matrix_with_balanced_column({"knn": (0.0, 0.4, 0.4)})
     assert improvement_summary(degenerate)["balanced_vs_unbalanced_pct"] is None
+
+
+def test_report_does_not_import_the_pipeline():
+    # the matrix lives in report.py, so reading and rendering a saved
+    # matrix needs none of the experiment's stages
+    code = "import sys, cadaug.report; print('cadaug.pipeline' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_matrix_json_roundtrip(experiment):

@@ -595,10 +595,14 @@ def test_read_instances_jsonl_names_the_bad_record(tmp_path):
          "'varmap' is not an object"),
         ({"id": "a", "polys": [[["1", "1", [1, 1, 1]]]], "varmap": {"v": "x"}},
          "varmap value 'x' is not x1, x2 or x3"),
+        ({"id": "a", "polys": [[["1", "1", [1, 1, 1]]]], "varmap": {"p": "x1", "q": "x1"}},
+         "varmap {'p': 'x1', 'q': 'x1'} does not name each of x1, x2 and x3 once"),
+        ({"id": "a", "polys": [[["1", "1", [1, 1, 1]]]],
+          "varmap": {"p": "x1", "q": "x2", "r": "x3", "s": "x3"}}, "x3 once"),
     ],
     ids=["no-polys", "polys-not-array", "poly-not-array", "short-term", "int-numerator",
          "decimal-numerator", "denominator-2", "two-exponents", "float-exponent", "no-varmap",
-         "varmap-not-object", "varmap-value-x"],
+         "varmap-not-object", "varmap-value-x", "varmap-x1-twice", "varmap-x3-twice"],
 )
 def test_read_instances_jsonl_names_a_malformed_record(tmp_path, record, message):
     path = tmp_path / "instances.jsonl"
@@ -609,6 +613,22 @@ def test_read_instances_jsonl_names_a_malformed_record(tmp_path, record, message
     assert message in str(info.value)
     # a data error for the command line, not an internal one
     assert main(["label", "--instances", str(path), "--out", str(tmp_path / "l.csv")]) == 2
+
+
+def test_read_instances_jsonl_refuses_a_repeated_id(tmp_path):
+    # a labels CSV written from such a file would hold the id twice, and
+    # its reader refuses that
+    first = parse_script(DECLS + "(assert (> (* x x) y))(assert (> z 0))", "a")
+    second = parse_script(DECLS + "(assert (< (+ x y 1) (* z z)))", "a")
+    path = tmp_path / "instances.jsonl"
+    path.write_text(f"{json.dumps(instance_to_json(first))}\n\n"
+                    f"{json.dumps(instance_to_json(second))}\n")
+    with pytest.raises(IngestError) as info:
+        read_instances_jsonl(path)
+    assert str(info.value) == f"{path} line 3: id 'a' repeats line 1"
+    out = tmp_path / "labels.csv"
+    assert main(["label", "--instances", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\rb", 7])
