@@ -444,7 +444,7 @@ def read_features_csv(path):
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:2] != ["id", "label"]:
-            raise ValueError(f"unexpected feature CSV header: {header[:2]}")
+            raise ValueError(f"{path}: unexpected feature CSV header: {header[:2]}")
         width = len(header) - 2
         for line in fh:
             line = line.rstrip("\n")
@@ -452,13 +452,15 @@ def read_features_csv(path):
                 continue
             parts = line.split(",")
             if len(parts) != width + 2:
-                raise ValueError(f"row for {parts[0]} has {len(parts) - 2} values, want {width}")
+                raise ValueError(
+                    f"{path}: row for {parts[0]} has {len(parts) - 2} values, want {width}"
+                )
             ids.append(parts[0])
             try:
                 labels.append(int(parts[1]) if parts[1] != "" else None)
             except ValueError:
                 raise ValueError(
-                    f"row for {parts[0]}: label is {parts[1]!r}, not an integer"
+                    f"{path}: row for {parts[0]}: label is {parts[1]!r}, not an integer"
                 ) from None
             row = []
             for name, cell in zip(header[2:], parts[2:]):
@@ -466,7 +468,7 @@ def read_features_csv(path):
                     row.append(float(cell))
                 except ValueError:
                     raise ValueError(
-                        f"row for {parts[0]}: {name} is {cell!r}, not a number"
+                        f"{path}: row for {parts[0]}: {name} is {cell!r}, not a number"
                     ) from None
             values.append(row)
     matrix = np.asarray(values, dtype=np.float64)
@@ -474,6 +476,7 @@ def read_features_csv(path):
     if bad.size:
         row, column = bad[0]
         raise ValueError(
-            f"row for {ids[row]}: {header[column + 2]} is {matrix[row, column]}, not a finite number"
+            f"{path}: row for {ids[row]}: {header[column + 2]} is {matrix[row, column]}, "
+            "not a finite number"
         )
     return ids, labels, matrix

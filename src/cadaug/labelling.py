@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import AbstractSet, Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Optional, Union
 
 from cadaug import kernels
 from cadaug.poly import Polynomial, Variable, VARIABLES
 from cadaug.resultants import discriminant, resultant, total_degree_bound
 from cadaug.smtlib import ProblemInstance
-from cadaug.symmetry import ALL_PERMUTATIONS, Permutation
+from cadaug.symmetry import ALL_PERMUTATIONS
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -64,11 +64,6 @@ class Ordering:
 
 
 ORDERINGS: tuple[Ordering, ...] = tuple(Ordering(i) for i in range(6))
-
-
-def ordering_from_triple(indices: Sequence[int]) -> Ordering:
-    """The ordering whose variables, greatest first, have these indices."""
-    return ORDERINGS[ALL_PERMUTATIONS.index(Permutation(tuple(indices)))]
 
 
 # -- timing records -------------------------------------------------------
@@ -118,18 +113,20 @@ def read_timings_csv(path) -> dict[str, TimingRecord]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != ["instance_id", "ordering", "seconds"]:
-            raise ValueError(f"unexpected timings CSV header: {header}")
+            raise ValueError(f"{path}: unexpected timings CSV header: {header}")
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise ValueError(f"timings CSV line {line_no}: need 3 fields")
+                raise ValueError(f"{path}: timings CSV line {line_no}: need 3 fields")
             instance_id, ordering_text, seconds_text = parts
             ordering = _parsed(int, ordering_text)
             if ordering is None or not 0 <= ordering <= 5:
-                raise ValueError(f"timings CSV line {line_no}: bad ordering {ordering_text!r}")
+                raise ValueError(
+                    f"{path}: timings CSV line {line_no}: bad ordering {ordering_text!r}"
+                )
             if seconds_text == "TIMEOUT":
                 seconds = None
             else:
@@ -137,20 +134,21 @@ def read_timings_csv(path) -> dict[str, TimingRecord]:
                 seconds = _parsed(float, seconds_text)
                 if seconds is None or not 0 < seconds < math.inf:
                     raise ValueError(
-                        f"timings CSV line {line_no}: seconds {seconds_text!r} is not "
+                        f"{path}: timings CSV line {line_no}: seconds {seconds_text!r} is not "
                         "a positive finite number or TIMEOUT"
                     )
             bucket = partial.setdefault(instance_id, {})
             if ordering in bucket:
                 raise ValueError(
-                    f"timings CSV line {line_no}: duplicate ordering {ordering} for {instance_id}"
+                    f"{path}: timings CSV line {line_no}: "
+                    f"duplicate ordering {ordering} for {instance_id}"
                 )
             bucket[ordering] = seconds
     records = {}
     for instance_id, bucket in partial.items():
         if sorted(bucket) != [0, 1, 2, 3, 4, 5]:
             raise MissingOrderingError(
-                f"{instance_id}: timings cover orderings {sorted(bucket)}, need all of 0..5"
+                f"{path}: {instance_id}: timings cover orderings {sorted(bucket)}, need all of 0..5"
             )
         records[instance_id] = TimingRecord(instance_id, tuple(bucket[i] for i in range(6)))
     return records
@@ -190,20 +188,20 @@ def read_labels_csv(path) -> dict[str, int]:
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "instance_id,label":
-            raise ValueError(f"unexpected labels CSV header: {header!r}")
+            raise ValueError(f"{path}: unexpected labels CSV header: {header!r}")
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise ValueError(f"labels CSV line {line_no}: need 2 fields")
+                raise ValueError(f"{path}: labels CSV line {line_no}: need 2 fields")
             instance_id, label_text = parts
             label = _parsed(int, label_text)
             if label is None or not 0 <= label <= 5:
-                raise ValueError(f"labels CSV line {line_no}: bad label {label_text!r}")
+                raise ValueError(f"{path}: labels CSV line {line_no}: bad label {label_text!r}")
             if instance_id in labels:
-                raise ValueError(f"labels CSV line {line_no}: duplicate id {instance_id}")
+                raise ValueError(f"{path}: labels CSV line {line_no}: duplicate id {instance_id}")
             labels[instance_id] = label
     return labels
 

@@ -7,8 +7,14 @@ coefficient under the graded-lex order is positive.  Boolean structure is
 discarded.  The three real variables are renamed x1, x2, x3 in order of
 first declaration; the original names are kept in ``variable_map``.
 
-Rationals occur only here: the term evaluator holds each term as an
-integer polynomial p over a positive integer d, and an atom p / d becomes
+One walk over each assertion checks it and compiles it: a term becomes
+the declared names it uses and a function that evaluates it once those
+names are numbered.  A let value is checked where it is bound but
+evaluated only on first use, so a binding that is never used is never
+evaluated and its names do not count as used.
+
+Rationals occur only here: a compiled term evaluates to an integer
+polynomial p over a positive integer d, and an atom p / d becomes
 p // gcd(d, content(p)), so every ``Polynomial`` has integer coefficients.
 
 Supported term language: +, -, *, unary -, division with a constant
@@ -17,7 +23,8 @@ else (quantifiers, Boolean ``let`` values, transcendental functions,
 push/pop, define-fun) raises UnsupportedConstructError rather than being
 silently dropped, and a product whose degree in a variable does not fit a
 packed exponent raises ExponentOverflowError rather than aliasing another
-monomial.
+monomial.  A numeral or an atom coefficient of more digits than int() and
+str() convert (``sys.get_int_max_str_digits()``) raises ParseError.
 """
 
 from __future__ import annotations
@@ -26,9 +33,12 @@ import json
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
+from functools import cache, partial
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from cadaug import kernels
 from cadaug.jsonfields import json_field
@@ -186,12 +196,22 @@ _IGNORED_COMMANDS = {
 def _numeral(token: Token) -> tuple[int, int] | None:
     """(numerator, denominator) of an integer or decimal numeral, None for
     any other token."""
-    if _INT_RE.fullmatch(token.text):
-        return int(token.text), 1
-    if _DEC_RE.fullmatch(token.text):
-        whole, frac = token.text.split(".")
-        return int(whole + frac), 10 ** len(frac)
+    try:
+        if _INT_RE.fullmatch(token.text):
+            return int(token.text), 1
+        if _DEC_RE.fullmatch(token.text):
+            whole, frac = token.text.split(".")
+            return int(whole + frac), 10 ** len(frac)
+    except ValueError:  # more digits than int() converts
+        raise _too_many_digits("a numeral", token.line, token.col) from None
     return None
+
+
+def _too_many_digits(what: str, *location) -> ParseError:
+    limit = sys.get_int_max_str_digits()
+    return ParseError(
+        f"{what} has more than {limit} digits (sys.get_int_max_str_digits)", *location
+    )
 
 
 # -- problem instances ----------------------------------------------------
@@ -275,24 +295,34 @@ def parse_script(text: str, instance_id: str = "unnamed") -> ProblemInstance:
         else:
             raise UnsupportedConstructError(f"unsupported command '{head}'", *_loc(form))
 
-    declared_set = set(declared)
+    variables: _Variables = dict.fromkeys(declared)
     used: dict[str, None] = {}
-    atom_polys: list[Polynomial] = []
-    # Both passes recurse once or more per nesting level; lazily bound let
-    # chains can need several frames per level.  A term too deep for the
-    # interpreter's stack rejects this one script, not the whole run.
+    relations: list[_Relation] = []
+    # Compiling recurses once or more per nesting level, and so does
+    # evaluating; lazily bound let chains can need several frames per
+    # level.  A term too deep for the interpreter's stack rejects this one
+    # script, not the whole run.
     try:
         for formula in asserts:
-            _scan_formula(formula, {}, declared_set, used)
+            _compile_formula(formula, {}, variables, used, relations)
         varmap = canonicalize_variables(declared, used)
-        for formula in asserts:
-            _eval_formula(formula, {}, varmap, atom_polys)
+        variables.update(varmap)
+        atom_polys: list[Polynomial] = []
+        for relation in relations:
+            atom_polys += relation()
     except RecursionError:
         raise ParseError("terms nested too deeply to evaluate") from None
 
+    # str() writes at most this many digits, 0 meaning no limit (Python
+    # 3.10.6 and older have neither the limit nor this function)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     normalized: list[Polynomial] = []
     for p in atom_polys:
         q = normalize_atom(p)
+        widest = max(map(abs, q.raw.values()), default=0)
+        # 8**limit < 10**limit, so the bit length settles most atoms
+        if limit and widest.bit_length() > 3 * limit and widest >= 10**limit:
+            raise _too_many_digits("an atom's coefficient")
         if q.is_constant():
             raise ConstantAtomError(
                 f"{instance_id}: atom reduces to the constant {q.constant_value()}"
@@ -346,11 +376,28 @@ def _is_boolean_form(form: Form) -> bool:
     return bool(form) and isinstance(form[0], Token) and form[0].text in (RELATIONS | LOGICAL)
 
 
-# Pass 1: free-variable scan.  env maps let-bound names to the free-variable
-# set of their value, so shadowed declarations are not counted as used.
+# One walk checks each assertion and compiles it.  A compiled term is a
+# function that returns the term's value as a _Ratio (p, d): the integer
+# polynomial p over the positive integer d.  It reads each declared
+# name's canonical variable from ``variables``, which parse_script fills
+# in after the walk.  Compiling a term adds the declared names it uses to
+# ``used``.  An _Env maps each let-bound name to the names its value uses
+# and the value's compiled term, which evaluates on first use and keeps
+# the result: a binding is checked where it is bound, but one that is
+# never used is never evaluated, and its names do not count as used.
+
+_Ratio = tuple[Polynomial, int]
+_Term = Callable[[], _Ratio]
+_Relation = Callable[[], list[Polynomial]]
+_Env = dict[str, tuple[dict[str, None], _Term]]
+_Variables = dict[str, Variable | None]
 
 
-def _scan_formula(form: Form, env: dict[str, set[str]], declared: set[str], used: dict[str, None]):
+def _compile_formula(
+    form: Form, env: _Env, variables: _Variables, used: dict[str, None], relations: list[_Relation]
+):
+    """Check a formula and append, in order, one function per relation in
+    it that gives the relation's atom polynomials."""
     if isinstance(form, Token):
         if form.text in ("true", "false"):
             return
@@ -360,61 +407,105 @@ def _scan_formula(form: Form, env: dict[str, set[str]], declared: set[str], used
         if head == "not" and len(form) != 2:
             raise ParseError("not takes one argument", *_loc(form))
         for sub in form[1:]:
-            _scan_formula(sub, env, declared, used)
+            _compile_formula(sub, env, variables, used, relations)
     elif head in RELATIONS:
         if len(form) < 3:
             raise ParseError(f"relation '{head}' needs at least two arguments", *_loc(form))
-        for term in form[1:]:
-            for name in _scan_term(term, env, declared):
-                used[name] = None
+        args = [_compile_term(term, env, variables, used) for term in form[1:]]
+        if head == "distinct":
+            pairs = list(combinations(range(len(args)), 2))
+        else:
+            pairs = [(i, i + 1) for i in range(len(args) - 1)]
+        relations.append(partial(_atoms, args, pairs))
     elif head == "let":
-        new_env = dict(env)
-        for name_tok, value in _parse_let_bindings(form):
-            if _is_boolean_form(value):
-                raise UnsupportedConstructError(
-                    "let-bound Boolean expressions are not supported",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            new_env[name_tok.text] = _scan_term(value, env, declared)
-        _scan_formula(form[2], new_env, declared, used)
+        _compile_formula(form[2], _let_env(form, env, variables, True), variables, used, relations)
     elif head in ("forall", "exists"):
         raise UnsupportedConstructError(f"quantifier '{head}' is not supported", *_loc(form))
     else:
         raise UnsupportedConstructError(f"unsupported operator '{head}'", *_loc(form))
 
 
-def _scan_term(form: Form, env: dict[str, set[str]], declared: set[str]) -> set[str]:
+def _atoms(args: list[_Term], pairs: list[tuple[int, int]]) -> list[Polynomial]:
+    """A relation's atom polynomials: its arguments evaluate once, left to
+    right, before any pair is formed."""
+    values = [arg() for arg in args]
+    return [_cleared(_sum(values[i], (-values[j][0], values[j][1]))) for i, j in pairs]
+
+
+def _let_env(form: list, env: _Env, variables: _Variables, in_formula: bool) -> _Env:
+    """env and a let's bindings, each value compiled in env; a binding in
+    a formula is checked not to be Boolean before its value is compiled."""
+    new_env = dict(env)
+    for name_tok, value in _parse_let_bindings(form):
+        if in_formula and _is_boolean_form(value):
+            raise UnsupportedConstructError(
+                "let-bound Boolean expressions are not supported", name_tok.line, name_tok.col
+            )
+        names: dict[str, None] = {}
+        new_env[name_tok.text] = (names, cache(_compile_term(value, env, variables, names)))
+    return new_env
+
+
+def _compile_term(form: Form, env: _Env, variables: _Variables, used: dict[str, None]) -> _Term:
+    """Check a term, add the declared names it uses to ``used`` and
+    compile it."""
     if isinstance(form, Token):
-        if _numeral(form) is not None:
-            return set()
+        numeral = _numeral(form)
+        if numeral is not None:
+            value = Polynomial.constant(numeral[0]), numeral[1]
+            return lambda: value
         if form.text in env:
-            return env[form.text]
-        if form.text in declared:
-            return {form.text}
+            names, term = env[form.text]
+            used.update(names)
+            return term
+        if form.text in variables:
+            name = form.text
+            used[name] = None
+            return lambda: (Polynomial.variable(variables[name]), 1)
         raise ParseError(f"unknown symbol '{form.text}'", form.line, form.col)
     head = _head(form)
     if head in ARITH:
         if len(form) < 2 or (head != "-" and len(form) < 3):
             raise ParseError(f"'{head}' needs more arguments", *_loc(form))
-        out: set[str] = set()
+        args = []  # a loop, not a comprehension: one frame per nesting level
         for sub in form[1:]:
-            out |= _scan_term(sub, env, declared)
-        return out
+            args.append(_compile_term(sub, env, variables, used))
+        return partial(_apply, head, args, form[1:])
     if head == "let":
-        new_env = dict(env)
-        for name_tok, value in _parse_let_bindings(form):
-            new_env[name_tok.text] = _scan_term(value, env, declared)
-        return _scan_term(form[2], new_env, declared)
+        return _compile_term(form[2], _let_env(form, env, variables, False), variables, used)
     raise UnsupportedConstructError(f"unsupported function '{head}'", *_loc(form))
 
 
-# Pass 2: atom collection.  env maps let-bound names to lazily evaluated
-# bindings so that dead bindings (never referenced, so their variables do
-# not count as used) are never evaluated.  A term's value is a _Ratio
-# (p, d): the integer polynomial p over the positive integer d.
-
-_Ratio = tuple[Polynomial, int]
+def _apply(head: str, args: list[_Term], forms: list[Form]) -> _Ratio:
+    """An arithmetic operation folded over its arguments, each evaluated
+    just before it is used; '-' with one argument negates it."""
+    p, d = args[0]()
+    if len(args) == 1:
+        return -p, d
+    for arg, form in zip(args[1:], forms[1:]):
+        q, e = arg()
+        if head in ("+", "-"):
+            p, d = _sum((p, d), (q if head == "+" else -q, e))
+        elif head == "*":
+            for v in VARIABLES:
+                degree = p.degree_in(v) + q.degree_in(v)
+                if degree > kernels.EXP_MASK:
+                    raise ExponentOverflowError(
+                        f"product has degree {degree} in {v}, above the limit {kernels.EXP_MASK}",
+                        *_loc(form),
+                    )
+            p, d = p * q, d * e
+        else:
+            if not q.is_constant():
+                raise UnsupportedConstructError(
+                    "division requires a constant divisor", *_loc(form)
+                )
+            c = q.constant_value()
+            if c == 0:
+                raise UnsupportedConstructError("division by zero", *_loc(form))
+            # (p / d) / (c / e) = (p * e * sign(c)) / (d * |c|)
+            p, d = p * (e if c > 0 else -e), d * abs(c)
+    return p, d
 
 
 def _sum(a: _Ratio, b: _Ratio) -> _Ratio:
@@ -425,109 +516,12 @@ def _sum(a: _Ratio, b: _Ratio) -> _Ratio:
     return p * (m // d) + q * (m // e), m
 
 
-def _negated(a: _Ratio) -> _Ratio:
-    return -a[0], a[1]
-
-
 def _cleared(a: _Ratio) -> Polynomial:
     """The integer multiple of p / d by the lcm of its coefficients'
     denominators: p // gcd(d, content(p))."""
     p, d = a
     g = math.gcd(d, *p.raw.values())
     return p if g == 1 else Polynomial({k: c // g for k, c in p.raw.items()})
-
-
-class _Binding:
-    __slots__ = ("form", "env", "value")
-
-    def __init__(self, form: Form, env: dict):
-        self.form = form
-        self.env = env
-        self.value: _Ratio | None = None
-
-    def get(self, varmap: dict[str, Variable]) -> _Ratio:
-        if self.value is None:
-            self.value = _eval_term(self.form, self.env, varmap)
-        return self.value
-
-
-def _eval_formula(form: Form, env: dict[str, _Binding], varmap: dict[str, Variable], out: list[Polynomial]):
-    if isinstance(form, Token):
-        return  # true / false, validated in pass 1
-    head = _head(form)
-    if head in LOGICAL:
-        for sub in form[1:]:
-            _eval_formula(sub, env, varmap, out)
-    elif head in RELATIONS:
-        args = [_eval_term(t, env, varmap) for t in form[1:]]
-        if head == "distinct":
-            pairs = [(i, j) for i in range(len(args)) for j in range(i + 1, len(args))]
-        else:
-            pairs = [(i, i + 1) for i in range(len(args) - 1)]
-        for i, j in pairs:
-            out.append(_cleared(_sum(args[i], _negated(args[j]))))
-    elif head == "let":
-        new_env = dict(env)
-        for name_tok, value in _parse_let_bindings(form):
-            new_env[name_tok.text] = _Binding(value, env)
-        _eval_formula(form[2], new_env, varmap, out)
-
-
-def _eval_term(form: Form, env: dict[str, _Binding], varmap: dict[str, Variable]) -> _Ratio:
-    if isinstance(form, Token):
-        value = _numeral(form)
-        if value is not None:
-            return Polynomial.constant(value[0]), value[1]
-        if form.text in env:
-            return env[form.text].get(varmap)
-        return Polynomial.variable(varmap[form.text]), 1
-    head = _head(form)
-    args = form[1:]
-    if head == "+":
-        total = _eval_term(args[0], env, varmap)
-        for a in args[1:]:
-            total = _sum(total, _eval_term(a, env, varmap))
-        return total
-    if head == "*":
-        total, d = _eval_term(args[0], env, varmap)
-        for a in args[1:]:
-            factor, e = _eval_term(a, env, varmap)
-            for v in VARIABLES:
-                degree = total.degree_in(v) + factor.degree_in(v)
-                if degree > kernels.EXP_MASK:
-                    raise ExponentOverflowError(
-                        f"product has degree {degree} in {v}, above the limit {kernels.EXP_MASK}",
-                        *_loc(a),
-                    )
-            total, d = total * factor, d * e
-        return total, d
-    if head == "-":
-        first = _eval_term(args[0], env, varmap)
-        if len(args) == 1:
-            return _negated(first)
-        for a in args[1:]:
-            first = _sum(first, _negated(_eval_term(a, env, varmap)))
-        return first
-    if head == "/":
-        total, d = _eval_term(args[0], env, varmap)
-        for a in args[1:]:
-            divisor, e = _eval_term(a, env, varmap)
-            if not divisor.is_constant():
-                raise UnsupportedConstructError(
-                    "division requires a constant divisor", *_loc(a)
-                )
-            c = divisor.constant_value()
-            if c == 0:
-                raise UnsupportedConstructError("division by zero", *_loc(a))
-            # (p / d) / (c / e) = (p * e * sign(c)) / (d * |c|)
-            total, d = total * (e if c > 0 else -e), d * abs(c)
-        return total, d
-    if head == "let":
-        new_env = dict(env)
-        for name_tok, value in _parse_let_bindings(form):
-            new_env[name_tok.text] = _Binding(value, env)
-        return _eval_term(form[2], new_env, varmap)
-    raise UnsupportedConstructError(f"unsupported function '{head}'", *_loc(form))
 
 
 # -- deduplication --------------------------------------------------------

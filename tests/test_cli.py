@@ -185,6 +185,33 @@ def test_featurize_rejects_out_of_range_label(workspace, tmp_path, capsys):
     assert not (tmp_path / "data.csv").exists()
 
 
+@pytest.mark.parametrize("reader", ["timings", "labels", "features"])
+def test_csv_data_errors_name_the_file(workspace, tmp_path, capsys, reader):
+    root = workspace
+    bad = tmp_path / "bad.csv"
+    if reader == "timings":
+        bad.write_text("instance_id,ordering,seconds\na,0\n")
+        argv = ("label", "--instances", root / "instances.jsonl", "--labeller", "timings",
+                "--timings", bad, "--out", tmp_path / "labels.csv")
+        message = "timings CSV line 2: need 3 fields"
+    elif reader == "labels":
+        bad.write_text("instance_id,label\na\n")
+        argv = ("featurize", "--instances", root / "instances.jsonl", "--labels", bad,
+                "--out", tmp_path / "data.csv")
+        message = "labels CSV line 2: need 2 fields"
+    else:
+        lines = (root / "train.csv").read_text().splitlines()
+        header, first = lines[0].split(","), lines[1].split(",")
+        first[2] = "x"
+        bad.write_text("\n".join([lines[0], ",".join(first), *lines[2:]]) + "\n")
+        argv = ("train", "--data", bad, "--schema", root / "schema.json", "--model", "dt",
+                "--out", tmp_path / "dt.json")
+        message = f"row for {first[0]}: {header[2]} is 'x', not a number"
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_DATA
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
 def test_label_names_the_rejected_record(workspace, tmp_path, capsys):
     lines = (workspace / "instances.jsonl").read_text().splitlines()
     record = json.loads(lines[1])
@@ -475,6 +502,24 @@ def test_run_skips_a_script_whose_id_holds_a_comma(workspace, tmp_path, caplog):
                        "--schema", out / "schema.json",
                        "--out-train", tmp_path / "tr.csv",
                        "--out-test", tmp_path / "te.csv") == EXIT_OK
+
+
+def test_run_skips_integers_beyond_the_digit_limit(workspace, tmp_path, caplog):
+    # a numeral of 5,000 digits, and x times 2^(2^16) built by squaring in
+    # lets: int() or str() refused each, ending the run with exit code 2
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    decls = "(declare-fun x () Real)(declare-fun y () Real)(declare-fun z () Real)"
+    (corpus / "numeral.smt2").write_text(decls + f"(assert (> (+ x y z) {'9' * 5000}))")
+    squares = "".join(f"(let ((s{i} (* s{i - 1} s{i - 1}))) " for i in range(1, 16))
+    (corpus / "product.smt2").write_text(
+        decls + f"(assert (let ((s0 (* 2 2))) {squares}(> (* s15 x) (+ y z)){')' * 16})"
+    )
+    out = tmp_path / "run"
+    assert run_cli("run", "--input", corpus, "--models", "knn", "--cv-folds", "3",
+                   "--grid", workspace / "grid.json", "--out", out) == EXIT_OK
+    skipped = [rec.getMessage() for rec in caplog.records if "digits" in rec.getMessage()]
+    assert [m.split(":")[0] for m in skipped] == ["skipping numeral", "skipping product"]
 
 
 def test_label_keeps_same_stem_files_apart(tmp_path):

@@ -15,7 +15,6 @@ from cadaug.labelling import (
     label_by_sotd,
     label_from_timings,
     mccallum_projection,
-    ordering_from_triple,
     projection_chain,
     read_labels_csv,
     read_timings_csv,
@@ -26,15 +25,20 @@ from cadaug.labelling import (
 )
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
 from cadaug.resultants import discriminant, resultant, total_degree_bound
-from cadaug.symmetry import ALL_PERMUTATIONS
+from cadaug.symmetry import ALL_PERMUTATIONS, Permutation
 from cadaug.synth import synthesize_corpus
 
 x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
 
 
+def ordering_of(indices):
+    """The ordering whose variables, greatest first, have these indices."""
+    return ORDERINGS[ALL_PERMUTATIONS.index(Permutation(tuple(indices)))]
+
+
 def sigma_image(ordering, sigma):
     """The ordering obtained by renaming this ordering's variables by sigma."""
-    return ordering_from_triple([sigma.apply_index(v.index) for v in ordering.triple])
+    return ordering_of(sigma.apply_index(v.index) for v in ordering.triple)
 
 
 # -- ordering encoding ----------------------------------------------------
@@ -59,7 +63,7 @@ def test_ordering_bijection():
     seen = {o.triple for o in ORDERINGS}
     assert len(seen) == 6
     for o in ORDERINGS:
-        assert ordering_from_triple([v.index for v in o.triple]) == o
+        assert ordering_of(v.index for v in o.triple) == o
 
 
 def test_ordering_validation():

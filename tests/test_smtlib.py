@@ -520,6 +520,164 @@ def test_rational_scripts_read_to_pinned_bytes(tmp_path):
     )
 
 
+# -- pinned outcomes of generated scripts ---------------------------------
+
+# Each generated script's outcome is its instance JSON or its error's type
+# and message, so a change to which check fires first, to a message, to the
+# variable map or to a polynomial fails here.  Constant powers stay far
+# below the interpreter's integer string-conversion limit.
+
+_DECLARABLE = ["x", "y", "z", "w", "v"]
+_GEN_NUMERALS = ["0", "1", "2", "-3", "7", "0.5", "1.25", "-0.75", "10.0"]
+_LET_NAMES = ["a", "b", "s"]
+
+
+def _gen_divisor(rng, names):
+    kind = rng.random()
+    if kind < 0.86:
+        return rng.choice(["2", "0.5", "-3", "(+ 1 1)", "(* 2 0.25)", "(- 4)", "(/ 1 3)"])
+    if kind < 0.93:
+        return rng.choice(names)  # a variable divisor
+    return rng.choice(["0", "0.0", "(- 1 1)", "(* 2 0)"])  # zero
+
+
+def _gen_chain(rng, names, bound, depth):
+    """A let chain squaring a base k times, then using (or not) the last
+    square.  A variable base is never a let-bound name, which could hold a
+    polynomial of many terms."""
+    free = [name for name in names if name not in bound]
+    base_kind = rng.random() if free else 0.7
+    if base_kind < 0.4:
+        base, k = rng.choice(free), rng.randint(15, 22)
+    elif base_kind < 0.6:
+        base, k = f"(* {rng.choice(free)} {rng.choice(free)})", rng.randint(15, 21)
+    elif base_kind < 0.8:
+        base, k = rng.choice(["2", "3", "1.5", "-0.5"]), rng.randint(1, 10)
+    else:
+        base, k = f"(+ {rng.choice(free)} 1)", rng.randint(1, 4)
+    opened = f"(let ((s0 {base})) "
+    for i in range(1, k + 1):
+        opened += f"(let ((s{i} (* s{i - 1} s{i - 1}))) "
+    last = f"s{k}" if rng.random() < 0.8 else "s0"
+    body = f"(* {last} {_gen_term(rng, depth - 1, names, bound)})"
+    return opened + body + ")" * (k + 1)
+
+
+def _gen_bindings(rng, depth, names, bound, boolean):
+    """1 to 3 bindings whose names may repeat or shadow a declared name; a
+    few values are Boolean."""
+    out = []
+    for _ in range(rng.choices([1, 2, 3], [6, 3, 1])[0]):
+        name = rng.choice(_LET_NAMES + names[:1] + bound[:1])
+        if rng.random() < boolean:
+            value = rng.choice(["true", "false", f"(> {rng.choice(names)} 0)", "(and true)"])
+        else:
+            value = _gen_term(rng, depth - 1, names, bound)
+        out.append((name, value))
+    return out
+
+
+def _gen_let(rng, depth, names, bound, body_gen, boolean):
+    bindings = _gen_bindings(rng, depth, names, bound, boolean)
+    inner = bound + [name for name, _ in bindings if name not in bound]
+    text = " ".join(f"({name} {value})" for name, value in bindings)
+    return f"(let ({text}) {body_gen(rng, depth - 1, names, inner)})"
+
+
+def _gen_term(rng, depth, names, bound):
+    """A term over the declared ``names`` and let-bound ``bound`` names."""
+    if depth <= 0 or rng.random() < 0.3:
+        kind = rng.random()
+        if kind < 0.5:
+            return rng.choice(names)
+        if kind < 0.7 and bound:
+            return rng.choice(bound)
+        if kind < 0.992:
+            return rng.choice(_GEN_NUMERALS)
+        return rng.choice(["u", "true", "pi"])  # unknown symbols
+    op = rng.choices(["+", "-", "*", "/", "let", "fn", "chain"], [4, 3, 4, 3, 3, 0.08, 0.6])[0]
+    if op in "+-*":
+        unary = 1.5 if op == "-" else 0.06
+        count = rng.choices([0, 1, 2, 3], [0.04, unary, 6, 2.5])[0]
+        args = [_gen_term(rng, depth - 1, names, bound) for _ in range(count)]
+        return "(" + " ".join([op] + args) + ")"
+    if op == "/":
+        count = rng.choices([0, 1, 2, 3], [0.04, 0.08, 8, 1.5])[0]
+        args = [_gen_term(rng, depth - 1, names, bound)][:count]
+        args += [_gen_divisor(rng, names) for _ in range(count - 1)]
+        return "(" + " ".join(["/"] + args) + ")"
+    if op == "let":
+        return _gen_let(rng, depth, names, bound, _gen_term, 0.02)
+    if op == "fn":
+        name = rng.choice(["sin", "abs", "^", "ite"])
+        return f"({name} {_gen_term(rng, depth - 1, names, bound)})"
+    return _gen_chain(rng, names, bound, depth)
+
+
+def _gen_formula(rng, depth, names, bound):
+    kind = "rel" if depth <= 0 else rng.choices(
+        ["rel", "logic", "not", "let", "quant", "op", "const", "symbol"],
+        [5, 2, 1, 2, 0.1, 0.1, 0.3, 0.06],
+    )[0]
+    if kind == "rel":
+        rel = rng.choice(["<", "<=", ">", ">=", "=", "distinct"])
+        count = rng.choices([0, 1, 2, 3], [0.05, 0.15, 8, 1.6])[0]
+        args = [_gen_term(rng, 2, names, bound) for _ in range(count)]
+        return "(" + " ".join([rel] + args) + ")"
+    if kind == "logic":
+        count = rng.choices([0, 1, 2, 3], [0.2, 1, 4, 1])[0]
+        args = [_gen_formula(rng, depth - 1, names, bound) for _ in range(count)]
+        return "(" + " ".join([rng.choice(["and", "or", "=>", "xor"])] + args) + ")"
+    if kind == "not":
+        count = rng.choices([0, 1, 2], [0.2, 8, 0.4])[0]
+        args = [_gen_formula(rng, depth - 1, names, bound) for _ in range(count)]
+        return "(" + " ".join(["not"] + args) + ")"
+    if kind == "let":
+        return _gen_let(rng, depth, names, bound, _gen_formula, 0.06)
+    if kind == "quant":
+        body = _gen_formula(rng, depth - 1, names, bound)
+        return f"({rng.choice(['forall', 'exists'])} ((q Real)) {body})"
+    if kind == "op":
+        return f"({rng.choice(['ite', 'foo'])} {_gen_formula(rng, depth - 1, names, bound)})"
+    if kind == "const":
+        return rng.choice(["true", "false"])
+    return rng.choice(names)  # a term where a formula belongs
+
+
+def _gen_script(rng):
+    """3 to 5 declarations, a few Int or repeated, and 1 to 3 assertions
+    that mostly use the first three names, so that many scripts parse."""
+    names = rng.sample(_DECLARABLE, rng.randint(3, 5))
+    decls = []
+    for name in names:
+        sort = "Int" if rng.random() < 0.006 else "Real"
+        decls.append(
+            f"(declare-fun {name} () {sort})" if rng.random() < 0.5
+            else f"(declare-const {name} {sort})"
+        )
+    if rng.random() < 0.03:
+        decls.insert(rng.randrange(len(decls) + 1), f"(declare-fun {rng.choice(names)} () Real)")
+    used = names[:3] if rng.random() < 0.85 else names
+    asserts = [_gen_formula(rng, rng.randint(1, 3), used, []) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.6:
+        asserts.insert(0, f"(> (* {' '.join(names[:3])}) 1)")
+    return "\n".join(decls + [f"(assert {a})" for a in asserts])
+
+
+def _outcome(text):
+    try:
+        return json.dumps(instance_to_json(parse_script(text, "g")))
+    except IngestError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_generated_script_outcomes_are_pinned():
+    rng = random.Random(20261020)
+    outcomes = [_outcome(_gen_script(rng)) for _ in range(2000)]
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "60c7f3ffe1e40e6de731aba180a807f7226c8f9a4e6c826ffdb688a31d6a1e98"
+
+
 # -- JSONL ----------------------------------------------------------------
 
 
@@ -701,6 +859,39 @@ def test_ingest_directory_skips_deep_nesting(tmp_path, caplog):
     assert [i.id for i in instances] == ["b_good"]
     assert any("a_deep" in rec.getMessage() and "nested too deeply" in rec.getMessage()
                for rec in caplog.records)
+
+
+def beyond_digit_limit():
+    """Scripts holding an integer of more than 4300 digits, the default
+    limit of int() and str(): a numeral, and 2^(2^16) built by squaring in
+    lets, times x or alone."""
+    squares = "".join(f"(let ((s{i} (* s{i - 1} s{i - 1}))) " for i in range(1, 16))
+
+    def power(atom):
+        return DECLS + f"(assert (let ((s0 (* 2 2))) {squares}{atom}{')' * 16})"
+
+    return {
+        "numeral": DECLS + f"(assert (> (+ x y z) {'9' * 5000}))",
+        "product": power("(> (* s15 x) (+ y z))"),
+        "constant": power("(> s15 0)") + "(assert (> (+ x y z) 0))",
+    }
+
+
+def test_ingest_skips_integers_beyond_the_digit_limit(tmp_path, caplog):
+    # int() refused the numeral, and str() the coefficients of the parsed
+    # instances, with a ValueError that ended the whole run
+    for name, script in beyond_digit_limit().items():
+        (tmp_path / f"{name}.smt2").write_text(script)
+    (tmp_path / "good.smt2").write_text(DECLS + "(assert (> (+ x y) z))")
+    with caplog.at_level(logging.WARNING, logger="cadaug.ingest"):
+        instances = ingest_directory(tmp_path)
+    assert [i.id for i in instances] == ["good"]
+    limit = "more than 4300 digits (sys.get_int_max_str_digits)"
+    assert sorted(rec.getMessage() for rec in caplog.records) == [
+        f"skipping constant: an atom's coefficient has {limit}",
+        f"skipping numeral: a numeral has {limit} (line 1, column 91)",
+        f"skipping product: an atom's coefficient has {limit}",
+    ]
 
 
 def test_instance_invariants():
