@@ -4,10 +4,36 @@ The authoritative labelling path reads per-ordering CAD timing records and
 takes the fastest ordering.  When no timings exist, a desk-scale proxy
 stands in: for each of the six orderings, run a McCallum-style projection
 chain and score it by the sum of total degrees of all monomials across all
-levels (sotd); the lowest score wins.  The two orderings that eliminate the
-same variable first share one first projection level, so an instance costs
-three first levels, not six.  Both paths discard an instance only when every
-ordering fails (timeout, or projection budget overrun).
+levels (sotd; Dolzmann, Seidl & Sturm, "Efficient projection orders for
+CAD", ISSAC 2004); the lowest score wins, ties to the lowest ordering
+index.  Both paths discard an instance only when every ordering fails
+(timeout, or projection budget overrun).
+
+One generator, ``_projection``, computes a projection level: it yields
+each polynomial of the level as it is made, and computes each resultant
+or discriminant only when the walk reaches it.  ``mccallum_projection``
+is the set of what it yields.
+
+``sotd_scores`` scores all six orderings.  The two orderings that
+eliminate the same variable first share one first projection level, so
+an instance costs three first levels, not six.  ``synth`` needs all six
+scores to fabricate timings, and the tests use them as the oracle for
+the label.
+
+``label_by_sotd`` needs only the argmin, and finds it by branch and bound
+(Land & Doig, 1960).  A chain's sotd is a sum of non-negative terms, one
+per distinct polynomial of each level, so a running sum kept while a
+level is read from the generator never falls.  An ordering is abandoned
+as soon as its running sum exceeds the best complete (score, index) so
+far, or equals that score with a higher index: it cannot win, and its
+remaining resultants are never computed.  A shared first level is
+abandoned only once both of its orderings are beaten.  First levels, and
+then the two second levels of each, are tried cheapest first, by an
+estimate from degrees alone (``_cost``), so that a low score is found
+early and bounds the rest; the label does not depend on this order,
+because orderings are compared on (score, index).  An ordering that is
+not abandoned runs every budget check that ``sotd_scores`` runs, so both
+give the same label and discard the same instances.
 """
 
 from __future__ import annotations
@@ -16,7 +42,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import AbstractSet, Iterable, Optional, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
 from cadaug import kernels
 from cadaug.poly import Polynomial, Variable, VARIABLES
@@ -230,6 +256,50 @@ DEFAULT_BUDGET = ProjectionBudget()
 PolySet = Union[ProblemInstance, Iterable[Polynomial]]
 
 
+def _projection(
+    polys: Iterable[Polynomial], v: Variable, budget: ProjectionBudget
+) -> Iterator[Polynomial]:
+    """The polynomials of one projection step eliminating v, each made
+    primitive and yielded as it is made, constants dropped: the
+    polynomials without v, the coefficients of those with v, then their
+    discriminants, then their pairwise resultants.  Each discriminant or
+    resultant is computed only when the walk reaches it, just after its
+    total-degree bound is checked against ``budget.max_degree_bound``;
+    BudgetExceededError is raised instead of computing one over the cap.
+    A polynomial may be yielded more than once."""
+
+    def check(m: int, n: int, deg_p: int, deg_q: int):
+        bound = total_degree_bound(m, n, deg_p, deg_q)
+        if bound > budget.max_degree_bound:
+            raise BudgetExceededError(
+                f"res_{v} has total-degree bound {bound} (cap {budget.max_degree_bound})"
+            )
+
+    def made() -> Iterator[Polynomial]:
+        # (p, degree in v, total degree) of each polynomial containing v
+        containing = []
+        for p in polys:
+            m = p.degree_in(v)
+            if m:
+                containing.append((p, m, p.total_degree))
+            else:
+                yield p
+        for p, _, _ in containing:
+            yield from p.coefficients_wrt(v)
+        for p, m, deg_p in containing:
+            if m >= 2:
+                # dp/dv has degree m - 1 in v and total degree at most deg_p - 1
+                check(m, m - 1, deg_p, deg_p - 1)
+                yield discriminant(p, v)
+        for (p, m, deg_p), (q, n, deg_q) in combinations(containing, 2):
+            check(m, n, deg_p, deg_q)
+            yield resultant(p, q, v)
+
+    for q in made():
+        if not q.is_constant():
+            yield q.primitive()
+
+
 def mccallum_projection(
     polys: Iterable[Polynomial], v: Variable, budget: ProjectionBudget = DEFAULT_BUDGET
 ) -> set[Polynomial]:
@@ -241,39 +311,7 @@ def mccallum_projection(
 
     The input order does not matter: a primitive polynomial has a positive
     leading coefficient, and res(p, q) = ±res(q, p)."""
-    out: set[Polynomial] = set()
-
-    def add(q: Polynomial):
-        q = q.primitive()
-        if not q.is_constant():
-            out.add(q)
-
-    def check(m: int, n: int, deg_p: int, deg_q: int):
-        bound = total_degree_bound(m, n, deg_p, deg_q)
-        if bound > budget.max_degree_bound:
-            raise BudgetExceededError(
-                f"res_{v} has total-degree bound {bound} (cap {budget.max_degree_bound})"
-            )
-
-    # (p, degree in v, total degree) of each polynomial containing v
-    containing = []
-    for p in polys:
-        m = p.degree_in(v)
-        if m:
-            containing.append((p, m, p.total_degree))
-        else:
-            add(p)
-    for p, m, deg_p in containing:
-        for coeff in p.coefficients_wrt(v):
-            add(coeff)
-        if m >= 2:
-            # dp/dv has degree m - 1 in v and total degree at most deg_p - 1
-            check(m, m - 1, deg_p, deg_p - 1)
-            add(discriminant(p, v))
-    for (p, m, deg_p), (q, n, deg_q) in combinations(containing, 2):
-        check(m, n, deg_p, deg_q)
-        add(resultant(p, q, v))
-    return out
+    return set(_projection(polys, v, budget))
 
 
 def _check_budget(level: AbstractSet[Polynomial], budget: ProjectionBudget):
@@ -351,7 +389,72 @@ def sotd_scores(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> li
     return scores
 
 
+def _cost(level: Iterable[Polynomial], v: Variable) -> int:
+    """Estimated work of eliminating v from level, from degrees alone: the
+    sum of the squared total-degree bounds of its discriminants and
+    resultants."""
+    containing = [(m, p.total_degree) for p in level if (m := p.degree_in(v))]
+    cost = sum(total_degree_bound(m, m - 1, d, d - 1) ** 2 for m, d in containing if m >= 2)
+    for (m, deg_p), (n, deg_q) in combinations(containing, 2):
+        cost += total_degree_bound(m, n, deg_p, deg_q) ** 2
+    return cost
+
+
+def _bounded_level(
+    level: AbstractSet[Polynomial],
+    v: Variable,
+    budget: ProjectionBudget,
+    total: int,
+    index: int,
+    best: tuple[float, int],
+) -> Optional[tuple[set[Polynomial], int]]:
+    """``level`` with v eliminated, and ``total`` plus its sotd.  None when
+    the new level overruns the budget, or as soon as the running total
+    shows that ordering ``index`` cannot beat ``best``, the lowest
+    complete (score, index) so far: a sotd only grows as a chain gains
+    polynomials."""
+    if (total, index) > best:
+        return None
+    out: set[Polynomial] = set()
+    try:
+        for q in _projection(level, v, budget):
+            if q in out:
+                continue
+            out.add(q)
+            degrees = list(map(kernels.total_degree, q.raw))
+            total += sum(degrees)
+            if (
+                len(out) > budget.max_polys
+                or max(degrees) > budget.max_total_degree
+                or (total, index) > best
+            ):
+                return None
+    except BudgetExceededError:
+        return None
+    return out, total
+
+
 def label_by_sotd(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> Optional[Ordering]:
     """Argmin-sotd ordering, ties to the lowest index; None (discard) when
-    every ordering exceeded the budget."""
-    return _lowest(sotd_scores(polys, budget))
+    every ordering exceeded the budget.  The label of ``sotd_scores``,
+    found without scoring the orderings that cannot win (branch and
+    bound, see the module docstring)."""
+    try:
+        level3 = _input_level(polys, budget)
+    except BudgetExceededError:
+        return None
+    base = sotd([level3])
+    best: tuple[float, int] = (math.inf, 0)  # no complete score yet: nothing is beaten
+    for first in sorted(VARIABLES, key=lambda v: _cost(level3, v)):
+        pair = [o for o in ORDERINGS if o.triple[0] == first]
+        # the shared level is dropped only once both orderings are beaten,
+        # and the lower-index one is beaten first
+        shared = _bounded_level(level3, first, budget, base, pair[0].index, best)
+        if shared is None:
+            continue
+        level2, total = shared
+        for ordering in sorted(pair, key=lambda o: _cost(level2, o.triple[1])):
+            scored = _bounded_level(level2, ordering.triple[1], budget, total, ordering.index, best)
+            if scored is not None:
+                best = (scored[1], ordering.index)
+    return None if best[0] == math.inf else ORDERINGS[best[1]]

@@ -23,8 +23,14 @@ else (quantifiers, Boolean ``let`` values, transcendental functions,
 push/pop, define-fun) raises UnsupportedConstructError rather than being
 silently dropped, and a product whose degree in a variable does not fit a
 packed exponent raises ExponentOverflowError rather than aliasing another
-monomial.  A numeral or an atom coefficient of more digits than int() and
-str() convert (``sys.get_int_max_str_digits()``) raises ParseError.
+monomial.  A numeral, an atom coefficient, or an operand of '*' or '/'
+(a numerator coefficient or the denominator) of more digits than int()
+and str() convert (``sys.get_int_max_str_digits()``) raises ParseError.
+The operand check comes before the multiplication, so a script whose
+constants grow by repeated squaring is rejected at its first oversized
+square, not after hours of multiplying.  It also rejects a script whose
+oversized intermediate values would cancel, such as ``(/ (* s x) s)``
+for an ``s`` of 5,000 digits.
 """
 
 from __future__ import annotations
@@ -214,6 +220,15 @@ def _too_many_digits(what: str, *location) -> ParseError:
     )
 
 
+def _too_wide(n: int) -> bool:
+    """Whether n >= 0 has more digits than str() writes."""
+    # the limit is 0 for no limit; Python 3.10.6 and older have neither
+    # the limit nor this function
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 8**limit < 10**limit, so the bit length settles most values
+    return limit > 0 and n.bit_length() > 3 * limit and n >= 10**limit
+
+
 # -- problem instances ----------------------------------------------------
 
 
@@ -313,15 +328,10 @@ def parse_script(text: str, instance_id: str = "unnamed") -> ProblemInstance:
     except RecursionError:
         raise ParseError("terms nested too deeply to evaluate") from None
 
-    # str() writes at most this many digits, 0 meaning no limit (Python
-    # 3.10.6 and older have neither the limit nor this function)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     normalized: list[Polynomial] = []
     for p in atom_polys:
         q = normalize_atom(p)
-        widest = max(map(abs, q.raw.values()), default=0)
-        # 8**limit < 10**limit, so the bit length settles most atoms
-        if limit and widest.bit_length() > 3 * limit and widest >= 10**limit:
+        if _too_wide(max(map(abs, q.raw.values()), default=0)):
             raise _too_many_digits("an atom's coefficient")
         if q.is_constant():
             raise ConstantAtomError(
@@ -478,7 +488,9 @@ def _compile_term(form: Form, env: _Env, variables: _Variables, used: dict[str, 
 
 def _apply(head: str, args: list[_Term], forms: list[Form]) -> _Ratio:
     """An arithmetic operation folded over its arguments, each evaluated
-    just before it is used; '-' with one argument negates it."""
+    just before it is used; '-' with one argument negates it.  A '*' or
+    '/' step checks its operands' digits before it multiplies, so a chain
+    of squarings stops at its first oversized square."""
     p, d = args[0]()
     if len(args) == 1:
         return -p, d
@@ -494,6 +506,7 @@ def _apply(head: str, args: list[_Term], forms: list[Form]) -> _Ratio:
                         f"product has degree {degree} in {v}, above the limit {kernels.EXP_MASK}",
                         *_loc(form),
                     )
+            _check_operand_digits(head, form, (p, d), (q, e))
             p, d = p * q, d * e
         else:
             if not q.is_constant():
@@ -503,9 +516,19 @@ def _apply(head: str, args: list[_Term], forms: list[Form]) -> _Ratio:
             c = q.constant_value()
             if c == 0:
                 raise UnsupportedConstructError("division by zero", *_loc(form))
+            _check_operand_digits(head, form, (p, d), (q, e))
             # (p / d) / (c / e) = (p * e * sign(c)) / (d * |c|)
             p, d = p * (e if c > 0 else -e), d * abs(c)
     return p, d
+
+
+def _check_operand_digits(head: str, form: Form, a: _Ratio, b: _Ratio):
+    """Raise ParseError when a numerator coefficient or the denominator of
+    either operand has more digits than the limit."""
+    (p, d), (q, e) = a, b
+    widest = max(d, e, *map(abs, p.raw.values()), *map(abs, q.raw.values()))
+    if _too_wide(widest):
+        raise _too_many_digits(f"an operand of '{head}'", *_loc(form))
 
 
 def _sum(a: _Ratio, b: _Ratio) -> _Ratio:

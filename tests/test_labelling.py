@@ -1,8 +1,11 @@
 """Tests for ordering labels, timing records, and the sotd proxy oracle."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cadaug import labelling
 from cadaug.labelling import (
@@ -25,10 +28,15 @@ from cadaug.labelling import (
 )
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
 from cadaug.resultants import discriminant, resultant, total_degree_bound
+from cadaug.smtlib import ingest_directory
 from cadaug.symmetry import ALL_PERMUTATIONS, Permutation
 from cadaug.synth import synthesize_corpus
 
 x1, x2, x3 = (Polynomial.variable(v) for v in VARIABLES)
+
+# labels of the acceptance corpus (450 instances, seed 20240817) by
+# label_by_sotd; see test_acceptance_corpus_labels_are_pinned
+ACCEPTANCE_LABELS_SHA256 = "96198a52fbc311dbe545292ab61424eb2c24927fcb0defb774a5ea3a3cf5b036"
 
 
 def ordering_of(indices):
@@ -418,3 +426,77 @@ def test_unique_argmin_label_equivariance():
         for sigma in ALL_PERMUTATIONS:
             renamed = {p.rename(sigma) for p in polys}
             assert label_by_sotd(renamed) == sigma_image(label, sigma)
+
+
+# -- the branch-and-bound labeller ----------------------------------------
+
+# the tight budget discards about a tenth of a synthetic corpus
+TIGHT = ProjectionBudget(max_polys=12, max_total_degree=14, max_degree_bound=40)
+BUDGETS = [labelling.DEFAULT_BUDGET, TIGHT]
+
+terms = st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-4, 4))
+nonconstant = (
+    st.lists(terms, min_size=1, max_size=4)
+    .map(Polynomial.from_terms)
+    .filter(lambda p: not p.is_constant())
+)
+poly_sets = st.lists(nonconstant, min_size=1, max_size=3).map(frozenset)
+# a set joined with its image under a renaming scores the orderings that
+# renaming swaps alike, so tied scores are common
+symmetric_sets = st.builds(
+    lambda polys, sigma: polys | {p.rename(sigma) for p in polys},
+    poly_sets,
+    st.sampled_from(ALL_PERMUTATIONS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(poly_sets, symmetric_sets), st.sampled_from(BUDGETS))
+@example(frozenset({x1 + x2 + x3}), labelling.DEFAULT_BUDGET)  # six tied scores
+@example(frozenset({x1**2 - x2, x1 - x3}), ProjectionBudget(max_polys=2))  # two overrun
+@example(frozenset({x1**100 + x2**100 + x3**100}), labelling.DEFAULT_BUDGET)  # all overrun
+def test_label_by_sotd_is_the_lowest_score(polys, budget):
+    assert label_by_sotd(polys, budget) == labelling._lowest(sotd_scores(polys, budget))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("budget", BUDGETS, ids=["default", "tight"])
+def test_label_by_sotd_is_the_lowest_score_on_a_corpus(tmp_path, seed, budget):
+    for inst in synthesize_corpus(tmp_path, 60, seed=seed):
+        assert label_by_sotd(inst, budget) == labelling._lowest(sotd_scores(inst, budget))
+
+
+def test_label_by_sotd_abandons_orderings_that_cannot_win(tmp_path, monkeypatch):
+    calls = {"resultant": 0, "discriminant": 0}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(labelling, "resultant", counted("resultant", resultant))
+    monkeypatch.setattr(labelling, "discriminant", counted("discriminant", discriminant))
+    instances = synthesize_corpus(tmp_path, 60, seed=1)
+    made = {}
+    for name, labeller in (("scores", sotd_scores), ("label", label_by_sotd)):
+        for kind in calls:
+            calls[kind] = 0
+        for inst in instances:
+            labeller(inst)
+        made[name] = dict(calls)
+    for kind in calls:
+        assert 0 < made["label"][kind] < made["scores"][kind]
+
+
+def test_acceptance_corpus_labels_are_pinned(tmp_path):
+    # the 450 instances of the acceptance experiment, labelled directly:
+    # sha256 of the sorted `id,label` lines, an empty label for a discard
+    synthesize_corpus(tmp_path, 450, seed=20240817)
+    lines = []
+    for inst in ingest_directory(tmp_path):
+        label = label_by_sotd(inst)
+        lines.append(f"{inst.id},{'' if label is None else label.index}\n")
+    digest = hashlib.sha256("".join(sorted(lines)).encode()).hexdigest()
+    assert digest == ACCEPTANCE_LABELS_SHA256

@@ -4,6 +4,8 @@ import hashlib
 import json
 import logging
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -861,25 +863,31 @@ def test_ingest_directory_skips_deep_nesting(tmp_path, caplog):
                for rec in caplog.records)
 
 
+def squarings(count, atom, base="(* 2 2)"):
+    """A script that binds s0 = base and s_i = s_(i-1) * s_(i-1) for i up
+    to count in nested lets, around one atom."""
+    lets = "".join(f"(let ((s{i} (* s{i - 1} s{i - 1}))) " for i in range(1, count + 1))
+    return DECLS + f"(assert (let ((s0 {base})) {lets}{atom}{')' * (count + 1)})"
+
+
 def beyond_digit_limit():
     """Scripts holding an integer of more than 4300 digits, the default
-    limit of int() and str(): a numeral, and 2^(2^16) built by squaring in
-    lets, times x or alone."""
-    squares = "".join(f"(let ((s{i} (* s{i - 1} s{i - 1}))) " for i in range(1, 16))
-
-    def power(atom):
-        return DECLS + f"(assert (let ((s0 (* 2 2))) {squares}{atom}{')' * 16})"
-
+    limit of int() and str(): a numeral; 2^(2^16) built by squaring in
+    lets, times x or alone; and 2^(2^14), of 4,932 digits, the square of
+    two operands of 2,466 digits, plus x."""
     return {
         "numeral": DECLS + f"(assert (> (+ x y z) {'9' * 5000}))",
-        "product": power("(> (* s15 x) (+ y z))"),
-        "constant": power("(> s15 0)") + "(assert (> (+ x y z) 0))",
+        "product": squarings(15, "(> (* s15 x) (+ y z))"),
+        "constant": squarings(15, "(> s15 0)") + "(assert (> (+ x y z) 0))",
+        "sum": squarings(13, "(> (+ s13 x) (+ y z))"),
     }
 
 
 def test_ingest_skips_integers_beyond_the_digit_limit(tmp_path, caplog):
     # int() refused the numeral, and str() the coefficients of the parsed
-    # instances, with a ValueError that ended the whole run
+    # instances, with a ValueError that ended the whole run.  The chains
+    # up to s15 stop at their first operand over the limit: 2^(2^14), in
+    # the square that makes s14
     for name, script in beyond_digit_limit().items():
         (tmp_path / f"{name}.smt2").write_text(script)
     (tmp_path / "good.smt2").write_text(DECLS + "(assert (> (+ x y) z))")
@@ -888,10 +896,35 @@ def test_ingest_skips_integers_beyond_the_digit_limit(tmp_path, caplog):
     assert [i.id for i in instances] == ["good"]
     limit = "more than 4300 digits (sys.get_int_max_str_digits)"
     assert sorted(rec.getMessage() for rec in caplog.records) == [
-        f"skipping constant: an atom's coefficient has {limit}",
+        f"skipping constant: an operand of '*' has {limit} (line 1, column 412)",
         f"skipping numeral: a numeral has {limit} (line 1, column 91)",
-        f"skipping product: an atom's coefficient has {limit}",
+        f"skipping product: an operand of '*' has {limit} (line 1, column 412)",
+        f"skipping sum: an atom's coefficient has {limit}",
     ]
+
+
+@pytest.mark.parametrize("atom, head", [("(/ (* s14 x) s14)", "*"), ("(* (/ x s14) s14)", "/")])
+def test_an_operand_beyond_the_digit_limit_is_refused_even_when_it_cancels(atom, head):
+    # s14 = 3^(2^14) has 7,818 digits; the atom is x - y - z either way,
+    # but the innermost operation refuses it before multiplying
+    message = re.escape(f"an operand of '{head}' has more than 4300 digits")
+    with pytest.raises(ParseError, match=message):
+        parse_script(squarings(14, f"(> {atom} (+ y z))", base=3))
+
+
+def test_ingest_skips_a_long_squaring_chain_at_once(tmp_path, caplog):
+    # 3^(2^30) has about 5 * 10^8 digits.  Multiplied out, each squaring
+    # takes about three times as long as the one before (0.77 s in all at
+    # 22), so this 865-byte script would hold ingest for about an hour
+    (tmp_path / "chain.smt2").write_text(squarings(30, "(> (* s30 x) (+ y z))", base=3))
+    (tmp_path / "a.smt2").write_text(DECLS + "(assert (> (+ x y) z))")
+    (tmp_path / "b.smt2").write_text(DECLS + "(assert (> (* x y) z))")
+    start = time.perf_counter()
+    with caplog.at_level(logging.WARNING, logger="cadaug.ingest"):
+        instances = ingest_directory(tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert [i.id for i in instances] == ["a", "b"]
+    assert [rec.getMessage().split(":")[0] for rec in caplog.records] == ["skipping chain"]
 
 
 def test_instance_invariants():
