@@ -90,8 +90,14 @@ def column_draw(key, steps: np.ndarray, mtry: int) -> np.ndarray:
     return np.sort(np.argpartition(z, mtry - 1, axis=-1)[..., :mtry], axis=-1)
 
 
-# sums over the class axis as a product: faster than .sum(axis=1) on small arrays
-_ONES = np.ones(N_CLASSES, dtype=np.intp)
+# a split search's cell key is one int32 word: the row's label takes the
+# low _CLASS_BITS bits (N_CLASSES <= 8), its bin the bits above them and
+# its node the bits above the bin; a chunk holds few enough nodes that
+# every key fits _KEY_BITS bits
+_CLASS_BITS = 3
+_CLASS_MASK = (1 << _CLASS_BITS) - 1
+_KEY_BITS = 31
+_MAX_BINS = 1 << (_KEY_BITS - _CLASS_BITS)
 
 
 class RankedColumns(NamedTuple):
@@ -100,8 +106,9 @@ class RankedColumns(NamedTuple):
     Column f owns ``widths[f]`` consecutive bins, one per distinct value of
     the column in ascending order; ``column`` maps each bin to its column,
     and ``values`` holds the distinct values bin by bin.  ``codes[i, f]``
-    is ``N_CLASSES`` times the bin of row i in column f, so adding a row's
-    label gives its (bin, class) cell of a flat class histogram.
+    is the int32 ``bin << 3`` of row i in column f: the bin with three
+    free low bits, so or-ing in a row's label (below 8) gives its
+    (bin, class) cell.  There are at most 2^28 bins, so a code fits 31 bits.
     """
 
     codes: np.ndarray
@@ -124,9 +131,11 @@ def rank_columns(X: np.ndarray) -> RankedColumns:
     new[:, 1:] = ordered[:, 1:] > ordered[:, :-1]
     ranks = np.cumsum(new, axis=1) - 1
     widths = ranks[:, -1] + 1
+    if widths.sum() > _MAX_BINS:
+        raise ValueError(f"X has more than {_MAX_BINS} distinct values over its columns")
     offsets = np.cumsum(widths) - widths
-    codes = np.empty(columns.shape, dtype=np.intp)
-    np.put_along_axis(codes, order, (ranks + offsets[:, None]) * N_CLASSES, axis=1)
+    codes = np.empty(columns.shape, dtype=np.int32)
+    np.put_along_axis(codes, order, (ranks + offsets[:, None]) << _CLASS_BITS, axis=1)
     column = np.repeat(np.arange(widths.size), widths)
     return RankedColumns(np.ascontiguousarray(codes.T), column, widths, ordered[new])
 
@@ -271,6 +280,9 @@ def grow(
     """
     n_trees, n_features = len(samples), X.shape[1]
     ranked = rank_columns(X)
+    # labels join the split search's int32 cell keys, and class counts
+    # its int32 histograms
+    y = np.asarray(y, dtype=np.int32)
     drawing = mtry is not None and mtry < n_features
     if drawing and any(seed is None for seed in seeds):
         raise ValueError("drawing candidate columns needs a seed")
@@ -287,9 +299,8 @@ def grow(
     while sizes.size:
         n_open = sizes.size
         owner = np.repeat(np.arange(n_open), sizes)
-        counts = np.bincount(
-            owner * N_CLASSES + y[rows], minlength=n_open * N_CLASSES
-        ).reshape(n_open, N_CLASSES)
+        counts = np.bincount(owner * N_CLASSES + y[rows], minlength=n_open * N_CLASSES)
+        counts = counts.astype(np.int32).reshape(n_open, N_CLASSES)
         feature = np.zeros(n_open, dtype=np.intp)
         threshold = np.zeros(n_open, dtype=np.float64)
         left, right = index.copy(), index.copy()
@@ -388,7 +399,8 @@ def _search_level(
     min_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_search`` over a level's nodes in chunks of consecutive nodes,
-    each of at most ``_CHUNK_CELLS`` row × candidate cells or one node.
+    each of at most ``_CHUNK_CELLS`` row × candidate cells or one node,
+    and of few enough nodes that their cell keys fit ``_KEY_BITS`` bits.
 
     Returns whether each node splits, and the column and threshold of
     each node that does.
@@ -397,12 +409,16 @@ def _search_level(
     feature = np.zeros(sizes.size, dtype=np.intp)
     threshold = np.zeros(sizes.size, dtype=np.float64)
     n_candidates = ranked.widths.size if columns is None else columns.shape[1]
+    # a key's node field starts above its (bin, class) bits
+    shift = (ranked.values.size - 1).bit_length() + _CLASS_BITS
+    max_nodes = 1 << (_KEY_BITS - shift)
     row_ends = np.cumsum(sizes)
     cell_ends = row_ends * n_candidates
     a = 0
     while a < sizes.size:
         done = int(cell_ends[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(cell_ends, done + _CHUNK_CELLS, side="right")))
+        b = int(np.searchsorted(cell_ends, done + _CHUNK_CELLS, side="right"))
+        b = max(a + 1, min(b, a + max_nodes))
         nodes, features, thresholds = _search(
             ranked,
             y,
@@ -411,6 +427,7 @@ def _search_level(
             counts[a:b],
             None if columns is None else columns[a:b],
             min_leaf,
+            shift,
         )
         split[a + nodes] = True
         feature[a + nodes] = features
@@ -430,58 +447,76 @@ def _search(
     counts: np.ndarray,
     columns: np.ndarray | None,
     min_leaf: int,
+    shift: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best split of each node of a chunk that has one.
 
     Node i of the chunk holds the next ``sizes[i]`` entries of ``rows``
     and has class counts ``counts[i]`` and candidate columns
-    ``columns[i]`` (None: every column).  One sort of every (node, bin,
-    class) cell that a row fills in a candidate column gives the chunk's
-    occupied bins in (node, column, bin) order and their class histograms;
-    the running sums of those within each (node, column) are the class
-    counts left of each boundary after an occupied bin, which are exactly
-    the boundaries between adjacent distinct values in the node.  The split
-    quality sum(left_counts^2)/n_left + sum(right_counts^2)/n_right (an
-    affine rescaling of negative weighted Gini) is maximized over them.
-    The squares are exact integers, so the scores equal those of a
-    sorted scan.  Each node's first maximum breaks ties toward the lowest
-    column, then the lowest threshold.
+    ``columns[i]`` (None: every column).  Each row fills one (node, bin,
+    class) cell per candidate column, keyed by the int32 word
+    ``(node << shift) | code | label``: the rank code (``bin << 3``, see
+    ``RankedColumns``) and the label (below 8) take the low ``shift``
+    bits, and the caller keeps the chunk's nodes few enough that every
+    key fits 31 bits.  One sort of the keys gives the chunk's occupied
+    bins in (node, column, bin) order and their class histograms; shifts
+    and masks take the keys apart.  The running sums of those histograms
+    within each (node, column) are the class counts left of each boundary
+    after an occupied bin, which are exactly the boundaries between
+    adjacent distinct values in the node.  The split quality
+    sum(left_counts^2)/n_left + sum(right_counts^2)/n_right (an affine
+    rescaling of negative weighted Gini) is maximized over them.  The
+    counts are int32; their sums of squares are exact int64 integers,
+    so the scores equal those of a sorted scan.  Each node's first
+    maximum breaks ties toward the lowest column, then the lowest
+    threshold.
 
     Returns the split nodes' chunk indices, columns and thresholds, the
     midpoints of the adjacent values the best boundary falls between.
     """
-    n_bins = ranked.values.size
-    owner = np.repeat(np.arange(sizes.size), sizes)
+    n_features = ranked.widths.size
+    owner = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
     if columns is None:
-        codes = ranked.codes[rows]
+        cells = ranked.codes.take(rows, axis=0)
     else:
-        codes = ranked.codes[rows[:, None], columns[owner]]
-    if codes.size == 0:
+        # one flat gather: faster than indexing with two index arrays
+        cells = ranked.codes.take(rows[:, None] * n_features + columns.take(owner, axis=0))
+    if cells.size == 0:
         return _NOTHING
-    cells = np.sort(codes + (owner * (n_bins * N_CLASSES) + y[rows])[:, None], axis=None)
+    # the gathers copied the codes, so the keys are made and sorted in place
+    cells |= ((owner << shift) | y[rows])[:, None]
+    cells = cells.ravel()
+    cells.sort()
     edges = np.flatnonzero(_changes(cells, end=True))
     starts = edges[:-1]
-    node_bin, label = np.divmod(cells[starts], N_CLASSES)
+    run = cells.take(starts)  # the key of each run of equal keys
+    node_bin = run >> _CLASS_BITS
     new_bin = _changes(node_bin)
-    hist = np.zeros((np.count_nonzero(new_bin), N_CLASSES), dtype=np.int64)
-    hist.ravel()[(np.cumsum(new_bin) - 1) * N_CLASSES + label] = edges[1:] - starts
-    node, bin_ = np.divmod(node_bin[new_bin], n_bins)
-    column = ranked.column[bin_]
+    n_bins = np.count_nonzero(new_bin)
+    # row k + 1 of hist is occupied bin k's class histogram, and row k + 1
+    # of cum the sum of the histograms of bins 0..k.  Over a big chunk the
+    # sums may wrap past int32, but their differences within a node stay
+    # exact: they are counts of the node's rows
+    hist = np.zeros((n_bins + 1, N_CLASSES), dtype=np.int32)
+    hist.ravel()[np.cumsum(new_bin) * N_CLASSES + (run & _CLASS_MASK)] = edges[1:] - starts
+    cum = np.cumsum(hist, axis=0, dtype=np.int32)
+    node_bin = node_bin.compress(new_bin)
+    bin_bits = shift - _CLASS_BITS
+    node = node_bin >> bin_bits
+    bin_ = node_bin & ((1 << bin_bits) - 1)
+    column = ranked.column.take(bin_)
     # a bin's running sums start at its (node, column) group's first bin
-    new_group = _changes(node * ranked.widths.size + column)
-    first = np.flatnonzero(new_group)
-    group = np.cumsum(new_group) - 1
-    cum = hist.cumsum(axis=0)
-    before = cum[first] - hist[first]
-    n_left = cum @ _ONES - (before @ _ONES)[group]
-    m = sizes[node]
+    new_group = _changes(node * n_features + column)
+    before = cum.take(np.flatnonzero(new_group), axis=0)
+    left = cum[1:] - before.take(np.cumsum(new_group) - 1, axis=0)
+    n_left = np.einsum("ij->i", left)
+    m = sizes.take(node)
     cut = np.flatnonzero((n_left >= min_leaf) & (n_left <= m - min_leaf))
     if cut.size == 0:
         return _NOTHING
-    n_left, cut_node = n_left[cut], node[cut]
-    left = cum[cut] - before[group[cut]]
-    right = counts[cut_node] - left
-    score = ((left * left) @ _ONES) / n_left + ((right * right) @ _ONES) / (m[cut] - n_left)
+    n_left, cut_node, left = n_left.take(cut), node.take(cut), left.take(cut, axis=0)
+    right = counts.take(cut_node, axis=0) - left
+    score = _squares(left) / n_left + _squares(right) / (m.take(cut) - n_left)
     new_node = _changes(cut_node)
     best = np.maximum.reduceat(score, np.flatnonzero(new_node))
     top = np.flatnonzero(score == best[np.cumsum(new_node) - 1])
@@ -489,6 +524,12 @@ def _search(
     # the next occupied bin of the node's column holds the upper value
     low, high = ranked.values[bin_[lo]], ranked.values[bin_[lo + 1]]
     return node[lo], column[lo], low + (high - low) / 2.0
+
+
+def _squares(counts: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, exact in int64: a count over 46,340
+    squares past int32."""
+    return np.einsum("ij,ij->i", counts, counts, dtype=np.int64)
 
 
 def _changes(a: np.ndarray, end: bool = False) -> np.ndarray:

@@ -68,14 +68,16 @@ def _grlex_sort_key(key: int) -> tuple[int, int]:
 class Polynomial:
     """Immutable sparse polynomial; the zero polynomial has no terms."""
 
-    # _unpacked holds ``resultants._unpacked(self)``, filled on first use
-    # and never changed after: a function of the terms, so the polynomial
-    # stays immutable in every way that equality and hashing can see
-    __slots__ = ("_terms", "_unpacked")
+    # _degrees (see ``degrees``) and _unpacked (``resultants._unpacked``)
+    # are filled on first use and never changed after: functions of the
+    # terms, so the polynomial stays immutable in every way that equality
+    # and hashing can see
+    __slots__ = ("_terms", "_degrees", "_unpacked")
 
     def __init__(self, terms: dict[int, int] | None = None):
         # Terms are adopted as-is; callers must not mutate them afterwards.
         self._terms = terms if terms is not None else {}
+        self._degrees = None
         self._unpacked = None
 
     # -- constructors ------------------------------------------------------
@@ -136,32 +138,28 @@ class Polynomial:
         return self._terms.get(0, 0)
 
     @property
+    def degrees(self) -> tuple[int, int, int, int]:
+        """The degrees in x1, x2 and x3, then the total degree; all 0 for
+        the zero polynomial.  Computed in one pass over the terms on first
+        use: the labellers ask each polynomial several times."""
+        if self._degrees is None:
+            exps = [kernels.unpack(k) for k in self._terms]
+            self._degrees = (*map(max, zip(*exps)), max(map(sum, exps))) if exps else (0, 0, 0, 0)
+        return self._degrees
+
+    @property
     def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(kernels.total_degree(k) for k in self._terms)
+        return self.degrees[3]
 
     def degree_in(self, v: Variable) -> int:
         """Largest exponent of v in any term; 0 for absent v or the zero poly."""
-        i = v.index - 1
-        deg = 0
-        for key in self._terms:
-            e = kernels.unpack(key)[i]
-            if e > deg:
-                deg = e
-        return deg
+        return self.degrees[v.index - 1]
 
     def contains(self, v: Variable) -> bool:
         return self.degree_in(v) > 0
 
     def variables(self) -> set[Variable]:
-        present = [False, False, False]
-        for key in self._terms:
-            e1, e2, e3 = kernels.unpack(key)
-            present[0] |= e1 > 0
-            present[1] |= e2 > 0
-            present[2] |= e3 > 0
-        return {VARIABLES[i] for i in range(3) if present[i]}
+        return {v for v, degree in zip(VARIABLES, self.degrees) if degree}
 
     def leading_key(self) -> int:
         if not self._terms:

@@ -71,15 +71,12 @@ def total_degree_bound(m: int, n: int, deg_p: int, deg_q: int) -> int:
     return n * deg_p + m * deg_q - m * n
 
 
-def _unpacked(p: Polynomial) -> tuple[list[tuple[tuple[int, int, int], int]], list[int]]:
-    """(exponents, coefficient) pairs of p, and the degree of p in x1, x2,
-    x3 followed by its total degree.  Computed once per polynomial and kept
-    on it: a polynomial of one projection level meets every other one in a
-    resultant."""
+def _unpacked(p: Polynomial) -> list[tuple[tuple[int, int, int], int]]:
+    """(exponents, coefficient) pairs of p.  Computed once per polynomial
+    and kept on it: a polynomial of one projection level meets every other
+    one in a resultant."""
     if p._unpacked is None:
-        exps = [kernels.unpack(k) for k in p.raw]
-        degrees = [*map(max, zip(*exps)), max(map(sum, exps))] if exps else [0, 0, 0, 0]
-        p._unpacked = list(zip(exps, p.raw.values())), degrees
+        p._unpacked = [(kernels.unpack(k), c) for k, c in p.raw.items()]
     return p._unpacked
 
 
@@ -148,8 +145,8 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     number of terms.  Requires deg_v(p), deg_v(q) >= 1."""
     iv = v.index - 1
     iu, iw = (i for i in range(3) if i != iv)
-    p_terms, p_deg = _unpacked(p)
-    q_terms, q_deg = _unpacked(q)
+    p_terms, p_deg = _unpacked(p), p.degrees
+    q_terms, q_deg = _unpacked(q), q.degrees
     m, n = p_deg[iv], q_deg[iv]
     if m < 1:
         raise DegreeError(f"degree of first operand in {v} is {m}, need >= 1")

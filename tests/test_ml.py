@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tree_reference
@@ -175,15 +175,20 @@ def test_tree_rejects_non_finite_features():
         RandomForestClassifier(n_trees=2).fit(X, np.array([0, 1, 1]))
 
 
-def test_rank_columns_bins_and_values():
+def test_rank_columns_bins_and_values(monkeypatch):
     X = np.array([[2.0, -0.0], [0.5, 7.0], [2.0, 0.0], [-1.0, 7.0]])
     ranked = rank_columns(X)
     assert ranked.widths.tolist() == [3, 2]
     assert ranked.column.tolist() == [0, 0, 0, 1, 1]
     assert ranked.values.tolist() == [-1.0, 0.5, 2.0, 0.0, 7.0]
-    bins = ranked.codes // N_CLASSES
+    assert ranked.codes.dtype == np.int32
+    bins = ranked.codes >> 3
     assert bins.tolist() == [[2, 3], [1, 4], [2, 3], [0, 4]]
     assert (ranked.values[bins] == X).all()
+    # more bins than a 31-bit cell key can hold are refused, not wrapped
+    monkeypatch.setattr(tree_module, "_MAX_BINS", 4)
+    with pytest.raises(ValueError, match="distinct values"):
+        rank_columns(X)
 
 
 # values that test ties and float corner cases: signed zeros, adjacent
@@ -212,7 +217,19 @@ def split_problems(draw):
     return base[rows], np.array(y, dtype=np.int64)
 
 
+def _big_node_problem():
+    """50,000 rows whose root keeps 48,020 rows of class 0 on one side of
+    its best split: that count squared overflows int32, and an int32 sum
+    of squares would split on column 1 instead."""
+    i = np.arange(50000)
+    X = np.stack([i < 1000, i % 2], axis=1).astype(np.float64)
+    y = (i < 1000).astype(np.int64)
+    y[::50] = 2
+    return X, y
+
+
 @settings(max_examples=300, deadline=None)
+@example(_big_node_problem(), 1, None, False, None, 1, 0)
 @given(
     split_problems(),
     st.integers(1, 5),
@@ -376,14 +393,29 @@ def test_chunking_leaves_forests_unchanged(monkeypatch, budget):
     rng = np.random.default_rng(37)
     X = rng.integers(0, 6, size=(180, 15)).astype(np.float64)
     y = (X[:, 0] * X[:, 1] + X[:, 2]).astype(np.int64) % N_CLASSES
-    forests = [
-        RandomForestClassifier(4, None, 1, "sqrt", True, 7),
-        RandomForestClassifier(4, 5, 3, None, True, 7),
-        DecisionTreeClassifier(None, 2),
+    # 66,000 distinct values leave a cell key 11 bits for its node, so a
+    # level of more than 2,048 nodes is searched in several chunks even
+    # at budget 2^62.  The popcounts of the Gray-coded ranks of column 0
+    # grow a bushy tree with such levels
+    wide_X = rng.random((33000, 2))
+    rank = wide_X[:, 0].argsort().argsort()
+    wide_y = np.array([bin(r ^ (r >> 1)).count("1") for r in rank.tolist()]) % N_CLASSES
+    fits = [
+        (RandomForestClassifier(4, None, 1, "sqrt", True, 7), X, y),
+        (RandomForestClassifier(4, 5, 3, None, True, 7), X, y),
+        (DecisionTreeClassifier(None, 2), X, y),
+        (DecisionTreeClassifier(), wide_X, wide_y),
     ]
-    expected = [json.dumps(model.fit(X, y).to_payload()) for model in forests]
+    expected = [json.dumps(model.fit(data, labels).to_payload()) for model, data, labels in fits]
+    wide = fits[-1][0].arrays
+    widest, frontier = 0, np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        frontier = frontier[wide.left[frontier] != frontier]
+        widest = max(widest, frontier.size)
+        frontier = np.concatenate([wide.left[frontier], wide.right[frontier]])
+    assert widest > 2048
     monkeypatch.setattr(tree_module, "_CHUNK_CELLS", budget)
-    assert [json.dumps(model.fit(X, y).to_payload()) for model in forests] == expected
+    assert [json.dumps(model.fit(data, labels).to_payload()) for model, data, labels in fits] == expected
     test_tree_view_is_pinned()
 
 
