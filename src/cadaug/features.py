@@ -14,8 +14,8 @@ an integer numerator and denominator, aggregated across polynomials over
 their lcm, and floats appear only at the end, one correctly rounded
 division per value.  The arrays are int64 while every numerator and
 denominator stays below 2^53; past that bound the same expressions run
-on Python ints.  The per-descriptor ``Fraction`` loop below is the
-reference the tests compare them with.
+on Python ints.  The tests check every value against a per-descriptor
+``Fraction`` loop, ``tests/feature_reference.py``.
 """
 
 from __future__ import annotations
@@ -169,54 +169,6 @@ class FeatureSchema:
 # -- evaluation -----------------------------------------------------------
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _exact_mean(values: Sequence):
-    total = sum(values)
-    n = len(values)
-    if isinstance(total, int):
-        q, r = divmod(total, n)
-        return q if r == 0 else Fraction(total, n)
-    out = total / n
-    return out.numerator if out.denominator == 1 else out
-
-
-def _aggregate(values: Sequence, op: str):
-    if op == "max":
-        return max(values)
-    if op == "sum":
-        return sum(values)
-    if op == "avg":
-        return _exact_mean(values)
-    if op != "avg_nonzero":
-        raise ValueError(f"unknown aggregation {op!r}")
-    # mean of the nonzero entries, 0 when there are none
-    nonzero = [v for v in values if v]
-    if not nonzero:
-        return 0
-    return _exact_mean(nonzero)
-
-
-def evaluate_descriptor(instance: ProblemInstance, d: Descriptor):
-    """The exact rational value of one descriptor on one instance."""
-    i = d.variable.index - 1
-    per_poly = []
-    for p in instance.sorted_polynomials:
-        values = []
-        for key in p.raw:
-            exps = kernels.unpack(key)
-            if d.base == "degree":
-                values.append(exps[i])
-            else:
-                values.append(exps[0] + exps[1] + exps[2] if exps[i] > 0 else 0)
-        inner = _aggregate(values, d.monomial_agg)
-        per_poly.append(_sign(inner) if d.sign_after_monomial else inner)
-    outer = _aggregate(per_poly, d.polynomial_agg)
-    return _sign(outer) if d.sign_after_polynomial else outer
-
-
 # every numerator and denominator of a feature stays below this, so each is
 # exact in int64 and in float64, and one division rounds the value correctly
 _EXACT_BOUND = 1 << 53
@@ -341,18 +293,6 @@ def featurize(instance: ProblemInstance, schema: FeatureSchema | None = None) ->
         schema = FeatureSchema.raw()
     num, den = _feature_pairs(instance, schema)
     return (num / den).tolist()
-
-
-# -- permutation action ---------------------------------------------------
-
-
-def permute_values(values: Sequence, sigma: Permutation, schema: FeatureSchema) -> list:
-    """Move the value at (shape, v) to (shape, sigma(v))."""
-    if len(values) != len(schema):
-        raise ValueError(
-            f"feature vector length {len(values)} does not match schema length {len(schema)}"
-        )
-    return [values[c] for c in schema.renamed_columns(sigma)]
 
 
 # -- essentially-distinct filter ------------------------------------------

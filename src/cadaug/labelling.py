@@ -14,26 +14,30 @@ each polynomial of the level as it is made, and computes each resultant
 or discriminant only when the walk reaches it.  ``mccallum_projection``
 is the set of what it yields.
 
-``sotd_scores`` scores all six orderings.  The two orderings that
-eliminate the same variable first share one first projection level, so
-an instance costs three first levels, not six.  ``synth`` needs all six
-scores to fabricate timings, and the tests use them as the oracle for
-the label.
+One driver, ``_scores``, walks the chains of all six orderings.  The two
+orderings that eliminate the same variable first share one first
+projection level, so an instance costs at most three first levels, not
+six.  ``sotd_scores`` runs it unpruned and returns all six scores:
+``synth`` needs them to fabricate timings, and the tests use them as the
+oracle for the label.
 
-``label_by_sotd`` needs only the argmin, and finds it by branch and bound
-(Land & Doig, 1960).  A chain's sotd is a sum of non-negative terms, one
-per distinct polynomial of each level, so a running sum kept while a
-level is read from the generator never falls.  An ordering is abandoned
-as soon as its running sum exceeds the best complete (score, index) so
-far, or equals that score with a higher index: it cannot win, and its
-remaining resultants are never computed.  A shared first level is
-abandoned only once both of its orderings are beaten.  First levels, and
-then the two second levels of each, are tried cheapest first, by an
-estimate from degrees alone (``_cost``), so that a low score is found
-early and bounds the rest; the label does not depend on this order,
-because orderings are compared on (score, index).  An ordering that is
-not abandoned runs every budget check that ``sotd_scores`` runs, so both
-give the same label and discard the same instances.
+``label_by_sotd`` needs only the argmin, and runs the same driver with
+branch and bound (Land & Doig, 1960).  A chain's sotd is a sum of
+non-negative terms, one per distinct polynomial of each level, so a
+running sum kept while a level is read from the generator never falls.
+An ordering is abandoned, and scores None, as soon as its running sum
+exceeds the best complete (score, index) so far, or equals that score
+with a higher index: it cannot win, and its remaining resultants are
+never computed.  So each score the pruned driver records is the best so
+far, and the lowest score, ties to the lowest index, is the label of
+``sotd_scores``.  A shared first level is abandoned only once both of
+its orderings are beaten.  First levels, and then the two second levels
+of each, are tried cheapest first, by an estimate from degrees alone
+(``_cost``), so that a low score is found early and bounds the rest;
+the label does not depend on this order, because orderings are
+compared on (score, index).  An ordering that is not abandoned runs
+every budget check of ``projection_chain``, so both labellers discard
+the same instances.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
 from cadaug import kernels
@@ -136,40 +139,24 @@ def read_timings_csv(path) -> dict[str, TimingRecord]:
     """Read `instance_id,ordering,seconds` rows (header required); seconds
     is a positive finite decimal or the literal TIMEOUT."""
     partial: dict[str, dict[int, Optional[float]]] = {}
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["instance_id", "ordering", "seconds"]:
-            raise ValueError(f"{path}: unexpected timings CSV header: {header}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: timings CSV line {line_no}: need 3 fields")
-            instance_id, ordering_text, seconds_text = parts
-            ordering = _parsed(int, ordering_text)
-            if ordering is None or not 0 <= ordering <= 5:
+    header = ["instance_id", "ordering", "seconds"]
+    for where, (instance_id, ordering_text, seconds_text) in _csv_rows(path, "timings", header):
+        ordering = _parsed(int, ordering_text)
+        if ordering is None or not 0 <= ordering <= 5:
+            raise ValueError(f"{where}: bad ordering {ordering_text!r}")
+        if seconds_text == "TIMEOUT":
+            seconds = None
+        else:
+            # nan would never lose a comparison and inf is no measurement
+            seconds = _parsed(float, seconds_text)
+            if seconds is None or not 0 < seconds < math.inf:
                 raise ValueError(
-                    f"{path}: timings CSV line {line_no}: bad ordering {ordering_text!r}"
+                    f"{where}: seconds {seconds_text!r} is not a positive finite number or TIMEOUT"
                 )
-            if seconds_text == "TIMEOUT":
-                seconds = None
-            else:
-                # nan would never lose a comparison and inf is no measurement
-                seconds = _parsed(float, seconds_text)
-                if seconds is None or not 0 < seconds < math.inf:
-                    raise ValueError(
-                        f"{path}: timings CSV line {line_no}: seconds {seconds_text!r} is not "
-                        "a positive finite number or TIMEOUT"
-                    )
-            bucket = partial.setdefault(instance_id, {})
-            if ordering in bucket:
-                raise ValueError(
-                    f"{path}: timings CSV line {line_no}: "
-                    f"duplicate ordering {ordering} for {instance_id}"
-                )
-            bucket[ordering] = seconds
+        bucket = partial.setdefault(instance_id, {})
+        if ordering in bucket:
+            raise ValueError(f"{where}: duplicate ordering {ordering} for {instance_id}")
+        bucket[ordering] = seconds
     records = {}
     for instance_id, bucket in partial.items():
         if sorted(bucket) != [0, 1, 2, 3, 4, 5]:
@@ -186,6 +173,25 @@ def _parsed(convert, text: str):
         return convert(text)
     except ValueError:
         return None
+
+
+def _csv_rows(path, kind: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """The fields of each non-blank line of a ``kind`` CSV file after its
+    header, with where the line is ("{path}: {kind} CSV line {n}").
+    Raises ValueError for a wrong header or a wrong number of fields."""
+    with open(path) as fh:
+        found = fh.readline().strip().split(",")
+        if found != header:
+            raise ValueError(f"{path}: unexpected {kind} CSV header: {found}")
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}: {kind} CSV line {line_no}"
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ValueError(f"{where}: need {len(header)} fields")
+            yield where, fields
 
 
 def write_timings_csv(records: Iterable[TimingRecord], path):
@@ -211,24 +217,13 @@ def write_labels_csv(labelled: Iterable[tuple[str, int]], path):
 def read_labels_csv(path) -> dict[str, int]:
     """Read a file written by `write_labels_csv`: instance id -> label 0..5."""
     labels: dict[str, int] = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "instance_id,label":
-            raise ValueError(f"{path}: unexpected labels CSV header: {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: labels CSV line {line_no}: need 2 fields")
-            instance_id, label_text = parts
-            label = _parsed(int, label_text)
-            if label is None or not 0 <= label <= 5:
-                raise ValueError(f"{path}: labels CSV line {line_no}: bad label {label_text!r}")
-            if instance_id in labels:
-                raise ValueError(f"{path}: labels CSV line {line_no}: duplicate id {instance_id}")
-            labels[instance_id] = label
+    for where, (instance_id, label_text) in _csv_rows(path, "labels", ["instance_id", "label"]):
+        label = _parsed(int, label_text)
+        if label is None or not 0 <= label <= 5:
+            raise ValueError(f"{where}: bad label {label_text!r}")
+        if instance_id in labels:
+            raise ValueError(f"{where}: duplicate id {instance_id}")
+        labels[instance_id] = label
     return labels
 
 
@@ -332,26 +327,17 @@ def _input_level(polys: PolySet, budget: ProjectionBudget) -> AbstractSet[Polyno
     return level
 
 
-def _projected(
-    level: AbstractSet[Polynomial], v: Variable, budget: ProjectionBudget
-) -> set[Polynomial]:
-    """The next level of a chain: ``level`` with v eliminated, checked
-    against the budget."""
-    out = mccallum_projection(level, v, budget)
-    _check_budget(out, budget)
-    return out
-
-
 def projection_chain(
     polys: PolySet, ordering: Ordering, budget: ProjectionBudget = DEFAULT_BUDGET
 ) -> list[AbstractSet[Polynomial]]:
     """Levels [input, after eliminating the greatest variable, after also
     eliminating the middle variable].  Raises BudgetExceededError when a
     level overruns the budget."""
-    greatest, middle, _ = ordering.triple
-    level3 = _input_level(polys, budget)
-    level2 = _projected(level3, greatest, budget)
-    return [level3, level2, _projected(level2, middle, budget)]
+    chain = [_input_level(polys, budget)]
+    for v in ordering.triple[:2]:
+        chain.append(mccallum_projection(chain[-1], v, budget))
+        _check_budget(chain[-1], budget)
+    return chain
 
 
 def sotd(chain: Iterable[Iterable[Polynomial]]) -> int:
@@ -362,31 +348,6 @@ def sotd(chain: Iterable[Iterable[Polynomial]]) -> int:
             for key in p.raw:
                 total += kernels.total_degree(key)
     return total
-
-
-def sotd_scores(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> list[Optional[int]]:
-    """Per-ordering sotd of ``projection_chain``, or None where the chain
-    overran the budget.  The two orderings that eliminate the same variable
-    first share one first projection level, computed once."""
-    scores: list[Optional[int]] = [None] * len(ORDERINGS)
-    try:
-        level3 = _input_level(polys, budget)
-    except BudgetExceededError:
-        return scores
-    for greatest in VARIABLES:
-        try:
-            level2 = _projected(level3, greatest, budget)
-        except BudgetExceededError:
-            continue  # both orderings that eliminate it first score None
-        shared = sotd([level3, level2])
-        for ordering in ORDERINGS:
-            first, middle, _ = ordering.triple
-            if first == greatest:
-                try:
-                    scores[ordering.index] = shared + sotd([_projected(level2, middle, budget)])
-                except BudgetExceededError:
-                    pass
-    return scores
 
 
 def _cost(level: Iterable[Polynomial], v: Variable) -> int:
@@ -412,7 +373,7 @@ def _bounded_level(
     the new level overruns the budget, or as soon as the running total
     shows that ordering ``index`` cannot beat ``best``, the lowest
     complete (score, index) so far: a sotd only grows as a chain gains
-    polynomials."""
+    polynomials.  With ``best`` (inf, 0), nothing is abandoned."""
     if (total, index) > best:
         return None
     out: set[Polynomial] = set()
@@ -434,15 +395,16 @@ def _bounded_level(
     return out, total
 
 
-def label_by_sotd(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> Optional[Ordering]:
-    """Argmin-sotd ordering, ties to the lowest index; None (discard) when
-    every ordering exceeded the budget.  The label of ``sotd_scores``,
-    found without scoring the orderings that cannot win (branch and
-    bound, see the module docstring)."""
+def _scores(polys: PolySet, budget: ProjectionBudget, prune: bool) -> list[Optional[int]]:
+    """Per-ordering sotd of ``projection_chain``, None where the chain
+    overran the budget.  With ``prune``, an ordering that cannot beat the
+    lowest complete (score, index) so far is abandoned and scores None, so
+    each score recorded is the best so far (see the module docstring)."""
+    scores: list[Optional[int]] = [None] * len(ORDERINGS)
     try:
         level3 = _input_level(polys, budget)
     except BudgetExceededError:
-        return None
+        return scores
     base = sotd([level3])
     best: tuple[float, int] = (math.inf, 0)  # no complete score yet: nothing is beaten
     for first in sorted(VARIABLES, key=lambda v: _cost(level3, v)):
@@ -451,10 +413,25 @@ def label_by_sotd(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> 
         # and the lower-index one is beaten first
         shared = _bounded_level(level3, first, budget, base, pair[0].index, best)
         if shared is None:
-            continue
+            continue  # both orderings that eliminate it first score None
         level2, total = shared
         for ordering in sorted(pair, key=lambda o: _cost(level2, o.triple[1])):
             scored = _bounded_level(level2, ordering.triple[1], budget, total, ordering.index, best)
             if scored is not None:
-                best = (scored[1], ordering.index)
-    return None if best[0] == math.inf else ORDERINGS[best[1]]
+                scores[ordering.index] = scored[1]
+                if prune:
+                    best = (scored[1], ordering.index)
+    return scores
+
+
+def sotd_scores(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> list[Optional[int]]:
+    """Per-ordering sotd of ``projection_chain``, or None where the chain
+    overran the budget."""
+    return _scores(polys, budget, prune=False)
+
+
+def label_by_sotd(polys: PolySet, budget: ProjectionBudget = DEFAULT_BUDGET) -> Optional[Ordering]:
+    """Argmin-sotd ordering, ties to the lowest index; None (discard) when
+    every ordering exceeded the budget.  The label of ``sotd_scores``,
+    found without scoring the orderings that cannot win."""
+    return _lowest(_scores(polys, budget, prune=True))

@@ -428,7 +428,8 @@ def _compile_formula(
             pairs = [(i, i + 1) for i in range(len(args) - 1)]
         relations.append(partial(_atoms, args, pairs))
     elif head == "let":
-        _compile_formula(form[2], _let_env(form, env, variables, True), variables, used, relations)
+        let_env = _let_env(form, env, variables, True)  # checks the let's shape first
+        _compile_formula(form[2], let_env, variables, used, relations)
     elif head in ("forall", "exists"):
         raise UnsupportedConstructError(f"quantifier '{head}' is not supported", *_loc(form))
     else:
@@ -482,7 +483,8 @@ def _compile_term(form: Form, env: _Env, variables: _Variables, used: dict[str, 
             args.append(_compile_term(sub, env, variables, used))
         return partial(_apply, head, args, form[1:])
     if head == "let":
-        return _compile_term(form[2], _let_env(form, env, variables, False), variables, used)
+        let_env = _let_env(form, env, variables, False)  # checks the let's shape first
+        return _compile_term(form[2], let_env, variables, used)
     raise UnsupportedConstructError(f"unsupported function '{head}'", *_loc(form))
 
 

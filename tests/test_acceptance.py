@@ -8,8 +8,8 @@ stated tolerance is an exact comparison.
 
 The experiment check (criterion 7) runs the full pipeline once on a
 450-instance synthetic corpus with frozen seeds; it is the slow test in
-this file (a few minutes) and its fixture is module-scoped so the run
-happens only once.
+this file (about 20 s on a 2-vCPU host) and its fixture is module-scoped
+so the run happens only once.
 """
 
 import json
@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from feature_reference import evaluate_descriptor, permute_values
 from cadaug.augment import augment_full, balance, permute_ordering_label
 from cadaug.cli import EXIT_OK, main
 from cadaug.dataset import Dataset
@@ -27,10 +28,8 @@ from cadaug.features import (
     Descriptor,
     FeatureSchema,
     all_shapes,
-    evaluate_descriptor,
     featurize_exact,
     fit_distinct_filter,
-    permute_values,
 )
 from cadaug.labelling import (
     ORDERINGS,

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from feature_reference import permute_values
 from cadaug.augment import augment_full, balance, permute_ordering_label, split
 from cadaug.dataset import Dataset, load_dataset, save_dataset
-from cadaug.features import FeatureSchema, featurize, permute_values
+from cadaug.features import FeatureSchema, featurize
 from cadaug.labelling import Ordering, label_by_sotd, sotd_scores
 from cadaug.poly import Polynomial, X1, X2, X3, VARIABLES
 from cadaug.smtlib import ProblemInstance

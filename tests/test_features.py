@@ -10,18 +10,15 @@ from hypothesis import strategies as st
 
 import distinct_reference
 import writer_reference
+from feature_reference import evaluate_descriptor, permute_values
 from cadaug import features, kernels
 from cadaug.features import (
-    AGGREGATIONS,
-    BASES,
     Descriptor,
     FeatureSchema,
     all_shapes,
-    evaluate_descriptor,
     featurize,
     featurize_exact,
     fit_distinct_filter,
-    permute_values,
     read_features_csv,
     write_features_csv,
 )

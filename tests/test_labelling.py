@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -144,7 +145,7 @@ def test_timings_csv_duplicate(tmp_path):
 def test_timings_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,ord,sec\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unexpected timings CSV header")):
         read_timings_csv(path)
 
 
@@ -185,7 +186,7 @@ def test_labels_csv_rejects_bad_lines(tmp_path, row):
 def test_labels_csv_bad_header(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("id,label\na,1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unexpected labels CSV header")):
         read_labels_csv(path)
 
 # -- projection -----------------------------------------------------------
@@ -307,18 +308,26 @@ def test_sotd_scores_share_first_levels_and_match_each_chain(tmp_path, monkeypat
     # the first 20 instances of the acceptance corpus: each score is the
     # sotd of that ordering's own chain, or None where the chain overruns,
     # from three first projection levels and six second ones
-    calls = []
+    walks = []
+    projection = labelling._projection
 
-    def counting_projection(polys, v, budget=labelling.DEFAULT_BUDGET):
-        calls.append(v)
-        return mccallum_projection(polys, v, budget)
+    def counting_projection(polys, v, budget):
+        walks.append(polys)
+        return projection(polys, v, budget)
 
     for inst in synthesize_corpus(tmp_path, 20, seed=20240817):
-        monkeypatch.setattr(labelling, "mccallum_projection", counting_projection)
-        calls.clear()
+        monkeypatch.setattr(labelling, "_projection", counting_projection)
+        walks.clear()
         scores = sotd_scores(inst)
-        assert len(calls) <= 9
         monkeypatch.undo()
+        assert len(walks) <= 9
+        try:
+            labelling._check_budget(inst.polynomials, labelling.DEFAULT_BUDGET)
+        except BudgetExceededError:
+            assert walks == []
+        else:
+            # a first level walks the input set itself; a second level, a new set
+            assert sum(polys is inst.polynomials for polys in walks) == 3
         for ordering in ORDERINGS:
             try:
                 expect = sotd(projection_chain(inst, ordering))

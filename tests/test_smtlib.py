@@ -192,6 +192,15 @@ def test_dead_let_binding_does_not_count_usage():
     assert "w" not in dict(inst.variable_map)
 
 
+@pytest.mark.parametrize("let", ["(let)", "(let ())", "(let ((t x)))"])
+def test_let_without_a_body_is_a_parse_error(let):
+    # the let's shape is checked before its body is read, in formula and
+    # in term position alike; an unchecked read raised IndexError
+    for asserted in (let, f"(> {let} 0)"):
+        with pytest.raises(ParseError, match="malformed let"):
+            parse_script(DECLS + f"(assert {asserted})")
+
+
 def test_let_bound_boolean_rejected():
     script = DECLS + "(assert (let ((b (> x 0))) (and b (> (+ y z) 0))))"
     with pytest.raises(UnsupportedConstructError):
