@@ -6,6 +6,7 @@ from .knn import KNNClassifier
 from .scaling import Standardizer, standardize_fit
 from .selection import (
     CVPlan,
+    CrossValidation,
     DEFAULT_GRIDS,
     DegenerateDataError,
     MODEL_KINDS,
@@ -17,6 +18,7 @@ from .tree import DecisionTreeClassifier, N_CLASSES
 
 __all__ = [
     "CVPlan",
+    "CrossValidation",
     "DEFAULT_GRIDS",
     "DecisionTreeClassifier",
     "DegenerateDataError",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -22,6 +23,7 @@ __all__ = [
     "DEFAULT_GRIDS",
     "DegenerateDataError",
     "CVPlan",
+    "CrossValidation",
     "TrainedModel",
     "train",
     "accuracy",
@@ -179,62 +181,100 @@ class TrainedModel:
 _GROWTH_ROWS = 1 << 16
 
 
-def _fold_predictions(
-    kind: str,
-    grid: Sequence[Mapping[str, Any]],
-    X: np.ndarray,
-    y: np.ndarray,
-    folds: Sequence[np.ndarray],
-    seed: int,
-) -> list[list[np.ndarray]]:
-    """Test predictions of every grid point on every fold, one fit per
-    fold and group.
+class CrossValidation:
+    """The k-fold cross-validation of one ``train`` call.
 
-    Grid points that differ only in the kind's bounded hyperparameter
-    (the ``bounded`` attribute of its classifier) form a group, keyed by
+    The rows of ``dataset`` are dealt into ``plan.folds`` folds by a
+    generator on ``derive_seed(plan.seed, "cv-folds")``.  Grid points
+    that differ only in the kind's bounded hyperparameter (the
+    ``bounded`` attribute of its classifier) form a group, keyed by
     ``rest``, the repr of their other parameters, sorted.  On fold ``fi``,
     each group fits one model at its largest bound (an unbounded depth,
-    ``None``, is the largest) on the rows of ``(X, y)`` outside the fold,
-    with seed ``derive_seed(seed, f"{kind}:{rest}:{fi}")``, which only rf
-    uses, and ``predict_bounded`` scores every bound of the group on the
-    fold from that model alone: knn votes over a prefix of one neighbour
-    order, and trees are cut at each depth, a cut node predicting the
-    majority recorded when it was grown.  That equals fitting each point
-    alone with the same seed.
+    ``None``, is the largest) on the rows outside the fold, with seed
+    ``derive_seed(plan.seed, f"{kind}:{rest}:{fi}")``, which only rf uses.
 
-    The work runs group by group.  A dt or rf group grows the trees of
-    consecutive folds' models with one ``tree.grow`` call
-    (``SharedGrowth``), on roots that index ``X`` itself, while their
-    root rows together stay within ``_GROWTH_ROWS``; a split depends only
-    on the rows in its node, so each tree equals the tree its model grows
-    alone.  Each model is still fitted through its own ``fit``, and the
-    growth is released once its folds are predicted.
+    The fold models are planned in batches as ``predictions`` fits them
+    (see ``_fold_models``), so one batch's trees are held at a time.
+    ``growths`` plans every batch at once instead, so that their growths
+    can start elsewhere (``SharedGrowth.start``) before the first fit.
     """
-    bounded = CLASSIFIERS[kind].bounded
-    points = []
-    groups: dict[str, tuple[dict[str, Any], list[Any]]] = {}
-    for params in grid:
-        others = {name: value for name, value in params.items() if name != bounded}
-        rest = repr(tuple(sorted(others.items())))
-        bound = params.get(bounded)
-        bounds = groups.setdefault(rest, (others, []))[1]
-        if bound not in bounds:
-            bounds.append(bound)
-        points.append((rest, bound))
-    fit_rows = []
-    for fold in folds:
-        mask = np.ones(len(y), dtype=bool)
-        mask[fold] = False
-        fit_rows.append(np.flatnonzero(mask))
-    predictions: dict[tuple[str, Any, int], np.ndarray] = {}
-    for rest, (others, bounds) in groups.items():
-        largest = None if None in bounds else max(bounds)
-        params = {**others, bounded: largest}
-        for fi, model, hook in _fold_models(kind, params, rest, seed, X, y, fit_rows):
-            model.fit(X[fit_rows[fi]], y[fit_rows[fi]], **hook)
-            for bound, predicted in zip(bounds, model.predict_bounded(X[folds[fi]], bounds)):
-                predictions[rest, bound, fi] = predicted
-    return [[predictions[rest, bound, fi] for fi in range(len(folds))] for rest, bound in points]
+
+    def __init__(self, kind: str, dataset: Dataset, plan: CVPlan) -> None:
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind: {kind!r}")
+        X, y = dataset.X, dataset.y
+        n = len(y)
+        if n < plan.folds:
+            raise DegenerateDataError(f"{n} rows cannot fill {plan.folds} folds")
+        if np.unique(y).size < 2:
+            raise DegenerateDataError("training data has fewer than two classes")
+        self.grid = list(plan.grids[kind])
+        order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(n)
+        self.folds = np.array_split(order, plan.folds)
+        bounded = CLASSIFIERS[kind].bounded
+        self._points: list[tuple[str, Any]] = []
+        groups: dict[str, tuple[dict[str, Any], list[Any]]] = {}
+        for params in self.grid:
+            others = {name: value for name, value in params.items() if name != bounded}
+            rest = repr(tuple(sorted(others.items())))
+            bound = params.get(bounded)
+            bounds = groups.setdefault(rest, (others, []))[1]
+            if bound not in bounds:
+                bounds.append(bound)
+            self._points.append((rest, bound))
+        self._fit_rows = []
+        for fold in self.folds:
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            self._fit_rows.append(np.flatnonzero(mask))
+        self._X, self._y = X, y
+        self._batches = (
+            (rest, bounds, batch)
+            for rest, (others, bounds) in groups.items()
+            for batch in _fold_models(
+                kind,
+                {**others, bounded: None if None in bounds else max(bounds)},
+                rest,
+                plan.seed,
+                X,
+                y,
+                self._fit_rows,
+            )
+        )
+
+    def growths(self) -> list[SharedGrowth]:
+        """Plan every batch of fold models now; their growths, in the
+        order ``predictions`` asks for their trees."""
+        batches = deque(self._batches)
+        self._batches = _drain(batches)
+        return [growth for _, _, (growth, _) in batches if growth is not None]
+
+    def predictions(self) -> list[list[np.ndarray]]:
+        """Test predictions of every grid point on every fold.
+
+        Each group's fold models are fitted through their own ``fit``,
+        and ``predict_bounded`` scores every bound of the group on the
+        fold from that model alone: knn votes over a prefix of one
+        neighbour order, and trees are cut at each depth, a cut node
+        predicting the majority recorded when it was grown.  That equals
+        fitting each point alone with the same seed.  A batch's growth is
+        released once its folds are predicted.
+        """
+        X, y, fit_rows = self._X, self._y, self._fit_rows
+        predictions: dict[tuple[str, Any, int], np.ndarray] = {}
+        for rest, bounds, (_, batch) in self._batches:
+            for fi, model, hook in batch:
+                model.fit(X[fit_rows[fi]], y[fit_rows[fi]], **hook)
+                for bound, predicted in zip(bounds, model.predict_bounded(X[self.folds[fi]], bounds)):
+                    predictions[rest, bound, fi] = predicted
+        n_folds = len(self.folds)
+        return [[predictions[rest, bound, fi] for fi in range(n_folds)] for rest, bound in self._points]
+
+
+def _drain(queue: deque) -> Iterator:
+    """The items of ``queue``, each removed as it is yielded."""
+    while queue:
+        yield queue.popleft()
 
 
 def _fold_models(
@@ -245,31 +285,38 @@ def _fold_models(
     X: np.ndarray,
     y: np.ndarray,
     fit_rows: list[np.ndarray],
-) -> Iterator[tuple[int, Any, dict[str, Any]]]:
-    """Each fold's unfitted model of one grid group, with the keywords its
-    ``fit`` takes, fold by fold.
+) -> Iterator[tuple[SharedGrowth | None, list[tuple[int, Any, dict[str, Any]]]]]:
+    """Each fold's unfitted model of one grid group, with the keywords
+    its ``fit`` takes, in batches, each with the growth its trees share
+    (None for knn, which grows no trees).
 
-    The trees of consecutive folds' models share one growth while their
-    root rows together stay within ``_GROWTH_ROWS``: a batch is yielded
-    when the next fold's roots, drawn already, would overflow it.
+    A dt or rf batch takes consecutive folds whose trees grow with one
+    ``tree.grow`` call (``SharedGrowth``), on roots that index ``X``
+    itself, while their root rows together stay within ``_GROWTH_ROWS``:
+    a batch is yielded when the next fold's roots, drawn already, would
+    overflow it.  A split depends only on the rows in its node, so each
+    tree equals the tree its model grows alone.  A knn batch is one fold.
     """
     batch: list[tuple[int, Any, dict[str, Any]]] = []
     growth, batch_rows = SharedGrowth(X, y), 0
     for fi, rows in enumerate(fit_rows):
         model = _make_classifier(kind, params, derive_seed(seed, f"{kind}:{rest}:{fi}"))
         if not hasattr(model, "growth"):  # knn grows no trees
-            yield fi, model, {}
+            yield None, [(fi, model, {})]
             continue
         trees = model.growth(rows, X.shape[1])
         if batch and batch_rows + trees.rows > _GROWTH_ROWS:
-            yield from batch
+            yield growth, batch
             batch, growth, batch_rows = [], SharedGrowth(X, y), 0
         batch.append((fi, model, {"grown": growth.add(trees)}))
         batch_rows += trees.rows
-    yield from batch
+    if batch:
+        yield growth, batch
 
 
-def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
+def train(
+    kind: str, dataset: Dataset, plan: CVPlan, cv: CrossValidation | None = None
+) -> TrainedModel:
     """Select hyperparameters by k-fold CV and refit on the full dataset.
 
     The grid point with the best mean fold accuracy wins; ties go to the
@@ -278,29 +325,25 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
     one fit at their largest value, and every value is scored from it:
     the trees are cut at each depth, and knn votes over a prefix of one
     neighbour order, and the trees of a group's folds are grown together
-    (see ``_fold_predictions``).  The results equal fitting each point
+    (see ``CrossValidation``).  The results equal fitting each point
     on its own.  The winner is refitted on all rows,
     an rf winner with seed ``derive_seed(plan.seed, "rf:final")``.
+
+    ``cv`` is ``CrossValidation(kind, dataset, plan)`` when it was planned
+    ahead, so that its growths could start elsewhere; by default it is
+    planned here, and its trees grow in this process.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {kind!r}")
+    if cv is None:
+        cv = CrossValidation(kind, dataset, plan)
     X, y = dataset.X, dataset.y
-    n = len(y)
-    if n < plan.folds:
-        raise DegenerateDataError(f"{n} rows cannot fill {plan.folds} folds")
-    if np.unique(y).size < 2:
-        raise DegenerateDataError("training data has fewer than two classes")
-    grid = list(plan.grids[kind])
-    order = np.random.default_rng(derive_seed(plan.seed, "cv-folds")).permutation(n)
-    folds = np.array_split(order, plan.folds)
     fold_accuracies = [
-        [float((predicted == y[fold]).mean()) for predicted, fold in zip(point, folds)]
-        for point in _fold_predictions(kind, grid, X, y, folds, plan.seed)
+        [float((predicted == y[fold]).mean()) for predicted, fold in zip(point, cv.folds)]
+        for point in cv.predictions()
     ]
     results: list[dict[str, Any]] = []
     best_index = 0
     best_mean = -1.0
-    for gi, (params, accuracies) in enumerate(zip(grid, fold_accuracies)):
+    for gi, (params, accuracies) in enumerate(zip(cv.grid, fold_accuracies)):
         mean = sum(accuracies) / len(accuracies)
         results.append(
             {
@@ -312,7 +355,7 @@ def train(kind: str, dataset: Dataset, plan: CVPlan) -> TrainedModel:
         if mean > best_mean:
             best_mean = mean
             best_index = gi
-    winner = dict(grid[best_index])
+    winner = dict(cv.grid[best_index])
     final = _make_classifier(kind, winner, derive_seed(plan.seed, f"{kind}:final"))
     final.fit(X, y)
     return TrainedModel(kind, winner, final, results)

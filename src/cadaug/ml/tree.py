@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -355,13 +355,14 @@ def grow(
 
 class SharedGrowth:
     """The trees of one or more fits on rows of one ``X``, grown together
-    (``grow``) on the first request for any of them.
+    (``grow``) on the first request for any of them, or elsewhere once
+    ``start`` is called.
 
     Each fit adds its ``Growth``, and each of its trees is still fitted
     through ``DecisionTreeClassifier.fit``, which asks for its tree here:
-    the growth runs inside the first tree fit, and each fit returns its
-    own tree.  The benchmark's tracer times and counts trees at that
-    method.
+    the growth runs inside the first tree fit, or that fit waits for the
+    started growth, and each fit returns its own tree.  The benchmark's
+    tracer times and counts trees at that method.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -370,6 +371,7 @@ class SharedGrowth:
         self._seeds: list[int | None] = []
         self._params: tuple | None = None
         self._trees: list[TreeArrays] | None = None
+        self._future = None
 
     def add(self, growth: Growth) -> Callable[..., TreeArrays]:
         """Take on ``growth``'s trees; returns ``grown``, where
@@ -383,9 +385,19 @@ class SharedGrowth:
         self._seeds += growth.seeds
         return partial(self._tree, first)
 
+    def start(self, submit: Callable[..., Any]) -> None:
+        """Grow the trees elsewhere, starting now: ``submit(samples,
+        seeds, params)`` returns a future of what ``grow`` returns for
+        them on this growth's ``X`` and ``y``.  No growth may be added
+        after this."""
+        self._future = submit(self._samples, self._seeds, self._params)
+
     def _tree(self, first: int, i: int = 0) -> TreeArrays:
         if self._trees is None:
-            self._trees = grow(self._X, self._y, self._samples, self._seeds, *self._params)
+            if self._future is None:
+                self._trees = grow(self._X, self._y, self._samples, self._seeds, *self._params)
+            else:
+                self._trees, self._future = self._future.result(), None
         return self._trees[first + i]
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from . import report
 from .augment import augment_full, balance, split
@@ -39,9 +39,10 @@ from .labelling import (
     read_timings_csv,
     write_labels_csv,
 )
-from .ml import CVPlan, DEFAULT_GRIDS, MODEL_KINDS, RandomBaseline
+from .ml import CVPlan, CrossValidation, DEFAULT_GRIDS, MODEL_KINDS, RandomBaseline
 from .ml import accuracy as model_accuracy
 from .ml import train as train_model
+from .ml import workers
 from .report import ResultMatrix, improvement_summary
 from .seeding import derive_seed
 from .smtlib import ProblemInstance, ingest_directory, write_instances_jsonl
@@ -82,6 +83,9 @@ class ExperimentConfig:
     grids: Mapping[str, Sequence[Mapping[str, Any]]] = field(
         default_factory=lambda: DEFAULT_GRIDS
     )
+    # worker processes that grow trees; 1 runs everything in this process,
+    # and no job count changes an output
+    jobs: int = field(default_factory=workers.default_jobs)
 
     def __post_init__(self):
         if self.labeller not in LABELLERS:
@@ -99,6 +103,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model kind {kind!r}")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         CVPlan(folds=self.cv_folds, grids=self.grids)  # fail on a bad grid before labelling
 
 
@@ -203,23 +209,72 @@ def _datasets(
     return datasets
 
 
+@contextmanager
+def _growths_started(
+    config: ExperimentConfig,
+    pairs: Sequence[tuple[str, str, CVPlan]],
+    datasets: Mapping[tuple[str, str], Dataset],
+) -> Iterator[dict[tuple[str, str], CrossValidation]]:
+    """Each (kind, trained_on) pair's cross-validation, planned ahead,
+    with every tree growth started on worker processes in the order the
+    pairs consume them; nothing with one job or without ``fork``, and
+    ``train_model`` then plans and grows in process.
+
+    Planning stops at the first pair that cannot be planned, which
+    ``train_model`` fails on again in its turn.
+    """
+    if config.jobs == 1 or not workers.can_fork():
+        yield {}
+        return
+    planned = {}
+    growths = []
+    for kind, trained_on, plan in pairs:
+        try:
+            cv = CrossValidation(kind, datasets[(trained_on, "train")], plan)
+        except ValueError:
+            break
+        planned[kind, trained_on] = cv
+        index = PROVENANCES.index(trained_on)
+        growths += [(index, growth) for growth in cv.growths()]
+    training = [(datasets[(on, "train")].X, datasets[(on, "train")].y) for on in PROVENANCES]
+    with workers.growth_pool(min(config.jobs, max(1, len(growths))), training) as submit:
+        for index, growth in growths:
+            growth.start(submit[index])
+        del growths  # each growth's trees go once their fold models are predicted
+        yield planned
+
+
 def _train_and_evaluate(
     config: ExperimentConfig, out: Path, datasets: Mapping[tuple[str, str], Dataset]
 ) -> tuple[dict[tuple[str, str, str], float], dict[str, float]]:
     """Every model's accuracy by (model, trained_on, tested_on), and the
-    uniform-random baseline's by tested_on; models are saved under models/."""
+    uniform-random baseline's by tested_on; models are saved under models/.
+
+    Trees grow on ``config.jobs`` worker processes (``_growths_started``);
+    the models are still fitted, saved and scored here, one at a time.
+    """
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
     accuracy: dict[tuple[str, str, str], float] = {}
-    for kind in config.models:
-        for trained_on in PROVENANCES:
-            plan = CVPlan(
+    pairs = [
+        (
+            kind,
+            trained_on,
+            CVPlan(
                 folds=config.cv_folds,
                 grids=config.grids,
                 seed=derive_seed(config.seed, f"train:{kind}:{trained_on}"),
-            )
+            ),
+        )
+        for kind in config.models
+        for trained_on in PROVENANCES
+    ]
+    with _growths_started(config, pairs, datasets) as planned:
+        for kind, trained_on, plan in pairs:
             with _stage("train", f"{kind} on {trained_on}: "):
-                model = train_model(kind, datasets[(trained_on, "train")], plan)
+                model = train_model(
+                    kind, datasets[(trained_on, "train")], plan, planned.get((kind, trained_on))
+                )
             model.save(model_dir / f"{kind}_{trained_on}.json")
             for tested_on in PROVENANCES:
                 accuracy[(kind, trained_on, tested_on)] = model_accuracy(

@@ -17,6 +17,7 @@ from cadaug.features import FeatureSchema, all_shapes
 from cadaug.ml import (
     N_CLASSES,
     CVPlan,
+    CrossValidation,
     DEFAULT_GRIDS,
     DecisionTreeClassifier,
     DegenerateDataError,
@@ -825,6 +826,42 @@ def test_cv_results_do_not_depend_on_the_growth_row_budget(monkeypatch, kind):
         assert len(growths) == (4 * groups if budget == 0 else groups) + 1
     assert runs[0] == runs[1]
     assert len({r["mean_accuracy"] for r in runs[0][0]}) > 1
+
+
+class _Grown:
+    """A future whose result is already there."""
+
+    def __init__(self, trees):
+        self._trees = trees
+
+    def result(self):
+        return self._trees
+
+
+@pytest.mark.parametrize("kind, started", [("dt", [4, 4]), ("rf", [12] * 4)])
+def test_cv_growths_started_ahead_give_the_lazy_cv(monkeypatch, kind, started):
+    # the pipeline plans each training's growths ahead and starts them on
+    # worker processes; here they are grown at submit, in process
+    dataset = _cv_problem()
+    plan = CVPlan(folds=4, grids=CV_GRIDS, seed=5)
+    grow = tree_module.grow
+    submitted = []
+
+    def submit(samples, seeds, params):
+        submitted.append(len(samples))
+        return _Grown(grow(dataset.X, dataset.y, samples, seeds, *params))
+
+    cv = CrossValidation(kind, dataset, plan)
+    for growth in cv.growths():
+        growth.start(submit)
+    assert submitted == started
+    growths = _count_growths(monkeypatch)
+    ahead = train(kind, dataset, plan, cv)
+    assert growths == [1 if kind == "dt" else 3]  # only the final refit grows here
+    lazy = train(kind, dataset, plan)
+    assert ahead.cv_results == lazy.cv_results
+    assert ahead.hyperparameters == lazy.hyperparameters
+    assert ahead.classifier.to_payload() == lazy.classifier.to_payload()
 
 
 def test_cv_grows_each_grid_group_once(monkeypatch):

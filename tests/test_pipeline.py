@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from cadaug.dataset import PROVENANCES
 from cadaug.features import FeatureSchema
 from cadaug.labelling import write_timings_csv
+from cadaug.ml import tree
 from cadaug.pipeline import ExperimentConfig, PipelineError, run_pipeline
 from cadaug.report import ResultMatrix, improvement_summary, render_matrix_csv
 from cadaug.synth import synthesize_corpus, timings_from_sotd
@@ -149,6 +151,66 @@ def test_artifacts_match_pinned_digests(corpus, tmp_path):
     assert digests == PINNED_DIGESTS
 
 
+def _files(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_outputs_do_not_depend_on_the_job_count(tmp_path):
+    # with the default grids, the pool gets 16 growths here: one per dt
+    # group and training set, and on the augmented set each 100-tree
+    # forest group grows its five folds as batches of 2, 2 and 1
+    synthesize_corpus(tmp_path / "corpus", 60, seed=7)
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        run_pipeline(
+            ExperimentConfig(tmp_path / "corpus", out, seed=7, balance_mode="exact", jobs=jobs)
+        )
+        outputs.append(_files(out))
+    names = set(outputs[0])
+    assert {"labels.csv", "schema.json", "matrix.json", "matrix.csv", "report.md"} <= names
+    assert len([name for name in names if name.startswith("models/")]) == 9
+    assert len([name for name in names if name.endswith(".csv")]) == 6 + 2
+    assert outputs[0] == outputs[1]
+
+
+def test_a_pooled_run_leaves_no_worker_running(corpus, tmp_path):
+    root, _ = corpus
+    run_pipeline(small_config(root, tmp_path / "out", jobs=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_growth_failing_in_a_worker_fails_the_train_stage(corpus, tmp_path, monkeypatch):
+    root, _ = corpus
+    growers = tmp_path / "growers"
+    growers.mkdir()
+
+    def failing(*args, **kwargs):
+        (growers / str(os.getpid())).touch()
+        raise ValueError("no trees today")
+
+    monkeypatch.setattr(tree, "grow", failing)  # the workers fork after this
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(PipelineError) as caught:
+            run_pipeline(small_config(root, tmp_path / f"jobs{jobs}", jobs=jobs))
+        errors.append((caught.value.stage, str(caught.value)))
+        assert multiprocessing.active_children() == []
+    assert errors == [("train", "train: dt on unbalanced: no trees today")] * 2
+    assert {int(p.name) for p in growers.iterdir()} - {os.getpid()}  # a worker grew
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_degenerate_training_data_fails_the_train_stage(corpus, tmp_path, jobs):
+    # the pooled run plans every training's folds before the first fit;
+    # a training set that cannot fill them fails in its turn all the same
+    root, _ = corpus
+    config = small_config(root, tmp_path / "out", cv_folds=400, jobs=jobs)
+    with pytest.raises(PipelineError, match=r"^train: knn on unbalanced: \d+ rows cannot fill 400"):
+        run_pipeline(config)
+    assert multiprocessing.active_children() == []
+
+
 def test_timings_labeller_reproduces_sotd_run(corpus, tmp_path):
     root, instances = corpus
     timings_path = tmp_path / "timings.csv"
@@ -199,6 +261,17 @@ def test_config_validation(tmp_path):
         ExperimentConfig(tmp_path, tmp_path / "o", grids={"dt": [{"maxdepth": 4}]})
 
 
+@pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2"])
+def test_config_refuses_a_bad_job_count(tmp_path, jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        ExperimentConfig(tmp_path, tmp_path / "o", jobs=jobs)
+
+
+def test_the_job_count_defaults_to_the_usable_cpus(tmp_path):
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert ExperimentConfig(tmp_path, tmp_path / "o").jobs == expected
+
+
 def _matrix_with_balanced_column(cells):
     accuracy = {}
     for model, (unb, bal, aug) in cells.items():
@@ -243,6 +316,21 @@ def test_report_does_not_import_the_pipeline():
         timeout=60,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_importing_the_pipeline_loads_no_process_pool():
+    # the pool's modules load when the training stage starts one, so that
+    # importing the package stays as fast and small as before
+    code = (
+        "import sys, cadaug.pipeline; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_matrix_json_roundtrip(experiment):
