@@ -27,7 +27,6 @@ from .labelling import (
     write_timings_csv,
 )
 from .ml import CVPlan, DEFAULT_GRIDS, DegenerateDataError, MODEL_KINDS, TrainedModel, accuracy, train
-from .ml.workers import default_jobs
 from .pipeline import LABELLERS, ExperimentConfig, PipelineError, label_instances, run_pipeline
 from .report import IMPROVEMENTS, ResultMatrix, render_improvement, write_report
 from .smtlib import IngestError, ingest_directory, read_instances_jsonl, write_instances_jsonl
@@ -196,7 +195,6 @@ def _cmd_run(args) -> int:
             models=tuple(args.models.split(",")),
             cv_folds=args.cv_folds,
             grids=_load_grids(args.grid),
-            jobs=args.jobs,
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -304,13 +302,6 @@ def build_parser() -> _Parser:
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--balance-mode", choices=("random", "exact"), default="random")
     p.add_argument("--models", default="knn,dt,rf")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=default_jobs(),
-        help="worker processes that grow trees (default: the CPUs this process may use); "
-        "1 runs everything in one process",
-    )
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="re-render report files from a saved matrix")

@@ -126,16 +126,11 @@ class RandomForestClassifier:
         Tree i has seed ``derive_seed(seed, f"tree:{i}")`` and is grown on
         ``rows[sample]``, where ``sample`` is its bootstrap draw of
         ``len(rows)`` positions from a generator on that seed (all
-        positions without ``bootstrap``).
+        positions without ``bootstrap``), drawn when it grows.
         """
-        n = len(rows)
         seeds = [derive_seed(self.seed, f"tree:{i}") for i in range(self.n_trees)]
-        if self.bootstrap:
-            samples = [rows[np.random.default_rng(seed).integers(0, n, size=n)] for seed in seeds]
-        else:
-            samples = [rows] * self.n_trees
         mtry = resolve_max_features(self.max_features, n_features)
-        return Growth(samples, seeds, (self.max_depth, self.min_leaf, mtry))
+        return Growth(rows, seeds, self.bootstrap, (self.max_depth, self.min_leaf, mtry))
 
     def _fitted(self) -> list[DecisionTreeClassifier]:
         if self.trees is None:

@@ -196,7 +196,8 @@ class CrossValidation:
     The fold models are planned in batches as ``predictions`` fits them
     (see ``_fold_models``), so one batch's trees are held at a time.
     ``growths`` plans every batch at once instead, so that their growths
-    can start elsewhere (``SharedGrowth.start``) before the first fit.
+    can start elsewhere (``SharedGrowth.start``) before the first fit;
+    ``train(kind, cv)`` then trains on the planned CV.
     """
 
     def __init__(self, kind: str, dataset: Dataset, plan: CVPlan) -> None:
@@ -227,7 +228,7 @@ class CrossValidation:
             mask = np.ones(n, dtype=bool)
             mask[fold] = False
             self._fit_rows.append(np.flatnonzero(mask))
-        self._X, self._y = X, y
+        self.kind, self.dataset, self.plan = kind, dataset, plan
         self._batches = (
             (rest, bounds, batch)
             for rest, (others, bounds) in groups.items()
@@ -260,7 +261,7 @@ class CrossValidation:
         fitting each point alone with the same seed.  A batch's growth is
         released once its folds are predicted.
         """
-        X, y, fit_rows = self._X, self._y, self._fit_rows
+        X, y, fit_rows = self.dataset.X, self.dataset.y, self._fit_rows
         predictions: dict[tuple[str, Any, int], np.ndarray] = {}
         for rest, bounds, (_, batch) in self._batches:
             for fi, model, hook in batch:
@@ -305,17 +306,17 @@ def _fold_models(
             yield None, [(fi, model, {})]
             continue
         trees = model.growth(rows, X.shape[1])
-        if batch and batch_rows + trees.rows > _GROWTH_ROWS:
+        if batch and batch_rows + trees.root_rows > _GROWTH_ROWS:
             yield growth, batch
             batch, growth, batch_rows = [], SharedGrowth(X, y), 0
         batch.append((fi, model, {"grown": growth.add(trees)}))
-        batch_rows += trees.rows
+        batch_rows += trees.root_rows
     if batch:
         yield growth, batch
 
 
 def train(
-    kind: str, dataset: Dataset, plan: CVPlan, cv: CrossValidation | None = None
+    kind: str, dataset: Dataset | CrossValidation, plan: CVPlan | None = None
 ) -> TrainedModel:
     """Select hyperparameters by k-fold CV and refit on the full dataset.
 
@@ -329,13 +330,18 @@ def train(
     on its own.  The winner is refitted on all rows,
     an rf winner with seed ``derive_seed(plan.seed, "rf:final")``.
 
-    ``cv`` is ``CrossValidation(kind, dataset, plan)`` when it was planned
-    ahead, so that its growths could start elsewhere; by default it is
-    planned here, and its trees grow in this process.
+    ``train(kind, cv)`` takes a ``CrossValidation`` of ``kind`` planned
+    ahead, so that its growths could start elsewhere, in place of
+    ``train(kind, cv.dataset, cv.plan)``, which plans it here and grows
+    its trees in this process.
     """
-    if cv is None:
+    if not isinstance(dataset, CrossValidation):
         cv = CrossValidation(kind, dataset, plan)
-    X, y = dataset.X, dataset.y
+    elif dataset.kind != kind or plan is not None:
+        raise ValueError(f"train({kind!r}, cv) takes a {kind} cross-validation and no plan")
+    else:
+        cv = dataset
+    X, y = cv.dataset.X, cv.dataset.y
     fold_accuracies = [
         [float((predicted == y[fold]).mean()) for predicted, fold in zip(point, cv.folds)]
         for point in cv.predictions()
@@ -356,7 +362,7 @@ def train(
             best_mean = mean
             best_index = gi
     winner = dict(cv.grid[best_index])
-    final = _make_classifier(kind, winner, derive_seed(plan.seed, f"{kind}:final"))
+    final = _make_classifier(kind, winner, derive_seed(cv.plan.seed, f"{kind}:final"))
     final.fit(X, y)
     return TrainedModel(kind, winner, final, results)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import partial
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "column_draw",
     "draw_steps",
     "grow",
+    "grow_all",
     "rank_columns",
     "route",
     "N_CLASSES",
@@ -227,18 +228,29 @@ _NODE = "model file tree node"
 
 
 class Growth(NamedTuple):
-    """The trees one fit grows with ``grow``: tree i on the rows
-    ``samples[i]`` of ``X`` with seed ``seeds[i]``, all with ``params``,
-    the ``(max_depth, min_leaf, mtry)`` arguments of ``grow``."""
+    """The trees one fit grows with ``grow``: tree i with seed
+    ``seeds[i]`` on the rows ``rows`` of ``X`` or, with ``bootstrap``, on
+    ``rows[sample]``, where ``sample`` is a draw of ``len(rows)``
+    positions from a generator on ``seeds[i]``; all with ``params``, the
+    ``(max_depth, min_leaf, mtry)`` arguments of ``grow``.  The samples
+    are drawn only when the trees grow (``samples``)."""
 
-    samples: list[np.ndarray]
+    rows: np.ndarray
     seeds: list[int | None]
+    bootstrap: bool
     params: tuple[int | None, int, int | None]
 
     @property
-    def rows(self) -> int:
+    def root_rows(self) -> int:
         """The root rows of all the trees together."""
-        return sum(len(sample) for sample in self.samples)
+        return len(self.rows) * len(self.seeds)
+
+    def samples(self) -> list[np.ndarray]:
+        """Each tree's rows of ``X``."""
+        if not self.bootstrap:
+            return [self.rows] * len(self.seeds)
+        n = len(self.rows)
+        return [self.rows[np.random.default_rng(seed).integers(0, n, size=n)] for seed in self.seeds]
 
 
 # row × candidate-column cells that one split-search pass takes: a level
@@ -353,10 +365,18 @@ def grow(
     return [TreeArrays(*arrays) for arrays in zip(*per_tree)]
 
 
+def grow_all(X: np.ndarray, y: np.ndarray, growths: Sequence[Growth]) -> list[TreeArrays]:
+    """The trees of every growth in ``growths``, in order, grown with one
+    ``grow``; every growth must have the same ``params``."""
+    samples = [sample for growth in growths for sample in growth.samples()]
+    seeds = [seed for growth in growths for seed in growth.seeds]
+    return grow(X, y, samples, seeds, *growths[0].params)
+
+
 class SharedGrowth:
     """The trees of one or more fits on rows of one ``X``, grown together
-    (``grow``) on the first request for any of them, or elsewhere once
-    ``start`` is called.
+    (``grow_all``) on the first request for any of them, or elsewhere
+    once ``start`` is called.
 
     Each fit adds its ``Growth``, and each of its trees is still fitted
     through ``DecisionTreeClassifier.fit``, which asks for its tree here:
@@ -367,37 +387,35 @@ class SharedGrowth:
 
     def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
         self._X, self._y = X, y
-        self._samples: list[np.ndarray] = []
-        self._seeds: list[int | None] = []
-        self._params: tuple | None = None
+        self._growths: list[Growth] = []
+        self._n_trees = 0
         self._trees: list[TreeArrays] | None = None
-        self._future = None
+        self._started: Callable[[], list[TreeArrays]] | None = None
 
     def add(self, growth: Growth) -> Callable[..., TreeArrays]:
         """Take on ``growth``'s trees; returns ``grown``, where
         ``grown(i)`` is its tree i and ``grown()`` its first.  Every
         growth added must have the same ``params``."""
-        if self._params is not None and growth.params != self._params:
+        if self._growths and growth.params != self._growths[0].params:
             raise ValueError("a shared growth's trees must share max_depth, min_leaf and mtry")
-        self._params = growth.params
-        first = len(self._samples)
-        self._samples += growth.samples
-        self._seeds += growth.seeds
+        first = self._n_trees
+        self._growths.append(growth)
+        self._n_trees += len(growth.seeds)
         return partial(self._tree, first)
 
-    def start(self, submit: Callable[..., Any]) -> None:
-        """Grow the trees elsewhere, starting now: ``submit(samples,
-        seeds, params)`` returns a future of what ``grow`` returns for
-        them on this growth's ``X`` and ``y``.  No growth may be added
-        after this."""
-        self._future = submit(self._samples, self._seeds, self._params)
+    def start(self, submit: Callable[[list[Growth]], Callable[[], list[TreeArrays]]]) -> None:
+        """Grow the trees elsewhere, starting now: ``submit(growths)``
+        starts ``grow_all`` on this growth's ``X``, ``y`` and growths, and
+        returns a function that waits for its trees.  No growth may be
+        added after this."""
+        self._started = submit(self._growths)
 
     def _tree(self, first: int, i: int = 0) -> TreeArrays:
         if self._trees is None:
-            if self._future is None:
-                self._trees = grow(self._X, self._y, self._samples, self._seeds, *self._params)
+            if self._started is None:
+                self._trees = grow_all(self._X, self._y, self._growths)
             else:
-                self._trees, self._future = self._future.result(), None
+                self._trees, self._started = self._started(), None
         return self._trees[first + i]
 
 
@@ -650,7 +668,7 @@ class DecisionTreeClassifier:
     def growth(self, rows: np.ndarray, n_features: int) -> Growth:
         """The tree that ``fit`` grows on ``X[rows]``; ``n_features`` is
         unused."""
-        return Growth([rows], [None], (self.max_depth, self.min_leaf, None))
+        return Growth(rows, [None], False, (self.max_depth, self.min_leaf, None))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return route([self._fitted()], X, [None])[0][0]

@@ -1,9 +1,10 @@
 """Tree growth on a pool of forked worker processes.
 
-``growth_pool`` starts workers that run ``tree.grow`` on the rows of a
-fixed list of training sets.  The workers are forked once those sets
-exist, so each holds them from the start: a task ships only its trees'
-samples, seeds and parameters, and ships back their ``TreeArrays``.
+``growth_pool`` starts workers that run ``tree.grow_all`` on the rows of
+a fixed list of training sets.  The workers are forked once those sets
+exist, so each holds them from the start: a task ships only its
+growths (fit rows, tree seeds and parameters; each tree's bootstrap
+sample is drawn in the worker), and ships back their ``TreeArrays``.
 Growth is deterministic, so a tree grown in a worker equals the tree
 grown in process.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,16 +32,21 @@ from . import tree
 
 __all__ = ["can_fork", "default_jobs", "growth_pool"]
 
+# workers beyond this many have not been measured: on a 2-vCPU host two
+# workers cut the criterion-7 run by a third, and each held about 60 MB
+MAX_JOBS = 2
+
 # the (X, y) of every training set, in a worker process
 _TRAINING: Sequence[tuple[np.ndarray, np.ndarray]] = ()
 
 
 def default_jobs() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on, at most ``MAX_JOBS``."""
     try:
-        return len(os.sched_getaffinity(0))
+        usable = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+        usable = os.cpu_count() or 1
+    return min(usable, MAX_JOBS)
 
 
 def can_fork() -> bool:
@@ -56,30 +62,58 @@ def _install(training: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
     _TRAINING = training
 
 
-def _grow(index: int, samples, seeds, params) -> list[tree.TreeArrays]:
+def _grow(index: int, growths: list[tree.Growth]) -> list[tree.TreeArrays]:
     X, y = _TRAINING[index]
-    return tree.grow(X, y, samples, seeds, *params)
+    return tree.grow_all(X, y, growths)
+
+
+@contextmanager
+def _worker_lost() -> Iterator[None]:
+    """Report a pool broken by a worker that ended abruptly (killed, say,
+    for want of memory) as a ``ChildProcessError``, an ``OSError``."""
+    from concurrent.futures import BrokenExecutor
+
+    try:
+        yield
+    except BrokenExecutor as err:
+        raise ChildProcessError(f"a tree-growing worker process ended abruptly: {err}") from err
+
+
+def _result(future) -> list[tree.TreeArrays]:
+    with _worker_lost():
+        return future.result()
+
+
+def _submit(pool, index: int, growths: list[tree.Growth]) -> Callable[[], list[tree.TreeArrays]]:
+    with _worker_lost():
+        return partial(_result, pool.submit(_grow, index, growths))
 
 
 @contextmanager
 def growth_pool(
     jobs: int, training: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> Iterator[list[Callable[..., Any]]]:
+) -> Iterator[list[Callable[..., Callable[[], list[tree.TreeArrays]]]]]:
     """A pool of ``jobs`` forked workers for the training sets
     ``training``, as one ``submit`` per set for ``SharedGrowth.start``.
 
-    The workers fork at the first submit.  On exit, work not yet started
-    is cancelled and the pool is shut down, waiting for every worker to
-    end: none outlives the block, and their CPU time counts among this
-    process's reaped children.
+    The workers fork at the first submit, which raises the ``OSError`` of
+    a fork that fails.  On exit, work not yet started is cancelled and
+    the pool is shut down, waiting for every worker to end; a worker
+    forked before another's fork failed, which the pool never started,
+    is terminated.  None outlives the block, and their CPU time counts
+    among this process's reaped children.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    before = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(
         jobs, multiprocessing.get_context("fork"), initializer=_install, initargs=(training,)
     )
     try:
-        yield [partial(pool.submit, _grow, index) for index in range(len(training))]
+        yield [partial(_submit, pool, index) for index in range(len(training))]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        for child in set(multiprocessing.active_children()) - before:
+            child.terminate()
+            child.join()

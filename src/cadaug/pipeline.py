@@ -22,10 +22,10 @@ table cell bit for bit.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from . import report
 from .augment import augment_full, balance, split
@@ -83,9 +83,6 @@ class ExperimentConfig:
     grids: Mapping[str, Sequence[Mapping[str, Any]]] = field(
         default_factory=lambda: DEFAULT_GRIDS
     )
-    # worker processes that grow trees; 1 runs everything in this process,
-    # and no job count changes an output
-    jobs: int = field(default_factory=workers.default_jobs)
 
     def __post_init__(self):
         if self.labeller not in LABELLERS:
@@ -103,8 +100,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model kind {kind!r}")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if isinstance(self.jobs, bool) or not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ValueError(f"jobs must be an integer >= 1, got {self.jobs!r}")
         CVPlan(folds=self.cv_folds, grids=self.grids)  # fail on a bad grid before labelling
 
 
@@ -209,23 +204,23 @@ def _datasets(
     return datasets
 
 
-@contextmanager
-def _growths_started(
-    config: ExperimentConfig,
+def _start_growths(
     pairs: Sequence[tuple[str, str, CVPlan]],
     datasets: Mapping[tuple[str, str], Dataset],
-) -> Iterator[dict[tuple[str, str], CrossValidation]]:
+    stack: ExitStack,
+) -> dict[tuple[str, str], CrossValidation]:
     """Each (kind, trained_on) pair's cross-validation, planned ahead,
-    with every tree growth started on worker processes in the order the
-    pairs consume them; nothing with one job or without ``fork``, and
-    ``train_model`` then plans and grows in process.
+    with every tree growth started on worker processes (a pool entered on
+    ``stack``) in the order the pairs consume them.  Nothing runs ahead
+    on a single usable CPU or without ``fork``: each pair then plans and
+    grows in process, in its turn.
 
-    Planning stops at the first pair that cannot be planned, which
-    ``train_model`` fails on again in its turn.
+    Planning stops at the first pair that cannot be planned, which fails
+    again in its turn.
     """
-    if config.jobs == 1 or not workers.can_fork():
-        yield {}
-        return
+    jobs = workers.default_jobs()
+    if jobs == 1 or not workers.can_fork():
+        return {}
     planned = {}
     growths = []
     for kind, trained_on, plan in pairs:
@@ -237,11 +232,10 @@ def _growths_started(
         index = PROVENANCES.index(trained_on)
         growths += [(index, growth) for growth in cv.growths()]
     training = [(datasets[(on, "train")].X, datasets[(on, "train")].y) for on in PROVENANCES]
-    with workers.growth_pool(min(config.jobs, max(1, len(growths))), training) as submit:
-        for index, growth in growths:
-            growth.start(submit[index])
-        del growths  # each growth's trees go once their fold models are predicted
-        yield planned
+    submit = stack.enter_context(workers.growth_pool(min(jobs, max(1, len(growths))), training))
+    for index, growth in growths:
+        growth.start(submit[index])
+    return planned
 
 
 def _train_and_evaluate(
@@ -250,8 +244,8 @@ def _train_and_evaluate(
     """Every model's accuracy by (model, trained_on, tested_on), and the
     uniform-random baseline's by tested_on; models are saved under models/.
 
-    Trees grow on ``config.jobs`` worker processes (``_growths_started``);
-    the models are still fitted, saved and scored here, one at a time.
+    Trees grow on worker processes (``_start_growths``); the models are
+    still fitted, saved and scored here, one at a time.
     """
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
@@ -269,12 +263,16 @@ def _train_and_evaluate(
         for kind in config.models
         for trained_on in PROVENANCES
     ]
-    with _growths_started(config, pairs, datasets) as planned:
+    with ExitStack() as pool:
+        with _stage("train", "starting worker processes: "):
+            planned = _start_growths(pairs, datasets, pool)
         for kind, trained_on, plan in pairs:
+            cv = planned.pop((kind, trained_on), None)
             with _stage("train", f"{kind} on {trained_on}: "):
-                model = train_model(
-                    kind, datasets[(trained_on, "train")], plan, planned.get((kind, trained_on))
-                )
+                if cv is None:
+                    model = train_model(kind, datasets[(trained_on, "train")], plan)
+                else:
+                    model = train_model(kind, cv)
             model.save(model_dir / f"{kind}_{trained_on}.json")
             for tested_on in PROVENANCES:
                 accuracy[(kind, trained_on, tested_on)] = model_accuracy(

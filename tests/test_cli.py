@@ -108,16 +108,6 @@ def test_config_errors_exit_1(workspace, tmp_path):
                    "--out", tmp_path / "m.json") == EXIT_CONFIG
 
 
-def test_run_writes_the_same_files_whatever_its_jobs(workspace, tmp_path):
-    root = workspace
-    common = ("run", "--input", root / "corpus", "--cv-folds", "3", "--grid", root / "grid.json")
-    assert run_cli(*common, "--jobs", "0", "--out", tmp_path / "none") == EXIT_CONFIG
-    for jobs in ("1", "2"):
-        assert run_cli(*common, "--jobs", jobs, "--out", tmp_path / jobs) == EXIT_OK
-    for name in ["matrix.json", *(f"models/{p.name}" for p in (tmp_path / "1" / "models").iterdir())]:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
-
-
 def test_data_errors_exit_2(workspace, tmp_path):
     root = workspace
     empty_dir = tmp_path / "empty"

@@ -828,40 +828,39 @@ def test_cv_results_do_not_depend_on_the_growth_row_budget(monkeypatch, kind):
     assert len({r["mean_accuracy"] for r in runs[0][0]}) > 1
 
 
-class _Grown:
-    """A future whose result is already there."""
-
-    def __init__(self, trees):
-        self._trees = trees
-
-    def result(self):
-        return self._trees
-
-
 @pytest.mark.parametrize("kind, started", [("dt", [4, 4]), ("rf", [12] * 4)])
 def test_cv_growths_started_ahead_give_the_lazy_cv(monkeypatch, kind, started):
     # the pipeline plans each training's growths ahead and starts them on
     # worker processes; here they are grown at submit, in process
     dataset = _cv_problem()
     plan = CVPlan(folds=4, grids=CV_GRIDS, seed=5)
-    grow = tree_module.grow
     submitted = []
 
-    def submit(samples, seeds, params):
-        submitted.append(len(samples))
-        return _Grown(grow(dataset.X, dataset.y, samples, seeds, *params))
+    def submit(growths):
+        submitted.append(sum(len(growth.seeds) for growth in growths))
+        trees = tree_module.grow_all(dataset.X, dataset.y, growths)
+        return lambda: trees
 
     cv = CrossValidation(kind, dataset, plan)
     for growth in cv.growths():
         growth.start(submit)
     assert submitted == started
     growths = _count_growths(monkeypatch)
-    ahead = train(kind, dataset, plan, cv)
+    ahead = train(kind, cv)
     assert growths == [1 if kind == "dt" else 3]  # only the final refit grows here
     lazy = train(kind, dataset, plan)
     assert ahead.cv_results == lazy.cv_results
     assert ahead.hyperparameters == lazy.hyperparameters
     assert ahead.classifier.to_payload() == lazy.classifier.to_payload()
+
+
+def test_train_refuses_a_cv_of_another_kind_or_a_second_plan():
+    dataset = _cv_problem()
+    plan = CVPlan(folds=4, grids=CV_GRIDS, seed=5)
+    with pytest.raises(ValueError, match="takes a rf cross-validation"):
+        train("rf", CrossValidation("dt", dataset, plan))
+    with pytest.raises(ValueError, match="and no plan"):
+        train("dt", CrossValidation("dt", dataset, plan), plan)
 
 
 def test_cv_grows_each_grid_group_once(monkeypatch):

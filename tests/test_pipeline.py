@@ -1,9 +1,11 @@
 """End-to-end pipeline tests on small synthetic corpora."""
 
+import errno
 import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from cadaug.dataset import PROVENANCES
 from cadaug.features import FeatureSchema
 from cadaug.labelling import write_timings_csv
-from cadaug.ml import tree
+from cadaug.ml import tree, workers
 from cadaug.pipeline import ExperimentConfig, PipelineError, run_pipeline
 from cadaug.report import ResultMatrix, improvement_summary, render_matrix_csv
 from cadaug.synth import synthesize_corpus, timings_from_sotd
@@ -155,17 +157,21 @@ def _files(out):
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
-def test_outputs_do_not_depend_on_the_job_count(tmp_path):
+def _jobs(monkeypatch, jobs):
+    """Grow trees on ``jobs`` worker processes; 1 grows them in process."""
+    monkeypatch.setattr(workers, "default_jobs", lambda: jobs)
+
+
+def test_outputs_do_not_depend_on_the_job_count(tmp_path, monkeypatch):
     # with the default grids, the pool gets 16 growths here: one per dt
     # group and training set, and on the augmented set each 100-tree
     # forest group grows its five folds as batches of 2, 2 and 1
     synthesize_corpus(tmp_path / "corpus", 60, seed=7)
     outputs = []
     for jobs in (1, 2):
+        _jobs(monkeypatch, jobs)
         out = tmp_path / f"jobs{jobs}"
-        run_pipeline(
-            ExperimentConfig(tmp_path / "corpus", out, seed=7, balance_mode="exact", jobs=jobs)
-        )
+        run_pipeline(ExperimentConfig(tmp_path / "corpus", out, seed=7, balance_mode="exact"))
         outputs.append(_files(out))
     names = set(outputs[0])
     assert {"labels.csv", "schema.json", "matrix.json", "matrix.csv", "report.md"} <= names
@@ -174,9 +180,10 @@ def test_outputs_do_not_depend_on_the_job_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_a_pooled_run_leaves_no_worker_running(corpus, tmp_path):
+def test_a_pooled_run_leaves_no_worker_running(corpus, tmp_path, monkeypatch):
     root, _ = corpus
-    run_pipeline(small_config(root, tmp_path / "out", jobs=2))
+    _jobs(monkeypatch, 2)
+    run_pipeline(small_config(root, tmp_path / "out"))
     assert multiprocessing.active_children() == []
 
 
@@ -192,20 +199,68 @@ def test_a_growth_failing_in_a_worker_fails_the_train_stage(corpus, tmp_path, mo
     monkeypatch.setattr(tree, "grow", failing)  # the workers fork after this
     errors = []
     for jobs in (1, 2):
+        _jobs(monkeypatch, jobs)
         with pytest.raises(PipelineError) as caught:
-            run_pipeline(small_config(root, tmp_path / f"jobs{jobs}", jobs=jobs))
+            run_pipeline(small_config(root, tmp_path / f"jobs{jobs}"))
         errors.append((caught.value.stage, str(caught.value)))
         assert multiprocessing.active_children() == []
     assert errors == [("train", "train: dt on unbalanced: no trees today")] * 2
     assert {int(p.name) for p in growers.iterdir()} - {os.getpid()}  # a worker grew
 
 
+def test_a_worker_killed_mid_growth_fails_the_train_stage(corpus, tmp_path, monkeypatch):
+    # as the kernel's out-of-memory killer would
+    root, _ = corpus
+    parent = os.getpid()
+    grow = tree.grow
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(tree, "grow", killed)  # the workers fork after this
+    _jobs(monkeypatch, 2)
+    with pytest.raises(
+        PipelineError, match=r"^train: dt on unbalanced: a tree-growing worker process ended abruptly"
+    ) as caught:
+        run_pipeline(small_config(root, tmp_path / "out"))
+    assert caught.value.stage == "train"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("forks", [0, 1])
+def test_a_failing_fork_fails_the_train_stage(corpus, tmp_path, monkeypatch, forks):
+    # the pool forks its two workers at the first submit; the first fork
+    # or only the second fails, as with EAGAIN when the host is out of
+    # processes
+    root, _ = corpus
+    fork = os.fork
+    calls = []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) > forks:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    _jobs(monkeypatch, 2)
+    with pytest.raises(
+        PipelineError, match=r"^train: starting worker processes: \[Errno 11\] Resource"
+    ):
+        run_pipeline(small_config(root, tmp_path / "out"))
+    assert len(calls) == forks + 1
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_degenerate_training_data_fails_the_train_stage(corpus, tmp_path, jobs):
+def test_degenerate_training_data_fails_the_train_stage(corpus, tmp_path, monkeypatch, jobs):
     # the pooled run plans every training's folds before the first fit;
     # a training set that cannot fill them fails in its turn all the same
     root, _ = corpus
-    config = small_config(root, tmp_path / "out", cv_folds=400, jobs=jobs)
+    _jobs(monkeypatch, jobs)
+    config = small_config(root, tmp_path / "out", cv_folds=400)
     with pytest.raises(PipelineError, match=r"^train: knn on unbalanced: \d+ rows cannot fill 400"):
         run_pipeline(config)
     assert multiprocessing.active_children() == []
@@ -261,15 +316,10 @@ def test_config_validation(tmp_path):
         ExperimentConfig(tmp_path, tmp_path / "o", grids={"dt": [{"maxdepth": 4}]})
 
 
-@pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2"])
-def test_config_refuses_a_bad_job_count(tmp_path, jobs):
-    with pytest.raises(ValueError, match="jobs"):
-        ExperimentConfig(tmp_path, tmp_path / "o", jobs=jobs)
-
-
-def test_the_job_count_defaults_to_the_usable_cpus(tmp_path):
-    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert ExperimentConfig(tmp_path, tmp_path / "o").jobs == expected
+@pytest.mark.parametrize("usable, jobs", [(1, 1), (2, 2), (8, 2)])
+def test_the_job_count_is_the_usable_cpus_up_to_two(monkeypatch, usable, jobs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+    assert workers.default_jobs() == jobs
 
 
 def _matrix_with_balanced_column(cells):
