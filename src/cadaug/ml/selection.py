@@ -245,7 +245,8 @@ class CrossValidation:
 
     def growths(self) -> list[SharedGrowth]:
         """Plan every batch of fold models now; their growths, in the
-        order ``predictions`` asks for their trees."""
+        order ``predictions`` asks for their trees.  A second call,
+        before ``predictions``, returns the same growths."""
         batches = deque(self._batches)
         self._batches = _drain(batches)
         return [growth for _, _, (growth, _) in batches if growth is not None]

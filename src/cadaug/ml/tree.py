@@ -403,6 +403,18 @@ class SharedGrowth:
         self._n_trees += len(growth.seeds)
         return partial(self._tree, first)
 
+    @property
+    def root_cells(self) -> int:
+        """The root rows of every growth added, times the candidate columns
+        each root searches (``mtry``, or every column): a measure of the
+        work of growing them."""
+        n_features = self._X.shape[1]
+        cells = 0
+        for growth in self._growths:
+            mtry = growth.params[2]
+            cells += growth.root_rows * (n_features if mtry is None else min(mtry, n_features))
+        return cells
+
     def start(self, submit: Callable[[list[Growth]], Callable[[], list[TreeArrays]]]) -> None:
         """Grow the trees elsewhere, starting now: ``submit(growths)``
         starts ``grow_all`` on this growth's ``X``, ``y`` and growths, and

@@ -204,80 +204,92 @@ def _datasets(
     return datasets
 
 
+def _schedule(
+    config: ExperimentConfig, datasets: Mapping[tuple[str, str], Dataset]
+) -> list[tuple[str, str, CrossValidation]]:
+    """Every (kind, trained_on) pair with its cross-validation, planned in
+    canonical order (``config.models`` by ``PROVENANCES``), listed in the
+    order the pairs are trained.
+
+    The pairs that grow no trees (knn) come first, so that this process
+    has work while the workers start.  The others follow in descending
+    order of planned work, their growths' root cells
+    (``SharedGrowth.root_cells``), ties in canonical order: the longest
+    growths start first, so that none is left to run alone at the end.
+    A training set that cannot be planned fails before the first fit.
+    """
+    planned = []
+    for kind in config.models:
+        for trained_on in PROVENANCES:
+            plan = CVPlan(
+                folds=config.cv_folds,
+                grids=config.grids,
+                seed=derive_seed(config.seed, f"train:{kind}:{trained_on}"),
+            )
+            with _stage("train", f"{kind} on {trained_on}: "):
+                cv = CrossValidation(kind, datasets[(trained_on, "train")], plan)
+            work = sum(growth.root_cells for growth in cv.growths())
+            planned.append((work, kind, trained_on, cv))
+    planned.sort(key=lambda pair: (pair[0] > 0, -pair[0]))
+    return [(kind, trained_on, cv) for _, kind, trained_on, cv in planned]
+
+
 def _start_growths(
-    pairs: Sequence[tuple[str, str, CVPlan]],
+    schedule: Sequence[tuple[str, str, CrossValidation]],
     datasets: Mapping[tuple[str, str], Dataset],
     stack: ExitStack,
-) -> dict[tuple[str, str], CrossValidation]:
-    """Each (kind, trained_on) pair's cross-validation, planned ahead,
-    with every tree growth started on worker processes (a pool entered on
-    ``stack``) in the order the pairs consume them.  Nothing runs ahead
-    on a single usable CPU or without ``fork``: each pair then plans and
-    grows in process, in its turn.
-
-    Planning stops at the first pair that cannot be planned, which fails
-    again in its turn.
-    """
+) -> None:
+    """Start every tree growth of the cross-validations in ``schedule``,
+    in its order, on worker processes (a pool entered on ``stack``).  No
+    pool starts when there is no growth, on a single usable CPU or
+    without ``fork``: each growth then runs in process when its pair
+    trains."""
+    growths = [
+        (PROVENANCES.index(trained_on), growth)
+        for _, trained_on, cv in schedule
+        for growth in cv.growths()
+    ]
     jobs = workers.default_jobs()
-    if jobs == 1 or not workers.can_fork():
-        return {}
-    planned = {}
-    growths = []
-    for kind, trained_on, plan in pairs:
-        try:
-            cv = CrossValidation(kind, datasets[(trained_on, "train")], plan)
-        except ValueError:
-            break
-        planned[kind, trained_on] = cv
-        index = PROVENANCES.index(trained_on)
-        growths += [(index, growth) for growth in cv.growths()]
+    if not growths or jobs == 1 or not workers.can_fork():
+        return
     training = [(datasets[(on, "train")].X, datasets[(on, "train")].y) for on in PROVENANCES]
-    submit = stack.enter_context(workers.growth_pool(min(jobs, max(1, len(growths))), training))
+    submit = stack.enter_context(workers.growth_pool(min(jobs, len(growths)), training))
     for index, growth in growths:
         growth.start(submit[index])
-    return planned
 
 
 def _train_and_evaluate(
     config: ExperimentConfig, out: Path, datasets: Mapping[tuple[str, str], Dataset]
 ) -> tuple[dict[tuple[str, str, str], float], dict[str, float]]:
-    """Every model's accuracy by (model, trained_on, tested_on), and the
-    uniform-random baseline's by tested_on; models are saved under models/.
+    """Every model's accuracy by (model, trained_on, tested_on), in
+    canonical order, and the uniform-random baseline's by tested_on;
+    models are saved under models/.
 
-    Trees grow on worker processes (``_start_growths``); the models are
-    still fitted, saved and scored here, one at a time.
+    The pairs train in ``_schedule`` order, their trees grown on worker
+    processes (``_start_growths``); the models are still fitted, saved
+    and scored here, one at a time.
     """
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
-    accuracy: dict[tuple[str, str, str], float] = {}
-    pairs = [
-        (
-            kind,
-            trained_on,
-            CVPlan(
-                folds=config.cv_folds,
-                grids=config.grids,
-                seed=derive_seed(config.seed, f"train:{kind}:{trained_on}"),
-            ),
-        )
-        for kind in config.models
-        for trained_on in PROVENANCES
-    ]
+    schedule = _schedule(config, datasets)
+    scored: dict[tuple[str, str, str], float] = {}
     with ExitStack() as pool:
         with _stage("train", "starting worker processes: "):
-            planned = _start_growths(pairs, datasets, pool)
-        for kind, trained_on, plan in pairs:
-            cv = planned.pop((kind, trained_on), None)
+            _start_growths(schedule, datasets, pool)
+        for kind, trained_on, cv in schedule:
             with _stage("train", f"{kind} on {trained_on}: "):
-                if cv is None:
-                    model = train_model(kind, datasets[(trained_on, "train")], plan)
-                else:
-                    model = train_model(kind, cv)
+                model = train_model(kind, cv)
             model.save(model_dir / f"{kind}_{trained_on}.json")
             for tested_on in PROVENANCES:
-                accuracy[(kind, trained_on, tested_on)] = model_accuracy(
+                scored[(kind, trained_on, tested_on)] = model_accuracy(
                     model, datasets[(tested_on, "test")]
                 )
+    accuracy = {
+        (kind, trained_on, tested_on): scored[kind, trained_on, tested_on]
+        for kind in config.models
+        for trained_on in PROVENANCES
+        for tested_on in PROVENANCES
+    }
     train_unb = datasets[("unbalanced", "train")]
     baseline_model = RandomBaseline(seed=derive_seed(config.seed, "baseline")).fit(
         train_unb.X, train_unb.y

@@ -854,6 +854,22 @@ def test_cv_growths_started_ahead_give_the_lazy_cv(monkeypatch, kind, started):
     assert ahead.classifier.to_payload() == lazy.classifier.to_payload()
 
 
+def test_root_cells_count_trees_fit_rows_and_candidate_columns():
+    # the pipeline trains its pairs in descending order of this measure
+    dataset = _cv_problem()  # 150 rows of 12 columns
+    plan = CVPlan(folds=4, grids=CV_GRIDS, seed=5)
+    fit_rows = 3 * 150  # each row is fitted on in 3 of the 4 folds
+    cells = {
+        kind: sum(growth.root_cells for growth in CrossValidation(kind, dataset, plan).growths())
+        for kind in ("dt", "rf")
+    }
+    # dt: two groups (min_leaf 1 and 4) of one tree on every column
+    assert cells["dt"] == 2 * fit_rows * 12
+    # rf: four groups of 3 trees, two drawing round(sqrt(12)) = 3 columns
+    # and two searching all 12
+    assert cells["rf"] == 2 * 3 * fit_rows * (3 + 12)
+
+
 def test_train_refuses_a_cv_of_another_kind_or_a_second_plan():
     dataset = _cv_problem()
     plan = CVPlan(folds=4, grids=CV_GRIDS, seed=5)

@@ -8,10 +8,13 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from cadaug import pipeline
 from cadaug.dataset import PROVENANCES
 from cadaug.features import FeatureSchema
 from cadaug.labelling import write_timings_csv
@@ -180,6 +183,100 @@ def test_outputs_do_not_depend_on_the_job_count(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def _growth_work(growths, n_features):
+    """The kind and root cells of a list of growths sharing their
+    parameters: trees × fit rows × candidate columns."""
+    mtry = growths[0].params[2]
+    columns = n_features if mtry is None else min(mtry, n_features)
+    kind = "rf" if growths[0].bootstrap else "dt"
+    return kind, sum(len(growth.seeds) * len(growth.rows) for growth in growths) * columns
+
+
+def test_pairs_train_knn_first_then_by_descending_root_cells(tmp_path, monkeypatch):
+    # longest processing time first: the growths that take longest start
+    # on the workers first, while this process trains knn
+    synthesize_corpus(tmp_path / "corpus", 60, seed=7)
+    train_model, grow_all, growth_pool = pipeline.train_model, tree.grow_all, workers.growth_pool
+    trained, grown = {}, {}
+
+    def recording_train(kind, cv):
+        cells = sum(growth.root_cells for growth in cv.growths())
+        trained[jobs].append((kind, cv.dataset.provenance, cells))
+        return train_model(kind, cv)
+
+    def recording_grow_all(X, y, growths):  # in process
+        if len(growths[0].rows) < len(X):  # a CV growth, not a refit on every row
+            grown[jobs].append(_growth_work(growths, X.shape[1]))
+        return grow_all(X, y, growths)
+
+    @contextmanager
+    def recording_pool(n_jobs, training):  # submitted to the workers
+        def recording(index, submit):
+            def submit_recorded(growths):
+                grown[jobs].append(_growth_work(growths, training[index][0].shape[1]))
+                return submit(growths)
+            return submit_recorded
+
+        with growth_pool(n_jobs, training) as submits:
+            yield [recording(index, submit) for index, submit in enumerate(submits)]
+
+    monkeypatch.setattr(pipeline, "train_model", recording_train)
+    monkeypatch.setattr(tree, "grow_all", recording_grow_all)
+    monkeypatch.setattr(workers, "growth_pool", recording_pool)
+    for jobs in (1, 2):
+        _jobs(monkeypatch, jobs)
+        trained[jobs], grown[jobs] = [], []
+        run_pipeline(ExperimentConfig(tmp_path / "corpus", tmp_path / f"jobs{jobs}", seed=7))
+    assert trained[1] == trained[2]
+    assert grown[1] == grown[2]
+    order = trained[1]
+    assert [pair[:2] for pair in order[:3]] == [("knn", on) for on in PROVENANCES]
+    assert [cells for _, _, cells in order[:3]] == [0] * 3
+    tree_pairs = order[3:]
+    assert sorted(pair[0] for pair in tree_pairs) == ["dt"] * 3 + ["rf"] * 3
+    cells = [cells for _, _, cells in tree_pairs]
+    assert cells == sorted(cells, reverse=True) and cells[-1] > 0
+    assert tree_pairs[0][:2] == ("rf", "augmented")
+    # the growths start in the pairs' order, each pair's adding up to its root cells
+    started = iter(grown[2])
+    for kind, _, cells in tree_pairs:
+        total = 0
+        while total < cells:
+            started_kind, started_cells = next(started)
+            assert started_kind == kind
+            total += started_cells
+        assert total == cells
+    assert next(started, None) is None
+
+
+def test_a_run_without_trees_starts_no_process_pool(tmp_path):
+    # knn grows no trees, so the training stage has no growth for a worker
+    # and imports none of the pool's modules, even with two CPUs to use
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from cadaug.ml import workers
+        from cadaug.pipeline import ExperimentConfig, run_pipeline
+        from cadaug.synth import synthesize_corpus
+
+        workers.default_jobs = lambda: 2
+        synthesize_corpus({str(tmp_path / "corpus")!r}, 30, seed=3)
+        run_pipeline(ExperimentConfig({str(tmp_path / "corpus")!r}, {str(tmp_path / "out")!r},
+                                      models=("knn",), cv_folds=3))
+        print(sorted({{"multiprocessing", "concurrent.futures"}} & set(sys.modules)))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert done.stdout.strip() == "[]"
+    assert sorted(p.name for p in (tmp_path / "out" / "models").iterdir()) == [
+        f"knn_{on}.json" for on in sorted(PROVENANCES)
+    ]
+
+
 def test_a_pooled_run_leaves_no_worker_running(corpus, tmp_path, monkeypatch):
     root, _ = corpus
     _jobs(monkeypatch, 2)
@@ -204,7 +301,8 @@ def test_a_growth_failing_in_a_worker_fails_the_train_stage(corpus, tmp_path, mo
             run_pipeline(small_config(root, tmp_path / f"jobs{jobs}"))
         errors.append((caught.value.stage, str(caught.value)))
         assert multiprocessing.active_children() == []
-    assert errors == [("train", "train: dt on unbalanced: no trees today")] * 2
+    # the schedule's first tree pair: its growths are the first to start
+    assert errors == [("train", "train: rf on augmented: no trees today")] * 2
     assert {int(p.name) for p in growers.iterdir()} - {os.getpid()}  # a worker grew
 
 
@@ -222,7 +320,7 @@ def test_a_worker_killed_mid_growth_fails_the_train_stage(corpus, tmp_path, monk
     monkeypatch.setattr(tree, "grow", killed)  # the workers fork after this
     _jobs(monkeypatch, 2)
     with pytest.raises(
-        PipelineError, match=r"^train: dt on unbalanced: a tree-growing worker process ended abruptly"
+        PipelineError, match=r"^train: rf on augmented: a tree-growing worker process ended abruptly"
     ) as caught:
         run_pipeline(small_config(root, tmp_path / "out"))
     assert caught.value.stage == "train"
@@ -254,15 +352,26 @@ def test_a_failing_fork_fails_the_train_stage(corpus, tmp_path, monkeypatch, for
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_degenerate_training_data_fails_the_train_stage(corpus, tmp_path, monkeypatch, jobs):
-    # the pooled run plans every training's folds before the first fit;
-    # a training set that cannot fill them fails in its turn all the same
+@pytest.mark.parametrize(
+    "jobs, models",
+    [
+        pytest.param(1, ("knn", "dt", "rf"), id="1"),
+        pytest.param(2, ("knn", "dt", "rf"), id="2"),
+        pytest.param(1, ("dt", "rf"), id="trees-1"),
+        pytest.param(2, ("dt", "rf"), id="trees-2"),
+    ],
+)
+def test_degenerate_training_data_fails_the_train_stage(corpus, tmp_path, monkeypatch, jobs, models):
+    # every training's folds are planned in canonical order before the
+    # first fit, so the first training set that cannot fill them fails
     root, _ = corpus
     _jobs(monkeypatch, jobs)
-    config = small_config(root, tmp_path / "out", cv_folds=400)
-    with pytest.raises(PipelineError, match=r"^train: knn on unbalanced: \d+ rows cannot fill 400"):
+    config = small_config(root, tmp_path / "out", cv_folds=400, models=models)
+    with pytest.raises(
+        PipelineError, match=rf"^train: {models[0]} on unbalanced: \d+ rows cannot fill 400"
+    ):
         run_pipeline(config)
+    assert not any((tmp_path / "out" / "models").iterdir())  # it fails before the first fit
     assert multiprocessing.active_children() == []
 
 
