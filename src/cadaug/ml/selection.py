@@ -193,11 +193,13 @@ class CrossValidation:
     ``None``, is the largest) on the rows outside the fold, with seed
     ``derive_seed(plan.seed, f"{kind}:{rest}:{fi}")``, which only rf uses.
 
-    The fold models are planned in batches as ``predictions`` fits them
-    (see ``_fold_models``), so one batch's trees are held at a time.
-    ``growths`` plans every batch at once instead, so that their growths
-    can start elsewhere (``SharedGrowth.start``) before the first fit;
-    ``train(kind, cv)`` then trains on the planned CV.
+    Every batch of fold models (see ``_fold_models``) is planned here;
+    planning grows no tree.  The growths of the batches (``growths``) may
+    start elsewhere (``SharedGrowth.start``) before the first fit, or
+    grow in this process when ``predictions`` asks for their trees.
+    ``predictions`` drops each batch, with its trees, once it is
+    predicted: grown in this process, one batch's trees are held at a
+    time.
     """
 
     def __init__(self, kind: str, dataset: Dataset, plan: CVPlan) -> None:
@@ -229,7 +231,7 @@ class CrossValidation:
             mask[fold] = False
             self._fit_rows.append(np.flatnonzero(mask))
         self.kind, self.dataset, self.plan = kind, dataset, plan
-        self._batches = (
+        self._batches = deque(
             (rest, bounds, batch)
             for rest, (others, bounds) in groups.items()
             for batch in _fold_models(
@@ -244,12 +246,9 @@ class CrossValidation:
         )
 
     def growths(self) -> list[SharedGrowth]:
-        """Plan every batch of fold models now; their growths, in the
-        order ``predictions`` asks for their trees.  A second call,
-        before ``predictions``, returns the same growths."""
-        batches = deque(self._batches)
-        self._batches = _drain(batches)
-        return [growth for _, _, (growth, _) in batches if growth is not None]
+        """The growths of the batches not yet predicted, in the order
+        ``predictions`` asks for their trees."""
+        return [growth for _, _, (growth, _) in self._batches if growth is not None]
 
     def predictions(self) -> list[list[np.ndarray]]:
         """Test predictions of every grid point on every fold.
@@ -259,24 +258,19 @@ class CrossValidation:
         fold from that model alone: knn votes over a prefix of one
         neighbour order, and trees are cut at each depth, a cut node
         predicting the majority recorded when it was grown.  That equals
-        fitting each point alone with the same seed.  A batch's growth is
-        released once its folds are predicted.
+        fitting each point alone with the same seed.  Each batch, with its
+        growth and trees, is dropped once its folds are predicted.
         """
         X, y, fit_rows = self.dataset.X, self.dataset.y, self._fit_rows
         predictions: dict[tuple[str, Any, int], np.ndarray] = {}
-        for rest, bounds, (_, batch) in self._batches:
+        while self._batches:
+            rest, bounds, (_, batch) = self._batches.popleft()
             for fi, model, hook in batch:
                 model.fit(X[fit_rows[fi]], y[fit_rows[fi]], **hook)
                 for bound, predicted in zip(bounds, model.predict_bounded(X[self.folds[fi]], bounds)):
                     predictions[rest, bound, fi] = predicted
         n_folds = len(self.folds)
         return [[predictions[rest, bound, fi] for fi in range(n_folds)] for rest, bound in self._points]
-
-
-def _drain(queue: deque) -> Iterator:
-    """The items of ``queue``, each removed as it is yielded."""
-    while queue:
-        yield queue.popleft()
 
 
 def _fold_models(
@@ -331,10 +325,9 @@ def train(
     on its own.  The winner is refitted on all rows,
     an rf winner with seed ``derive_seed(plan.seed, "rf:final")``.
 
-    ``train(kind, cv)`` takes a ``CrossValidation`` of ``kind`` planned
-    ahead, so that its growths could start elsewhere, in place of
-    ``train(kind, cv.dataset, cv.plan)``, which plans it here and grows
-    its trees in this process.
+    ``train(kind, dataset, plan)`` is ``train(kind, CrossValidation(kind,
+    dataset, plan))``, whose trees grow in this process; ``train(kind,
+    cv)`` takes a CV of ``kind`` whose growths may have started elsewhere.
     """
     if not isinstance(dataset, CrossValidation):
         cv = CrossValidation(kind, dataset, plan)

@@ -386,11 +386,12 @@ class SharedGrowth:
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._X, self._y = X, y
+        self._X = X
         self._growths: list[Growth] = []
         self._n_trees = 0
         self._trees: list[TreeArrays] | None = None
-        self._started: Callable[[], list[TreeArrays]] | None = None
+        # grow_all here, or what ``start`` installs; None once the trees are taken
+        self._source: Callable[[], list[TreeArrays]] | None = partial(grow_all, X, y, self._growths)
 
     def add(self, growth: Growth) -> Callable[..., TreeArrays]:
         """Take on ``growth``'s trees; returns ``grown``, where
@@ -420,14 +421,11 @@ class SharedGrowth:
         starts ``grow_all`` on this growth's ``X``, ``y`` and growths, and
         returns a function that waits for its trees.  No growth may be
         added after this."""
-        self._started = submit(self._growths)
+        self._source = submit(self._growths)
 
     def _tree(self, first: int, i: int = 0) -> TreeArrays:
         if self._trees is None:
-            if self._started is None:
-                self._trees = grow_all(self._X, self._y, self._growths)
-            else:
-                self._trees, self._started = self._started(), None
+            self._trees, self._source = self._source(), None
         return self._trees[first + i]
 
 

@@ -95,9 +95,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown balance mode {self.balance_mode!r}")
         if not self.models:
             raise ValueError("at least one model kind is required")
-        for kind in self.models:
+        for i, kind in enumerate(self.models):
             if kind not in MODEL_KINDS:
                 raise ValueError(f"unknown model kind {kind!r}")
+            if kind in self.models[:i]:
+                raise ValueError(f"model kind {kind!r} is listed twice")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         CVPlan(folds=self.cv_folds, grids=self.grids)  # fail on a bad grid before labelling
@@ -206,8 +208,8 @@ def _datasets(
 
 def _schedule(
     config: ExperimentConfig, datasets: Mapping[tuple[str, str], Dataset]
-) -> list[tuple[str, str, CrossValidation]]:
-    """Every (kind, trained_on) pair with its cross-validation, planned in
+) -> list[CrossValidation]:
+    """The cross-validation of every (kind, trained_on) pair, planned in
     canonical order (``config.models`` by ``PROVENANCES``), listed in the
     order the pairs are trained.
 
@@ -228,31 +230,22 @@ def _schedule(
             )
             with _stage("train", f"{kind} on {trained_on}: "):
                 cv = CrossValidation(kind, datasets[(trained_on, "train")], plan)
-            work = sum(growth.root_cells for growth in cv.growths())
-            planned.append((work, kind, trained_on, cv))
+            planned.append((sum(growth.root_cells for growth in cv.growths()), cv))
     planned.sort(key=lambda pair: (pair[0] > 0, -pair[0]))
-    return [(kind, trained_on, cv) for _, kind, trained_on, cv in planned]
+    return [cv for _, cv in planned]
 
 
-def _start_growths(
-    schedule: Sequence[tuple[str, str, CrossValidation]],
-    datasets: Mapping[tuple[str, str], Dataset],
-    stack: ExitStack,
-) -> None:
+def _start_growths(schedule: Sequence[CrossValidation], stack: ExitStack) -> None:
     """Start every tree growth of the cross-validations in ``schedule``,
     in its order, on worker processes (a pool entered on ``stack``).  No
     pool starts when there is no growth, on a single usable CPU or
     without ``fork``: each growth then runs in process when its pair
     trains."""
-    growths = [
-        (PROVENANCES.index(trained_on), growth)
-        for _, trained_on, cv in schedule
-        for growth in cv.growths()
-    ]
+    growths = [(index, growth) for index, cv in enumerate(schedule) for growth in cv.growths()]
     jobs = workers.default_jobs()
     if not growths or jobs == 1 or not workers.can_fork():
         return
-    training = [(datasets[(on, "train")].X, datasets[(on, "train")].y) for on in PROVENANCES]
+    training = [(cv.dataset.X, cv.dataset.y) for cv in schedule]
     submit = stack.enter_context(workers.growth_pool(min(jobs, len(growths)), training))
     for index, growth in growths:
         growth.start(submit[index])
@@ -275,8 +268,9 @@ def _train_and_evaluate(
     scored: dict[tuple[str, str, str], float] = {}
     with ExitStack() as pool:
         with _stage("train", "starting worker processes: "):
-            _start_growths(schedule, datasets, pool)
-        for kind, trained_on, cv in schedule:
+            _start_growths(schedule, pool)
+        for cv in schedule:
+            kind, trained_on = cv.kind, cv.dataset.provenance
             with _stage("train", f"{kind} on {trained_on}: "):
                 model = train_model(kind, cv)
             model.save(model_dir / f"{kind}_{trained_on}.json")

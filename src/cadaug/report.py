@@ -80,6 +80,8 @@ class ResultMatrix:
             # a cell's model is a string, and a list would not hash
             if not isinstance(key[0], str) or key not in accuracy:
                 raise ValueError(f"matrix file: no accuracy cell {key}")
+        if len(set(models)) < len(models):
+            raise ValueError(f"matrix file: models {list(models)} list a kind twice")
         # every other key the report reads
         summary, baseline, counts, improvements = (
             get(key, dict)

@@ -8,7 +8,8 @@ stated tolerance is an exact comparison.
 
 The experiment check (criterion 7) runs the full pipeline once on a
 450-instance synthetic corpus with frozen seeds; it is the slow test in
-this file (about 20 s on a 2-vCPU host) and its fixture is module-scoped
+this file (8.7–9.5 s on a 2-vCPU host with its trees grown on two worker
+processes, 14.9–15.6 s in one process) and its fixture is module-scoped
 so the run happens only once.
 """
 

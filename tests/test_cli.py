@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from cadaug.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from cadaug.dataset import PROVENANCES
+from cadaug.ml import MODEL_KINDS, workers
+from cadaug.seeding import derive_seed
 
 
 def run_cli(*argv):
@@ -106,6 +109,48 @@ def test_config_errors_exit_1(workspace, tmp_path):
     assert run_cli("train", "--data", root / "train.csv", "--schema", root / "schema.json",
                    "--model", "dt", "--grid", bad_grid,
                    "--out", tmp_path / "m.json") == EXIT_CONFIG
+
+
+def test_run_refuses_a_repeated_model_kind(workspace, tmp_path, capsys):
+    # knn,knn once trained knn twice and wrote its rows twice in matrix.csv
+    capsys.readouterr()
+    assert run_cli("run", "--input", workspace / "corpus", "--out", tmp_path / "o",
+                   "--models", "knn,dt,knn") == EXIT_CONFIG
+    assert "model kind 'knn' is listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "labels.csv").exists()
+
+
+def test_train_verb_writes_the_model_files_of_a_pooled_run(workspace, tmp_path, monkeypatch):
+    # the run trains on cross-validations whose trees grow on worker
+    # processes; the train verb, given the run's training set and derived
+    # seed, plans the same CV and grows its trees in process
+    growth_pool, pools = workers.growth_pool, []
+
+    def recording_pool(jobs, training):
+        pools.append(jobs)
+        return growth_pool(jobs, training)
+
+    monkeypatch.setattr(workers, "default_jobs", lambda: 2)
+    monkeypatch.setattr(workers, "growth_pool", recording_pool)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "knn": [{"k": 1}, {"k": 5}],
+        "dt": [{"max_depth": d, "min_leaf": leaf} for d in (3, None) for leaf in (1, 4)],
+        "rf": [{"n_trees": 6, "max_depth": d, "max_features": f}
+               for d in (4, None) for f in ("sqrt", "third")],
+    }))
+    run_seed, out = 3, tmp_path / "run"
+    assert run_cli("run", "--input", workspace / "corpus", "--seed", run_seed,
+                   "--cv-folds", "3", "--grid", grid, "--out", out) == EXIT_OK
+    assert pools == [2]
+    for kind in MODEL_KINDS:
+        for on in PROVENANCES:
+            model = tmp_path / f"{kind}_{on}.json"
+            assert run_cli("train", "--data", out / "datasets" / f"train_{on}.csv",
+                           "--schema", out / "schema.json", "--model", kind,
+                           "--seed", derive_seed(run_seed, f"train:{kind}:{on}"),
+                           "--cv-folds", "3", "--grid", grid, "--out", model) == EXIT_OK
+            assert model.read_bytes() == (out / "models" / f"{kind}_{on}.json").read_bytes()
 
 
 def test_data_errors_exit_2(workspace, tmp_path):
@@ -422,8 +467,9 @@ def _drop_cell(data):
      "matrix file improvements: 'balanced_vs_unbalanced_pct' is not a finite number"),
     (lambda d: d["models"].append(["rf"]),
      "matrix file: no accuracy cell (['rf'], 'unbalanced', 'unbalanced')"),
+    (lambda d: d["models"].append("knn"), "matrix file: models ['knn', 'knn'] list a kind twice"),
 ], ids=["cell", "summary", "rows", "feature-count", "baseline", "baseline-type",
-        "improvement-type", "model-type"])
+        "improvement-type", "model-type", "model-twice"])
 def test_report_names_what_a_matrix_file_lacks(tmp_path, capsys, damage, message):
     data = complete_matrix()
     damage(data)

@@ -1,8 +1,10 @@
 """Tests for the from-scratch classifiers and CV selection."""
 
+import gc
 import hashlib
 import inspect
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -828,10 +830,31 @@ def test_cv_results_do_not_depend_on_the_growth_row_budget(monkeypatch, kind):
     assert len({r["mean_accuracy"] for r in runs[0][0]}) > 1
 
 
+@pytest.mark.parametrize("kind", ["dt", "rf"])
+def test_planning_a_cv_grows_no_tree_and_training_frees_its_growths(monkeypatch, kind):
+    dataset = _cv_problem()
+    plan = CVPlan(folds=4, grids=CV_GRIDS, seed=5)
+    grown = _count_growths(monkeypatch)
+    cv = CrossValidation(kind, dataset, plan)
+    planned = cv.growths()
+    assert grown == [] and planned and cv.growths() == planned
+    refs = [weakref.ref(growth) for growth in planned]
+    del planned
+    # each growth and its trees must go as soon as their batch is
+    # predicted, by reference counting alone
+    gc.disable()
+    try:
+        train(kind, cv)
+        assert cv.growths() == []
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("kind, started", [("dt", [4, 4]), ("rf", [12] * 4)])
-def test_cv_growths_started_ahead_give_the_lazy_cv(monkeypatch, kind, started):
-    # the pipeline plans each training's growths ahead and starts them on
-    # worker processes; here they are grown at submit, in process
+def test_cv_growths_started_elsewhere_give_the_cv_grown_in_process(monkeypatch, kind, started):
+    # the pipeline starts each training's growths on worker processes;
+    # here they are grown at submit, in process
     dataset = _cv_problem()
     plan = CVPlan(folds=4, grids=CV_GRIDS, seed=5)
     submitted = []
@@ -848,10 +871,10 @@ def test_cv_growths_started_ahead_give_the_lazy_cv(monkeypatch, kind, started):
     growths = _count_growths(monkeypatch)
     ahead = train(kind, cv)
     assert growths == [1 if kind == "dt" else 3]  # only the final refit grows here
-    lazy = train(kind, dataset, plan)
-    assert ahead.cv_results == lazy.cv_results
-    assert ahead.hyperparameters == lazy.hyperparameters
-    assert ahead.classifier.to_payload() == lazy.classifier.to_payload()
+    here = train(kind, dataset, plan)
+    assert ahead.cv_results == here.cv_results
+    assert ahead.hyperparameters == here.hyperparameters
+    assert ahead.classifier.to_payload() == here.classifier.to_payload()
 
 
 def test_root_cells_count_trees_fit_rows_and_candidate_columns():

@@ -419,6 +419,8 @@ def test_config_validation(tmp_path):
         ExperimentConfig(tmp_path, tmp_path / "o", models=())
     with pytest.raises(ValueError):
         ExperimentConfig(tmp_path, tmp_path / "o", models=("svm",))
+    with pytest.raises(ValueError, match="model kind 'knn' is listed twice"):
+        ExperimentConfig(tmp_path, tmp_path / "o", models=("knn", "dt", "knn"))
     with pytest.raises(ValueError):
         ExperimentConfig(tmp_path, tmp_path / "o", timeout=0.0)
     with pytest.raises(ValueError, match="maxdepth"):
